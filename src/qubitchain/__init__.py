@@ -41,7 +41,6 @@ from .mps import (
     reduced_pair_dm,
     reduced_sites_dm,
     save_checkpoint,
-    trotter_step,
 )
 from .negativity import (
     ReducedState,

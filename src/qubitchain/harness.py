@@ -38,8 +38,11 @@ splitting of site 1 for the thermal occupation.
 from __future__ import annotations
 
 import math
+import os
+import warnings
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -52,25 +55,19 @@ from .chain import (
     sample_disorder,
 )
 from .lindblad import (
-    DEFAULT_DT,
     NoiseSpec,
     RateSet,
-    evolve,
     nbar_from_temperature,
     rates_from_angles,
     steady_state,
+    stream,
 )
-from .mps import MixedTebdEngine, TrotterPlan, mps_from_product, reduced_pair_dm, reduced_sites_dm
-from .negativity import (
-    ReducedState,
-    block_log_negativity,
-    log_negativity,
-    reduce,
-    reduce_statevector,
-)
+from .mps import MixedTebdEngine, MpsMixedState, TrotterPlan, mps_from_product, reduced_sites_dm
+from .negativity import ReducedState, log_negativity, reduce, reduce_statevector
 from .states import density_from_pure, eigenbasis_bell_head, eigenbasis_product, ground_state, thermal_state
 from .witness import (
     SYMMETRY_WARN_LIMIT,
+    CorrelationMatrix,
     bound_c1,
     bound_c2,
     bound_c2_optimized,
@@ -89,6 +86,35 @@ _FLUCTUATION_FLOOR = 1e-6
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent scenario configs."""
+
+
+# Peak working set of one exact-solver member, in d x d complex arrays
+# (d = 2^N).  Measured peak RSS above the 63 MB of an N = 4 run, at N = 9..11:
+# 12.2 arrays with noise (RK4 stages and the temporaries of
+# LindbladGenerator.apply), 5.1 for a noiseless state vector (H and eigh),
+# 8.0 for a noiseless density matrix (H, eigh and the eigenbasis state).
+# Each count below leaves about one spare.
+_NOISY_ARRAYS, _PURE_ARRAYS, _MIXED_ARRAYS = 13, 6, 9
+# Interpreter, numpy and scipy, counted once per process.
+_PROCESS_BYTES = 128 * 2**20
+
+
+def exact_member_bytes(n_qubits: int, noisy: bool, pure: bool = True) -> int:
+    """Estimated peak bytes of one exact-solver member: RK4 on the density
+    matrix if `noisy`, else a state vector (`pure`) or density matrix
+    propagated in the eigenbasis of H."""
+    arrays = _NOISY_ARRAYS if noisy else _PURE_ARRAYS if pure else _MIXED_ARRAYS
+    return arrays * 16 * 4**n_qubits
+
+
+def _check_exact_memory(n_qubits: int, member_bytes: int, members_at_once: int = 1) -> None:
+    need = _PROCESS_BYTES + members_at_once * member_bytes
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"exact solver refused for N={n_qubits} with {members_at_once} member(s) at once: estimated "
+            f"peak {need / 2**30:.1f} GiB exceeds the {have / 2**30:.1f} GiB of physical memory; use the mps solver"
+        )
 
 
 @dataclass(frozen=True)
@@ -120,6 +146,8 @@ class ObservablesConfig:
         for i, j in self.pairs:
             if i >= j:
                 raise ConfigError(f"pair ({i}, {j}) must be ordered i < j")
+        if self.frozen_axes and "e_n" not in self.measures:
+            raise ConfigError("frozen_axes mode requires the e_n measure")
 
 
 @dataclass(frozen=True)
@@ -159,8 +187,8 @@ class ScenarioConfig:
         if self.t_max <= 0 or self.dt <= 0 or self.sample_every < 1:
             raise ConfigError("t_max, dt must be > 0 and sample_every >= 1")
         n = self.chain.n_qubits
-        if self.solver.kind == "exact" and n > 14:
-            raise ConfigError(f"exact solver refused for N={n} > 14; use the mps solver")
+        if self.solver.kind == "exact":
+            _check_exact_memory(n, self.member_bytes)
         if self.solver.kind == "mps" and self.initial_state != "product_eigen":
             raise ConfigError("the mps solver supports product_eigen initial states only")
         if self.initial_state == "thermal_of_k_ini" and not self.initial_temperature_mk:
@@ -176,6 +204,16 @@ class ScenarioConfig:
     @property
     def ensemble_size(self) -> int:
         return self.disorder.ensemble_size if self.disorder else 1
+
+    @property
+    def member_bytes(self) -> int:
+        mixed = self.initial_state == "thermal_of_k_ini"
+        return exact_member_bytes(self.chain.n_qubits, self.noise.gamma > 0, pure=not mixed)
+
+    @property
+    def step(self) -> float:
+        """Time step of the configured solver; the sample grid is spaced in it."""
+        return self.dt if self.solver.kind == "exact" else self.solver.dt
 
     def to_dict(self) -> dict:
         chain = {
@@ -341,14 +379,6 @@ def first_maximum(times: np.ndarray, series: np.ndarray, floor: float = FIRST_MA
 
 
 @dataclass
-class PairSeries:
-    """Per-member measurement table of one observable column for one pair."""
-
-    pair: tuple[int, int]
-    values: dict[str, np.ndarray]  # measure -> (members, times), NaN = not evaluable
-
-
-@dataclass
 class EnsembleStats:
     """Mean/std series and first-maximum statistics per tracked pair."""
 
@@ -422,147 +452,129 @@ def _initial_coupling_chain(config: ScenarioConfig, chain_fin: ChainSpec) -> Cha
     return chain_fin.scale_coupling(k_ini / k_fin)
 
 
-def _prepare_initial(config: ScenarioConfig, chain_fin: ChainSpec) -> tuple[np.ndarray, bool]:
-    """Initial state of one member: (array, is_pure_vector)."""
+def _prepare_initial(config: ScenarioConfig, chain_fin: ChainSpec) -> np.ndarray:
+    """Initial state of one member: a state vector, or a density matrix if mixed."""
     n = config.chain.n_qubits
     kind = config.initial_state
     if kind == "product_eigen":
-        return eigenbasis_product(n), True
+        return eigenbasis_product(n)
     if kind == "bell_head_eigen":
-        return eigenbasis_bell_head(n), True
+        return eigenbasis_bell_head(n)
     chain_ini = _initial_coupling_chain(config, chain_fin)
     h_ini = build_hamiltonian_eigen(chain_ini)
     if kind == "ground_of_k_ini":
-        return ground_state(h_ini).vector, True
-    rho = thermal_state(
-        h_ini, config.initial_temperature_mk * 1e-3, config.chain.energy_unit_kelvin
-    )
-    return rho, False
+        return ground_state(h_ini).vector
+    return thermal_state(h_ini, config.initial_temperature_mk * 1e-3, config.chain.energy_unit_kelvin)
 
 
-def _measure_pair(pair_state: ReducedState, measures, flags: list[str]) -> dict[str, float]:
+def _measure_pair(pair_state: ReducedState, x: CorrelationMatrix | None, measures, flags: list[str]) -> dict[str, float]:
     out = {}
     if "e_n" in measures:
         out["e_n"] = log_negativity(pair_state, (pair_state.sites[0],))
-    if any(m in measures for m in ("c1", "c2", "c2_opt")):
-        x = correlation_matrix_from_pair(pair_state)
-        if "c1" in measures:
-            out["c1"] = bound_c1(x)
-        if "c2" in measures:
-            out["c2"] = bound_c2(x)
-        if "c2_opt" in measures:
-            if x.asymmetry < SYMMETRY_WARN_LIMIT:
-                out["c2_opt"] = bound_c2_optimized(x).value
-            else:
-                out["c2_opt"] = math.nan
-                flags.append(
-                    f"c2_opt skipped for pair {x.sites}: asymmetry {x.asymmetry:.2e}"
-                )
+    if "c1" in measures:
+        out["c1"] = bound_c1(x)
+    if "c2" in measures:
+        out["c2"] = bound_c2(x)
+    if "c2_opt" in measures:
+        if x.asymmetry < SYMMETRY_WARN_LIMIT:
+            out["c2_opt"] = bound_c2_optimized(x).value
+        else:
+            out["c2_opt"] = math.nan
+            flags.append(
+                f"c2_opt skipped for pair {x.sites}: asymmetry {x.asymmetry:.2e}"
+            )
     return out
 
 
-def _run_member_exact(config: ScenarioConfig, chain_fin: ChainSpec, times: np.ndarray, flags: list[str]):
-    """Dense-solver member run; returns {pair: {measure: series}}, {block: series}."""
-    h = build_hamiltonian_eigen(chain_fin)
-    rates = rates_from_angles(mixing_angles(chain_fin), config.noise)
-    state0, is_pure = _prepare_initial(config, chain_fin)
-    measures = config.observables.measures
-    pairs = config.observables.pairs
-    blocks = config.observables.blocks
+def sample_grid(t_max: float, dt: float, sample_every: int) -> np.ndarray:
+    """Sample times of every propagation path: every sample_every steps of dt, and the last step."""
+    n_steps = int(round(t_max / dt))
+    return np.array([k * dt for k in [*range(0, n_steps, sample_every), n_steps]])
 
-    pair_rows: dict[tuple[int, int], dict[str, list[float]]] = {
-        p: {m: [] for m in measures} for p in pairs
-    }
-    block_rows = {b: [] for b in blocks}
 
-    def measure_state(reduce_pair: Callable[[tuple[int, int]], ReducedState], rho_full):
-        for p in pairs:
-            row = _measure_pair(reduce_pair(p), measures, flags)
-            for m in measures:
-                pair_rows[p][m].append(row[m])
-        for a, b in blocks:
-            block_rows[(a, b)].append(block_log_negativity(rho_full(), a, b))
+def propagate(
+    state0: np.ndarray | MpsMixedState,
+    h: np.ndarray | None,
+    rates: RateSet,
+    t_max: float,
+    dt: float,
+    sample_every: int = 1,
+    engine: MixedTebdEngine | None = None,
+) -> Iterator[tuple[float, Callable[[tuple[int, ...]], ReducedState]]]:
+    """Propagate one state and yield (t, accessor) at each time of :func:`sample_grid`.
 
-    if rates.is_zero():
-        # Noiseless runs propagate exactly by eigendecomposition.
+    The accessor maps ascending 1-based sites to the reduced density matrix
+    at t and stays valid after later samples are drawn.  With `engine`,
+    `state0` is an MpsMixedState advanced by TEBD steps of `dt` and `h` is
+    unused.  Otherwise `state0` is a state vector or density matrix under
+    the dense Hamiltonian `h`: without noise it is propagated exactly in the
+    eigenbasis of `h`, with noise by RK4 (:func:`qubitchain.lindblad.stream`).
+    """
+    times = sample_grid(t_max, dt, sample_every)
+    if engine is not None:
+        state, done = state0, 0
+        for t in times:
+            while done < int(round(t / dt)):
+                state = engine.step(state)
+                done += 1
+            yield t, partial(reduced_sites_dm, state)
+    elif rates.is_zero():
         energies, vectors = np.linalg.eigh(h)
-        if is_pure:
+        if state0.ndim == 1:
             coeff = vectors.conj().T @ state0
             for t in times:
-                psi = vectors @ (np.exp(-1j * energies * t) * coeff)
-                measure_state(
-                    lambda p: reduce_statevector(psi, p),
-                    lambda: density_from_pure(psi),
-                )
+                yield t, partial(reduce_statevector, vectors @ (np.exp(-1j * energies * t) * coeff))
         else:
             rho_eig = vectors.conj().T @ state0 @ vectors
             for t in times:
                 phase = np.exp(-1j * energies * t)
                 rho = vectors @ (phase[:, None] * rho_eig * phase.conj()[None, :]) @ vectors.conj().T
-                measure_state(lambda p: reduce(rho, p), lambda: rho)
+                yield t, partial(reduce, rho)
     else:
-        rho0 = density_from_pure(state0) if is_pure else state0
-        traj = evolve(rho0, h, rates, config.t_max, config.dt, config.sample_every)
-        if len(traj.times) != len(times) or np.abs(traj.times - times).max() > 1e-9:
-            raise RuntimeError("integrator sample grid mismatch")
-        for rho in traj.states:
-            measure_state(lambda p: reduce(rho, p), lambda: rho)
-
-    return (
-        {p: {m: np.array(v) for m, v in rows.items()} for p, rows in pair_rows.items()},
-        {b: np.array(v) for b, v in block_rows.items()},
-    )
+        rho0 = density_from_pure(state0) if state0.ndim == 1 else state0
+        for t, rho, _, _ in stream(rho0, h, rates, t_max, dt, sample_every):
+            yield t, partial(reduce, rho)
 
 
-def _run_member_mps(config: ScenarioConfig, chain_fin: ChainSpec, times: np.ndarray, flags: list[str]):
-    n = config.chain.n_qubits
+def _run_member(config: ScenarioConfig, member: int, pair_series, block_series, flags, keep_correlations):
+    """Measure one ensemble member into row `member` of the (members, times) series.
+
+    Returns {pair: [CorrelationMatrix per sample]} with `keep_correlations`, else {}.
+    """
+    chain_fin = _member_chain(config, member)
     rates = rates_from_angles(mixing_angles(chain_fin), config.noise)
-    plan = TrotterPlan.build(config.solver.dt, order=4)
-    engine = MixedTebdEngine(chain_fin, rates, plan, config.solver.bond_dim)
-    ground = np.diag([1.0, 0.0]).astype(complex)
-    state = mps_from_product([ground] * n, bond_dim=config.solver.bond_dim)
+    engine = h = None
+    if config.solver.kind == "mps":
+        plan = TrotterPlan.build(config.solver.dt, order=4)
+        engine = MixedTebdEngine(chain_fin, rates, plan, config.solver.bond_dim)
+        ground = np.diag([1.0, 0.0]).astype(complex)
+        state0 = mps_from_product([ground] * config.chain.n_qubits, bond_dim=config.solver.bond_dim)
+    else:
+        h = build_hamiltonian_eigen(chain_fin)
+        state0 = _prepare_initial(config, chain_fin)
+    samples = propagate(state0, h, rates, config.t_max, config.step, config.sample_every, engine)
 
     measures = config.observables.measures
-    pairs = config.observables.pairs
-    blocks = config.observables.blocks
-    pair_rows: dict[tuple[int, int], dict[str, list[float]]] = {
-        p: {m: [] for m in measures} for p in pairs
-    }
-    block_rows = {b: [] for b in blocks}
-
-    steps_per_sample = [int(round(t / config.solver.dt)) for t in times]
-    done = 0
-    for target in steps_per_sample:
-        while done < target:
-            state = engine.step(state)
-            done += 1
-        for p in pairs:
-            row = _measure_pair(reduced_pair_dm(state, *p), measures, flags)
-            for m in measures:
-                pair_rows[p][m].append(row[m])
-        for a, b in blocks:
-            rs = reduced_sites_dm(state, tuple(sorted(a + b)))
-            block_rows[(a, b)].append(log_negativity(rs, a))
-    if engine.flagged_steps:
-        flags.append(
-            f"mps truncation ceiling exceeded on {engine.flagged_steps} steps "
-            f"(total discarded weight {engine.truncation_weight:.3e})"
-        )
-    flags.append(f"mps total truncation weight {engine.truncation_weight:.3e}")
-    return (
-        {p: {m: np.array(v) for m, v in rows.items()} for p, rows in pair_rows.items()},
-        {b: np.array(v) for b, v in block_rows.items()},
-    )
-
-
-def sample_times(config: ScenarioConfig) -> np.ndarray:
-    """Snapshot grid shared by all solvers: every sample_every steps of dt."""
-    dt = config.dt if config.solver.kind == "exact" else config.solver.dt
-    n_steps = int(round(config.t_max / dt))
-    ticks = list(range(0, n_steps + 1, config.sample_every))
-    if ticks[-1] != n_steps:
-        ticks.append(n_steps)
-    return np.array([k * dt for k in ticks])
+    need_x = keep_correlations or any(m in measures for m in ("c1", "c2", "c2_opt"))
+    correlations = {p: [] for p in config.observables.pairs} if keep_correlations else {}
+    for k, (_, acc) in enumerate(samples):
+        for p in config.observables.pairs:
+            rs = acc(p)
+            x = correlation_matrix_from_pair(rs) if need_x else None
+            for m, value in _measure_pair(rs, x, measures, flags).items():
+                pair_series[p][m][member, k] = value
+            if keep_correlations:
+                correlations[p].append(x)
+        for a, b in config.observables.blocks:
+            block_series[(a, b)][member, k] = log_negativity(acc(tuple(sorted(a + b))), a)
+    if engine is not None:
+        if engine.flagged_steps:
+            flags.append(
+                f"mps truncation ceiling exceeded on {engine.flagged_steps} steps "
+                f"(total discarded weight {engine.truncation_weight:.3e})"
+            )
+        flags.append(f"mps total truncation weight {engine.truncation_weight:.3e}")
+    return correlations
 
 
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> ResultSet:
@@ -570,42 +582,33 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ResultSet:
 
     Aggregation is indexed by member, so results do not depend on `threads`.
     """
-    times = sample_times(config)
+    times = sample_grid(config.t_max, config.step, config.sample_every)
     members = config.ensemble_size
+    if config.solver.kind == "exact":
+        _check_exact_memory(config.chain.n_qubits, config.member_bytes, min(threads, members))
+    pairs = config.observables.pairs
+    measures = config.observables.measures
+    pair_series = {p: {m: np.empty((members, len(times))) for m in measures} for p in pairs}
+    block_series = {b: np.empty((members, len(times))) for b in config.observables.blocks}
     flags: list[str] = []
     member_flags: list[list[str]] = [[] for _ in range(members)]
-
-    runner = _run_member_exact if config.solver.kind == "exact" else _run_member_mps
+    frozen = config.observables.frozen_axes
 
     def one(m: int):
-        chain_fin = _member_chain(config, m)
-        return runner(config, chain_fin, times, member_flags[m])
+        return _run_member(config, m, pair_series, block_series, member_flags[m], frozen and m == 0)
 
     if threads > 1 and members > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(members)))
+            correlations = list(pool.map(one, range(members)))[0]
     else:
-        results = [one(m) for m in range(members)]
+        correlations = [one(m) for m in range(members)][0]
     for mf in member_flags:
         flags.extend(mf)
 
-    pairs = config.observables.pairs
-    measures = config.observables.measures
-    pair_series = {
-        p: {m: np.stack([results[k][0][p][m] for k in range(members)]) for m in measures}
-        for p in pairs
-    }
-    block_series = {
-        b: np.stack([results[k][1][b] for k in range(members)])
-        for b in config.observables.blocks
-    }
-
     # nanmean over a column with no evaluable member is NaN by design
     # (c2_opt under the symmetrization policy); silence the numpy warning.
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         mean = {p: {m: np.nanmean(pair_series[p][m], axis=0) for m in measures} for p in pairs}
@@ -627,67 +630,34 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ResultSet:
             fm_times[p] = np.full(members, math.nan)
 
     stats = EnsembleStats(mean, std, fm_values, fm_times)
-    result = ResultSet(config, times, pair_series, block_series, stats, flags)
-
-    if config.observables.frozen_axes:
-        _evaluate_frozen_axes(config, result)
-    return result
+    frozen_series, frozen_info = _frozen_axes(times, pair_series, correlations, flags) if frozen else (None, None)
+    return ResultSet(config, times, pair_series, block_series, stats, flags, frozen_series, frozen_info)
 
 
-def _evaluate_frozen_axes(config: ScenarioConfig, result: ResultSet) -> None:
-    """Re-evaluate the plain bound along axes frozen at each pair's E_N peak.
+def _frozen_axes(times, pair_series, correlations, flags: list[str]):
+    """Plain bound along axes frozen at each pair's E_N peak: (series, info).
 
-    Runs on the first ensemble member only (axes freezing is a single-run
-    measurement protocol, not an ensemble statistic).
+    Reads the first ensemble member's per-sample correlation matrices (axes
+    freezing is a single-run measurement protocol, not an ensemble statistic).
     """
-    if "e_n" not in config.observables.measures:
-        raise ConfigError("frozen_axes mode requires the e_n measure")
-    chain_fin = _member_chain(config, 0)
-    times = result.times
     series: dict[tuple[int, int], np.ndarray] = {}
     info: dict = {}
-    h = build_hamiltonian_eigen(chain_fin)
-    rates = rates_from_angles(mixing_angles(chain_fin), config.noise)
-    state0, is_pure = _prepare_initial(config, chain_fin)
-
-    # Collect the pair reduced states once, then evaluate all axes choices.
-    pair_states: dict[tuple[int, int], list[ReducedState]] = {p: [] for p in config.observables.pairs}
-    if rates.is_zero() and is_pure:
-        energies, vectors = np.linalg.eigh(h)
-        coeff = vectors.conj().T @ state0
-        for t in times:
-            psi = vectors @ (np.exp(-1j * energies * t) * coeff)
-            for p in pair_states:
-                pair_states[p].append(reduce_statevector(psi, p))
-    else:
-        rho0 = density_from_pure(state0) if is_pure else state0
-        traj = evolve(rho0, h, rates, config.t_max, config.dt, config.sample_every)
-        for rho in traj.states:
-            for p in pair_states:
-                pair_states[p].append(reduce(rho, p))
-
-    for p, states in pair_states.items():
-        en = result.pair_series[p]["e_n"][0]
-        ref_idx = int(np.nanargmax(en))
-        x_ref = correlation_matrix_from_pair(states[ref_idx])
+    for p, xs in correlations.items():
+        ref_idx = int(np.nanargmax(pair_series[p]["e_n"][0]))
+        x_ref = xs[ref_idx]
         if x_ref.asymmetry >= SYMMETRY_WARN_LIMIT:
-            result.flags.append(
+            flags.append(
                 f"frozen axes unavailable for pair {p}: reference asymmetry {x_ref.asymmetry:.2e}"
             )
-            series[p] = np.full(len(times), math.nan)
+            series[p] = np.full(len(xs), math.nan)
             continue
         axes = bound_c2_optimized(x_ref).axes
-        row = []
-        for rs in states:
-            x = correlation_matrix_from_pair(rs)
-            row.append(frozen_axes_bound(x, axes))
-        series[p] = np.array(row)
+        series[p] = np.array([frozen_axes_bound(x, axes) for x in xs])
         info[str(list(p))] = {
             "reference_time": float(times[ref_idx]),
             "axes": [[float(v) for v in axis] for axis in axes],
         }
-    result.frozen_axes_series = series
-    result.frozen_axes_info = info
+    return series, info
 
 
 @dataclass(frozen=True)
@@ -707,10 +677,9 @@ class ScanConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.chain.n_qubits > 14:
-            raise ConfigError("steady-state scans use the exact solver; N <= 14 required")
         if not self.gammas or not self.coupling_ratios:
             raise ConfigError("scan grids must be non-empty")
+        _check_exact_memory(self.chain.n_qubits, exact_member_bytes(self.chain.n_qubits, any(self.gammas)))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScanConfig":
@@ -812,8 +781,9 @@ def steady_state_scan(config: ScanConfig) -> ScanResult:
     """
     points: list[ScanPoint] = []
     classifications: dict[float, str] = {}
-    n = config.chain.n_qubits
-    rho0_vec = eigenbasis_product(n)
+    rho0_vec = eigenbasis_product(config.chain.n_qubits)
+    sample = max(1, int(round(0.5 / config.transient_dt)))
+    part = (config.pair[0],)
     for ratio in config.coupling_ratios:
         chain = config.chain.with_coupling(ratio * config.chain.delta[0])
         h = build_hamiltonian_eigen(chain)
@@ -822,36 +792,16 @@ def steady_state_scan(config: ScanConfig) -> ScanResult:
         for gamma in config.gammas:
             noise = NoiseSpec(gamma, config.n_thermal)
             rates = rates_from_angles(angles, noise)
-            fm = _transient_first_max(config, chain, rates)
+            samples = propagate(rho0_vec, h, rates, config.transient_t_max, config.transient_dt, sample)
+            times, series = zip(*((t, log_negativity(acc(config.pair), part)) for t, acc in samples))
+            fm = first_maximum(times, series)
+            fm = fm.value if fm else 0.0
             if gamma == 0.0 or rates.is_zero():
                 points.append(ScanPoint(ratio, gamma, math.nan, False, math.nan, fm, False))
                 continue
             res = steady_state(density_from_pure(rho0_vec), h, rates, config.tol, config.t_cap)
-            en = log_negativity(reduce(res.state, config.pair), (config.pair[0],))
+            en = log_negativity(reduce(res.state, config.pair), part)
             points.append(ScanPoint(ratio, gamma, en, res.converged, res.residual, fm, True))
             row_values.append(en)
         classifications[ratio] = classify_row(row_values) if row_values else "not_applicable"
     return ScanResult(config, points, classifications)
-
-
-def _transient_first_max(config: ScanConfig, chain: ChainSpec, rates: RateSet) -> float:
-    h = build_hamiltonian_eigen(chain)
-    rho0 = density_from_pure(eigenbasis_product(chain.n_qubits))
-    sample = max(1, int(round(0.5 / config.transient_dt)))
-    if rates.is_zero():
-        times = np.arange(0, config.transient_t_max + 1e-9, config.transient_dt * sample)
-        energies, vectors = np.linalg.eigh(h)
-        coeff = vectors.conj().T @ eigenbasis_product(chain.n_qubits)
-        series = []
-        for t in times:
-            psi = vectors @ (np.exp(-1j * energies * t) * coeff)
-            series.append(log_negativity(reduce_statevector(psi, config.pair), (config.pair[0],)))
-        series = np.array(series)
-    else:
-        traj = evolve(rho0, h, rates, config.transient_t_max, config.transient_dt, sample)
-        times = traj.times
-        series = np.array(
-            [log_negativity(reduce(r, config.pair), (config.pair[0],)) for r in traj.states]
-        )
-    fm = first_maximum(times, series)
-    return fm.value if fm else 0.0

@@ -27,6 +27,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sparse
@@ -248,20 +249,23 @@ def _rk4_step(gen: LindbladGenerator, rho: np.ndarray, dt: float) -> np.ndarray:
     return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def evolve(
+def stream(
     rho0: np.ndarray,
     h: np.ndarray,
     rates: RateSet,
     t_max: float,
     dt: float = DEFAULT_DT,
     sample_every: int = 10,
-) -> Trajectory:
-    """Integrate the master equation, sampling every `sample_every` steps.
+) -> Iterator[tuple[float, np.ndarray, float, float]]:
+    """Integrate the master equation, yielding a snapshot every `sample_every` steps.
 
+    Yields (t, rho, trace drift, Hermiticity drift) at t = 0, every
+    `sample_every` steps and the last step; only the current state and the
+    RK4 stages are held, and a yielded array is never written to again.
     Snapshots are re-Hermitized ((rho + rho^dagger)/2) and trace-renormalized;
-    the drift corrected at each snapshot is recorded.  Cumulative trace drift
-    beyond 1e-6 or a snapshot eigenvalue below -1e-6 aborts with a diagnostic,
-    since either indicates a broken integration rather than roundoff.
+    the drift corrected at each snapshot is yielded with it.  Cumulative trace
+    drift beyond 1e-6 or a snapshot eigenvalue below -1e-6 aborts with a
+    diagnostic, since either indicates a broken integration rather than roundoff.
     """
     gen = LindbladGenerator(h, rates)
     if rho0.shape != (gen.dim, gen.dim):
@@ -271,11 +275,8 @@ def evolve(
         raise ValueError("sample_every must be >= 1")
     n_steps = int(round(t_max / dt))
 
-    rho = rho0.astype(complex).copy()
-    times = [0.0]
-    states = [rho.copy()]
-    trace_drift = [abs(float(np.trace(rho).real) - 1.0)]
-    herm_drift = [0.0]
+    rho = rho0.astype(complex)
+    yield 0.0, rho, abs(float(np.trace(rho).real) - 1.0), 0.0
     cumulative_trace = 0.0
     for step in range(1, n_steps + 1):
         rho = _rk4_step(gen, rho, dt)
@@ -297,11 +298,20 @@ def evolve(
                 raise RuntimeError(
                     f"positivity violated (min eigenvalue {min_eig:.3e}) at t={step * dt:.3f}"
                 )
-            times.append(step * dt)
-            states.append(rho.copy())
-            trace_drift.append(drift)
-            herm_drift.append(herm / scale if scale > 0 else 0.0)
-    return Trajectory(np.asarray(times), states, np.asarray(trace_drift), np.asarray(herm_drift))
+            yield step * dt, rho, drift, herm / scale if scale > 0 else 0.0
+
+
+def evolve(
+    rho0: np.ndarray,
+    h: np.ndarray,
+    rates: RateSet,
+    t_max: float,
+    dt: float = DEFAULT_DT,
+    sample_every: int = 10,
+) -> Trajectory:
+    """Every snapshot of :func:`stream`, collected into a Trajectory."""
+    times, states, trace_drift, herm_drift = zip(*stream(rho0, h, rates, t_max, dt, sample_every))
+    return Trajectory(np.asarray(times), list(states), np.asarray(trace_drift), np.asarray(herm_drift))
 
 
 def _certify(gen: LindbladGenerator, rho: np.ndarray, tol: float) -> float:

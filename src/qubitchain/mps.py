@@ -295,14 +295,10 @@ def _dissipative_superoperator(g_relax: float, g_excite: float, g_dephase: float
     def sandwich(a, b):
         return np.kron(a, b.T)
 
-    l1 = g_relax * (2.0 * sandwich(SP, SM) - sandwich(eye_like(p1), p1) - sandwich(p1, eye_like(p1)))
-    l1 += g_excite * (2.0 * sandwich(SM, SP) - sandwich(eye_like(p0), p0) - sandwich(p0, eye_like(p0)))
+    l1 = g_relax * (2.0 * sandwich(SP, SM) - sandwich(ID2, p1) - sandwich(p1, ID2))
+    l1 += g_excite * (2.0 * sandwich(SM, SP) - sandwich(ID2, p0) - sandwich(p0, ID2))
     l1 += g_dephase * (2.0 * sandwich(SZ, SZ) - 2.0 * eye4)
     return l1
-
-
-def eye_like(op: np.ndarray) -> np.ndarray:
-    return np.eye(op.shape[0], dtype=complex)
 
 
 class MixedTebdEngine:
@@ -464,15 +460,3 @@ def load_checkpoint(path: str | Path) -> tuple[MpsMixedState, dict]:
             "truncation_weight": float(data["truncation_weight"]),
         }
     return state, meta
-
-
-def trotter_step(
-    state: MpsMixedState,
-    plan: TrotterPlan,
-    spec: ChainSpec,
-    rates: RateSet,
-    bond_dim: int | None = None,
-) -> MpsMixedState:
-    """Convenience single step; loops should construct a MixedTebdEngine once."""
-    engine = MixedTebdEngine(spec, rates, plan, bond_dim or state.bond_dim)
-    return engine.step(state)

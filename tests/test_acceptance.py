@@ -18,6 +18,7 @@ from qubitchain.harness import (
     ScanConfig,
     ScenarioConfig,
     first_maximum,
+    propagate,
     run_scenario,
     steady_state_scan,
 )
@@ -248,15 +249,12 @@ def test_thermal_fidelity_free_fermion_oracle():
 def ideal_generation_series():
     spec = qc.ChainSpec.homogeneous(8)
     h = qc.build_hamiltonian_eigen(spec)
-    energies, vectors = np.linalg.eigh(h)
-    coeff = vectors.conj().T @ qc.eigenbasis_product(8)
-    times = np.arange(0.0, 300.0 + 1e-9, 0.5)
-    e12, e18 = [], []
-    for t in times:
-        psi = vectors @ (np.exp(-1j * energies * t) * coeff)
-        e12.append(en_of_pure(psi, (1, 2)))
-        e18.append(en_of_pure(psi, (1, 8)))
-    return times, np.array(e12), np.array(e18)
+    times, e12, e18 = [], [], []
+    for t, acc in propagate(qc.eigenbasis_product(8), h, qc.RateSet.zero(8), 300.0, 0.5):
+        times.append(t)
+        e12.append(log_negativity(acc((1, 2)), (1,)))
+        e18.append(log_negativity(acc((1, 8)), (1,)))
+    return np.array(times), np.array(e12), np.array(e18)
 
 
 def test_criterion_6_collapse_and_revival(ideal_generation_series):
@@ -488,8 +486,8 @@ def test_criterion_10_conservation_suite():
         chain = _member_chain(cfg, 0)
         h = qc.build_hamiltonian_eigen(chain)
         rates = qc.rates_from_angles(qc.mixing_angles(chain), cfg.noise)
-        state0, is_pure = _prepare_initial(cfg, chain)
-        rho0 = qc.density_from_pure(state0) if is_pure else state0
+        state0 = _prepare_initial(cfg, chain)
+        rho0 = qc.density_from_pure(state0) if state0.ndim == 1 else state0
         traj = qc.evolve(rho0, h, rates, cfg.t_max, 0.02, 50)
         if traj.trace_drift.max() >= 1e-8:
             failures.append(f"{path.stem}: trace drift {traj.trace_drift.max():.2e}")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,8 +54,13 @@ class TestConfig:
             small_config(bogus=1)
 
     def test_exact_solver_size_guard(self):
-        with pytest.raises(ConfigError, match="exact solver"):
+        with pytest.raises(ConfigError, match="exact solver") as err:
             small_config(chain={"n_qubits": 15, "epsilon": 0.0, "delta": 0.1, "coupling": 0.025})
+        assert re.search(r"estimated peak [\d.]+ GiB exceeds the [\d.]+ GiB", str(err.value))
+
+    def test_frozen_axes_needs_negativity(self):
+        with pytest.raises(ConfigError, match="frozen_axes mode requires the e_n measure"):
+            small_config(observables={"pairs": [[1, 2]], "measures": ["c2"], "frozen_axes": True})
 
     def test_pair_bounds_checked(self):
         with pytest.raises(ConfigError, match="pair"):
@@ -184,22 +190,38 @@ class TestPropagation:
         assert ideal_peak > 0.1  # transfer does happen in the ideal chain
         assert noisy_max < ideal_peak
 
-    def test_frozen_axes_bound_stays_below_negativity(self):
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"noise": {"gamma": 0.01, "n_thermal": 0.0}},
+            {"initial_state": "thermal_of_k_ini", "initial_temperature_mk": 30.0},
+            {
+                "chain": {"n_qubits": 6, "epsilon": 0.0, "delta": 0.1, "coupling": 0.025},
+                "noise": {"gamma": 0.01, "n_thermal": 0.0},
+                "solver": {"kind": "mps", "bond_dim": 16, "dt": 0.05},
+                "dt": 0.1,  # the exact-solver step, unused by mps
+            },
+        ],
+        ids=["noisy_exact", "thermal_noiseless_exact", "mps_n6"],
+    )
+    def test_frozen_axes_bound_stays_below_negativity(self, overrides):
         cfg = small_config(
-            noise={"gamma": 0.01, "n_thermal": 0.0},
             observables={"pairs": [[2, 3]], "measures": ["e_n", "c2", "c2_opt"], "frozen_axes": True},
             t_max=20.0,
+            **overrides,
         )
         res = run_scenario(cfg)
         frozen = res.frozen_axes_series[(2, 3)]
-        en = res.mean_series((2, 3))
-        c2 = res.mean_series((2, 3), "c2")
+        en = res.member_series((2, 3))[0]
+        c2 = res.member_series((2, 3), "c2")[0]
+        assert len(frozen) == len(res.times)
         assert np.isfinite(frozen).all()
         assert (frozen <= en + 1e-9).all()
-        # at the reference instant the frozen axes are the optimal axes
-        ref_t = res.frozen_axes_info["[2, 3]"]["reference_time"]
-        k = int(np.argmin(np.abs(res.times - ref_t)))
-        assert frozen[k] == pytest.approx(res.mean_series((2, 3), "c2_opt")[k], abs=1e-12)
+        # the reference instant is member 0's E_N peak, where the frozen
+        # axes are the optimal axes
+        k = int(np.argmax(en))
+        assert res.frozen_axes_info["[2, 3]"]["reference_time"] == res.times[k]
+        assert frozen[k] == pytest.approx(res.member_series((2, 3), "c2_opt")[0][k], abs=1e-12)
         assert frozen[k] >= c2[k] - 1e-12
 
 
@@ -332,6 +354,18 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         manifest = json.loads((tmp_path / "o1" / "manifest.json").read_text())
         assert manifest["seed"] == 99
+
+    def test_config_over_memory_writes_estimate(self, tmp_path):
+        cfg = small_config().to_dict()
+        cfg["chain"] = {"n_qubits": 15, "epsilon": 0.0, "delta": 0.1, "coupling": 0.025}
+        cfg_path = tmp_path / "big.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        proc = self._run("run", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 1
+        error = json.loads((out / "error.json").read_text())
+        assert error["type"] == "ConfigError"
+        assert re.search(r"exact solver .* estimated peak [\d.]+ GiB exceeds the [\d.]+ GiB", error["error"])
 
     def test_bad_config_writes_error_manifest(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
