@@ -671,10 +671,8 @@ class ScanConfig:
     n_thermal: float
     pair: tuple[int, int] = (1, 2)
     tol: float = 1e-8
-    t_cap: float = 2e4
     transient_t_max: float = 40.0
     transient_dt: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         if not self.gammas or not self.coupling_ratios:
@@ -686,6 +684,9 @@ class ScanConfig:
         data = dict(data)
         if data.pop("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ConfigError("unsupported schema_version")
+        # A scan draws no random numbers; a master seed, which drivers write
+        # into every config they generate, is accepted and has no effect.
+        data.pop("seed", None)
         chain_d = data.pop("chain")
         chain = ChainSpec(
             n_qubits=int(chain_d["n_qubits"]),
@@ -702,10 +703,8 @@ class ScanConfig:
             n_thermal=float(data.pop("n_thermal")),
             pair=tuple(int(s) for s in data.pop("pair", (1, 2))),
             tol=float(data.pop("tol", 1e-8)),
-            t_cap=float(data.pop("t_cap", 2e4)),
             transient_t_max=float(data.pop("transient_t_max", 40.0)),
             transient_dt=float(data.pop("transient_dt", 0.05)),
-            seed=int(data.pop("seed", 0)),
         )
         if data:
             raise ConfigError(f"unknown scan config keys: {sorted(data)}")
@@ -727,10 +726,8 @@ class ScanConfig:
             "n_thermal": self.n_thermal,
             "pair": list(self.pair),
             "tol": self.tol,
-            "t_cap": self.t_cap,
             "transient_t_max": self.transient_t_max,
             "transient_dt": self.transient_dt,
-            "seed": self.seed,
         }
 
 
@@ -799,7 +796,7 @@ def steady_state_scan(config: ScanConfig) -> ScanResult:
             if gamma == 0.0 or rates.is_zero():
                 points.append(ScanPoint(ratio, gamma, math.nan, False, math.nan, fm, False))
                 continue
-            res = steady_state(density_from_pure(rho0_vec), h, rates, config.tol, config.t_cap)
+            res = steady_state(h, rates, config.tol)
             en = log_negativity(reduce(res.state, config.pair), part)
             points.append(ScanPoint(ratio, gamma, en, res.converged, res.residual, fm, True))
             row_values.append(en)

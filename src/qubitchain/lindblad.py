@@ -20,11 +20,16 @@ Integration uses fixed-step classical Runge-Kutta (RK4) acting on the dense
 density matrix; the dissipator is applied through per-site index slicing
 and an elementwise damping mask, so the cost per step is dominated by the
 two sparse H-rho products of the commutator.
+
+The steady state is the null vector of the sparse Liouvillian L (the same
+generator in Kronecker form on the vectorized density matrix), found by one
+sparse LU solve of L vec(rho) = 0 with one row replaced by the trace
+condition (Johansson, Nation & Nori, Comput. Phys. Commun. 184, 1234
+(2013)) and certified by the residual of the dense right-hand side.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -33,9 +38,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .chain import MixingAngles, require_hermitian
-from .pauli import site_bit, z_pattern
-
-logger = logging.getLogger(__name__)
+from .pauli import SP, site_bit, z_pattern
 
 # dt must satisfy dt * max(||H||, Gamma) <= this factor (RK4 accuracy guard).
 STEP_GUARD_FACTOR = 0.1
@@ -107,7 +110,11 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SteadyStateResult:
-    """Final state of a convergence run and whether it was certified."""
+    """Solved steady state and whether its residual certifies it.
+
+    `time_reached` is always 0.0: the state is solved for, not integrated
+    to.  The field stays for callers that read it.
+    """
 
     state: np.ndarray
     converged: bool
@@ -158,6 +165,7 @@ class LindbladGenerator:
             raise ValueError(f"rate set has {rates.n_sites} sites, Hamiltonian has {self.n}")
         self.rates = rates
         self.h_sparse = sparse.csr_matrix(h)
+        self._h_transpose = self.h_sparse.T.tocsr()
         # Row-sum norm: upper-bounds the spectral norm, cheap at any size.
         self._h_norm = float(np.abs(h).sum(axis=1).max())
 
@@ -193,9 +201,9 @@ class LindbladGenerator:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """drho/dt for a (not necessarily normalized) density matrix."""
-        h_rho = self.h_sparse @ rho
-        rho_h = (self.h_sparse @ rho.conj().T).conj().T  # rho H, valid since H = H^dagger
-        out = -1j * (h_rho - rho_h)
+        # rho H as (H^T rho^T)^T: scipy's dense @ sparse dispatch costs more
+        # than the product itself at the chain lengths of a steady-state scan.
+        out = -1j * (self.h_sparse @ rho - (self._h_transpose @ rho.T).T)
         out += self._damp * rho
         for site, gr, ge in self._jump_sites:
             left = 2 ** (site - 1)
@@ -208,18 +216,24 @@ class LindbladGenerator:
                 o6[:, 1, :, :, 1, :] += (2.0 * ge) * r6[:, 0, :, :, 0, :]
         return out
 
-    def superoperator(self) -> np.ndarray:
-        """Dense matrix of the generator on row-major-vectorized rho (dim <= 32)."""
+    def superoperator(self) -> sparse.csr_matrix:
+        """Sparse generator L on row-major-vectorized rho: vec(apply(rho)) = L vec(rho).
+
+        Kronecker form, using vec(A rho B) = (A kron B^T) vec(rho): the
+        commutator -i (H kron I - I kron H^T), the damping mask on the
+        diagonal, and 2 G S kron S per jump, with S = |0><1| (relaxation)
+        or |1><0| (excitation) on the jump's site.
+        """
         d = self.dim
-        if d > 32:
-            raise ValueError("superoperator matrix refused above dimension 32")
-        basis = np.zeros((d, d), dtype=complex)
-        out = np.empty((d * d, d * d), dtype=complex)
-        for k in range(d * d):
-            basis.flat[k] = 1.0
-            out[:, k] = self.apply(basis).ravel()
-            basis.flat[k] = 0.0
-        return out
+        eye = sparse.identity(d, format="csr")
+        out = -1j * (sparse.kron(self.h_sparse, eye) - sparse.kron(eye, self._h_transpose))
+        out = out + sparse.diags(self._damp.ravel())
+        for site, gr, ge in self._jump_sites:
+            lower = sparse.kron(sparse.kron(sparse.identity(2 ** (site - 1)), SP), sparse.identity(d >> site))
+            for rate, jump in ((gr, lower), (ge, lower.T)):
+                if rate:
+                    out = out + (2.0 * rate) * sparse.kron(jump, jump)
+        return out.tocsr()
 
 
 def lindblad_rhs(rho: np.ndarray, h: np.ndarray, rates: RateSet) -> np.ndarray:
@@ -314,77 +328,54 @@ def evolve(
     return Trajectory(np.asarray(times), list(states), np.asarray(trace_drift), np.asarray(herm_drift))
 
 
-def _certify(gen: LindbladGenerator, rho: np.ndarray, tol: float) -> float:
+def _certify(gen: LindbladGenerator, rho: np.ndarray) -> float:
     return float(np.linalg.norm(gen.apply(rho))) / max(float(np.linalg.norm(rho)), 1e-300)
 
 
-def steady_state(
-    rho0: np.ndarray,
-    h: np.ndarray,
-    rates: RateSet,
-    tol: float = 1e-8,
-    t_cap: float = 2e4,
-    dt: float | None = None,
-) -> SteadyStateResult:
-    """Integrate until the relative residual ||drho/dt||_F / ||rho||_F < tol.
+def steady_state(h: np.ndarray, rates: RateSet, tol: float = 1e-8) -> SteadyStateResult:
+    """Null vector of the sparse Liouvillian, certified by its residual.
 
-    Requires a dissipative channel (some nonzero rate).  For chains of up to
-    five sites the generator is exponentiated once on the vectorized operator
-    space and time advances in exact chunks; otherwise RK4 stepping is used.
-    A result that reaches `t_cap` without certification is returned with
-    converged=False, never silently.
+    Solves L vec(rho) = 0 with the first row of L (the equation for
+    rho[0, 0]) replaced by the trace condition tr rho = 1, by one sparse LU
+    factorization; the result is re-Hermitized and trace-normalized, and is
+    certified (converged=True) when ||drho/dt||_F / ||rho||_F < tol.
+
+    Requires a unique steady state.  `rates_from_angles` with Gamma > 0
+    gives every site a relaxation channel (the mixing angles have
+    delta_i > 0, so sin^2(theta_i) > 0), which makes it unique.  Without
+    one, e.g. under pure dephasing, the kernel of L is degenerate and the
+    solve returns an arbitrary member of it: a failed factorization or a
+    state with an eigenvalue below -1e-6 raises ValueError, but a positive
+    member is returned as if unique.
     """
+    # Imported here: scipy.sparse.linalg adds 2 MB to every process that loads it.
+    from scipy.sparse.linalg import splu
+
     if rates.is_zero():
         raise ValueError("steady_state requires a dissipative channel (all rates are zero)")
     gen = LindbladGenerator(h, rates)
-    if rho0.shape != (gen.dim, gen.dim):
-        raise ValueError("initial state and Hamiltonian dimensions differ")
-
-    rho = rho0.astype(complex).copy()
-    if gen.dim <= 32:
-        # Exact propagation: one matrix exponential of the vectorized
-        # generator, applied in chunks until the residual certifies.
-        chunk = min(100.0, t_cap)
-        propagator = _expm_superoperator(gen, chunk)
-        t = 0.0
-        residual = _certify(gen, rho, tol)
-        while residual >= tol and t < t_cap:
-            rho = (propagator @ rho.ravel()).reshape(gen.dim, gen.dim)
-            rho = 0.5 * (rho + rho.conj().T)
-            rho /= float(np.trace(rho).real)
-            t += chunk
-            residual = _certify(gen, rho, tol)
-        return SteadyStateResult(rho, residual < tol, t, residual)
-
-    if dt is None:
-        scale = gen.frequency_scale
-        dt = STEP_GUARD_FACTOR / scale if scale > 0 else DEFAULT_DT
-    _check_step(dt, gen)
-    check_every = max(1, int(round(1.0 / dt)))
-    t = 0.0
-    residual = _certify(gen, rho, tol)
-    steps = 0
-    while residual >= tol and t < t_cap:
-        rho = _rk4_step(gen, rho, dt)
-        t += dt
-        steps += 1
-        if steps % check_every == 0:
-            rho = 0.5 * (rho + rho.conj().T)
-            rho /= float(np.trace(rho).real)
-            residual = _certify(gen, rho, tol)
+    d = gen.dim
+    diagonal = np.arange(d) * (d + 1)
+    trace_row = sparse.csr_matrix((np.ones(d), (np.zeros(d, dtype=int), diagonal)), shape=(1, d * d))
+    system = sparse.vstack([trace_row, gen.superoperator()[1:]], format="csc")
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[0] = 1.0
+    # Multiple-minimum-degree ordering on A^T + A: 0.15 s and 5.9 s to factor
+    # at N = 5 and 6, against 0.34 s and 18.9 s with SuperLU's default COLAMD.
+    try:
+        rho = splu(system, permc_spec="MMD_AT_PLUS_A").solve(rhs).reshape(d, d)
+    except RuntimeError as exc:
+        raise ValueError(f"steady-state solve failed ({exc}); the steady state is not unique") from exc
     rho = 0.5 * (rho + rho.conj().T)
     rho /= float(np.trace(rho).real)
-    residual = _certify(gen, rho, tol)
-    converged = residual < tol
-    if not converged:
-        logger.warning("steady_state not certified: residual %.3e after t=%.1f", residual, t)
-    return SteadyStateResult(rho, converged, t, residual)
-
-
-def _expm_superoperator(gen: LindbladGenerator, t: float) -> np.ndarray:
-    from scipy.linalg import expm
-
-    return expm(gen.superoperator() * t)
+    min_eig = float(np.linalg.eigvalsh(rho)[0])
+    if min_eig < -_POSITIVITY_ABORT:
+        raise ValueError(
+            f"steady-state solve returned a non-positive state (min eigenvalue {min_eig:.3e}); "
+            "the steady state is likely not unique (does every site have a relaxation channel?)"
+        )
+    residual = _certify(gen, rho)
+    return SteadyStateResult(rho, residual < tol, 0.0, residual)
 
 
 def unitary_propagate(rho0: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:

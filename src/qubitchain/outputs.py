@@ -266,7 +266,6 @@ def emit_scan_outputs(scan_result, out_dir: str | Path, build_id: str) -> Path:
         "schema_version": config_dict["schema_version"],
         "name": scan_result.config.name,
         "build": build_id,
-        "seed": scan_result.config.seed,
         "config_hash": config_hash(config_dict),
         "flags": [
             f"uncertified steady state at ratio {p.coupling_ratio}, gamma {p.gamma}"

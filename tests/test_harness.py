@@ -43,6 +43,16 @@ def small_config(**overrides):
     return ScenarioConfig.from_dict(base)
 
 
+SMALL_SCAN = {
+    "name": "scan-test",
+    "chain": {"n_qubits": 3, "epsilon": 0.0, "delta": 0.1, "coupling": 0.025},
+    "gammas": [0.0, 0.05],
+    "coupling_ratios": [0.5],
+    "n_thermal": 0.1,
+    "transient_t_max": 20.0,
+}
+
+
 class TestConfig:
     def test_round_trips_through_dict(self):
         cfg = small_config()
@@ -81,6 +91,16 @@ class TestConfig:
                 initial_state="bell_head_eigen",
                 solver={"kind": "mps", "bond_dim": 16, "dt": 0.05},
             )
+
+    def test_scan_rejects_t_cap(self):
+        with pytest.raises(ConfigError, match=r"unknown scan config keys: \['t_cap'\]"):
+            ScanConfig.from_dict({**SMALL_SCAN, "t_cap": 2e4})
+
+    def test_scan_ignores_seed(self):
+        # A scan draws no random numbers: the seed is not part of its config.
+        with_seed = ScanConfig.from_dict({**SMALL_SCAN, "seed": 5})
+        assert with_seed.to_dict() == ScanConfig.from_dict(SMALL_SCAN).to_dict()
+        assert "seed" not in with_seed.to_dict()
 
     def test_shipped_configs_parse(self):
         for path in sorted(CONFIG_DIR.glob("*.json")):
@@ -301,22 +321,12 @@ class TestSteadyScan:
         chain = scan.chain.with_coupling(0.1)
         h = qc.build_hamiltonian_eigen(chain)
         rates = qc.rates_from_angles(qc.mixing_angles(chain), qc.NoiseSpec(0.1, 10.0))
-        res = qc.steady_state(qc.density_from_pure(qc.eigenbasis_product(3)), h, rates, tol=1e-9)
+        res = qc.steady_state(h, rates, tol=1e-9)
         assert res.converged
         assert qc.pair_log_negativity(res.state, 1, 2) == 0.0
 
     def test_small_scan_excludes_gamma_zero(self, tmp_path):
-        scan = ScanConfig.from_dict(
-            {
-                "name": "scan-test",
-                "chain": {"n_qubits": 3, "epsilon": 0.0, "delta": 0.1, "coupling": 0.025},
-                "gammas": [0.0, 0.05],
-                "coupling_ratios": [0.5],
-                "n_thermal": 0.1,
-                "transient_t_max": 20.0,
-            }
-        )
-        result = steady_state_scan(scan)
+        result = steady_state_scan(ScanConfig.from_dict(SMALL_SCAN))
         zero_point = result.points[0]
         assert not zero_point.applicable and math.isnan(zero_point.steady_e_n)
         assert result.points[1].applicable and result.points[1].converged

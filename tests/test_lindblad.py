@@ -98,6 +98,15 @@ class TestRhs:
             p1 = qc.reduce(rho, (1,)).matrix[1, 1].real
             assert p1 == pytest.approx(np.exp(-2 * 0.01 * t), abs=1e-8)
 
+    def test_superoperator_matches_apply(self, rng):
+        spec = qc.ChainSpec(3, (0.05, 0.0, -0.1), (0.1, 0.12, 0.09), (0.02, 0.03))
+        h = qc.build_hamiltonian_eigen(spec)
+        rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.015, 0.2))
+        assert min(rates.g_relax + rates.g_excite + rates.g_dephase) > 0
+        gen = LindbladGenerator(h, rates)
+        rho = random_density_matrix(rng, 8)
+        assert np.abs(gen.superoperator() @ rho.ravel() - gen.apply(rho).ravel()).max() < 1e-14
+
     def test_zero_rates_reduce_to_commutator(self, rng):
         spec = qc.ChainSpec.homogeneous(3)
         h = qc.build_hamiltonian_eigen(spec)
@@ -173,8 +182,7 @@ class TestSteadyState:
         spec = two_site_uncoupled()
         h = qc.build_hamiltonian_eigen(spec)
         rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.02, 0.0))
-        rho0 = np.eye(4, dtype=complex) / 4
-        res = qc.steady_state(rho0, h, rates, tol=1e-10)
+        res = qc.steady_state(h, rates, tol=1e-10)
         assert res.converged
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
@@ -185,8 +193,7 @@ class TestSteadyState:
         spec = two_site_uncoupled()
         h = qc.build_hamiltonian_eigen(spec)
         rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.01, n_t))
-        rho0 = qc.density_from_pure(qc.eigenbasis_product(2))
-        res = qc.steady_state(rho0, h, rates, tol=1e-10)
+        res = qc.steady_state(h, rates, tol=1e-10)
         assert res.converged
         p1 = qc.reduce(res.state, (1,)).matrix[1, 1].real
         assert p1 == pytest.approx(n_t / (1 + 2 * n_t), abs=1e-7)
@@ -196,7 +203,7 @@ class TestSteadyState:
         h = qc.build_hamiltonian_eigen(spec)
         rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.05, 0.1))
         rho0 = qc.density_from_pure(qc.eigenbasis_product(4))
-        exact = qc.steady_state(rho0, h, rates, tol=1e-9)
+        exact = qc.steady_state(h, rates, tol=1e-9)
         from qubitchain import lindblad as lb
 
         gen = LindbladGenerator(h, rates)
@@ -210,15 +217,23 @@ class TestSteadyState:
     def test_requires_dissipation(self):
         spec = qc.ChainSpec.homogeneous(3)
         h = qc.build_hamiltonian_eigen(spec)
-        rho0 = qc.density_from_pure(qc.eigenbasis_product(3))
         with pytest.raises(ValueError, match="dissipative"):
-            qc.steady_state(rho0, h, qc.RateSet.zero(3))
+            qc.steady_state(h, qc.RateSet.zero(3))
+
+    def test_degenerate_kernel_is_refused(self):
+        # Pure dephasing leaves the kernel of L degenerate; at this point the
+        # solve lands on a member of it with an eigenvalue of about -0.07.
+        spec = qc.ChainSpec.homogeneous(3)
+        h = qc.build_hamiltonian_eigen(spec)
+        rates = qc.RateSet((0.0,) * 3, (0.0,) * 3, (0.01,) * 3)
+        with pytest.raises(ValueError, match="not unique"):
+            qc.steady_state(h, rates)
 
     def test_uncertified_result_is_flagged(self):
         spec = qc.ChainSpec.homogeneous(3)
         h = qc.build_hamiltonian_eigen(spec)
         rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(1e-4, 0.0))
-        rho0 = qc.density_from_pure(qc.eigenbasis_bell_head(3))
-        res = qc.steady_state(rho0, h, rates, tol=1e-12, t_cap=50.0)
+        tol = 0.0  # no residual certifies below zero
+        res = qc.steady_state(h, rates, tol=tol)
         assert not res.converged
-        assert res.residual >= 1e-12
+        assert res.residual >= tol
