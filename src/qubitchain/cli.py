@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .harness import ConfigError, ScanConfig, ScenarioConfig, run_scenario, steady_state_scan
 from .outputs import emit_bounds_outputs, emit_outputs, emit_scan_outputs
-from .witness import SYMMETRY_WARN_LIMIT, bound_c1, bound_c2, bound_c2_optimized, load_correlations_csv
+from .witness import bound_c1, bound_c2, c2_opt_value, load_correlations_csv
 
 BUILD_ID = f"qubitchain {__version__}"
 
@@ -81,11 +81,7 @@ def cmd_bounds(args) -> int:
     matrices = load_correlations_csv(args.correlations)
     results = {}
     for pair, x in matrices.items():
-        row = {"c1": bound_c1(x), "c2": bound_c2(x)}
-        if x.asymmetry < SYMMETRY_WARN_LIMIT:
-            row["c2_opt"] = bound_c2_optimized(x).value
-        else:
-            row["c2_opt"] = math.nan
+        row = {"c1": bound_c1(x), "c2": bound_c2(x), "c2_opt": c2_opt_value(x)}
         results[pair] = row
         print(
             f"pair {pair}: C1 {row['c1']:.6g}, C2 {row['c2']:.6g}, "

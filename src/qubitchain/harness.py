@@ -7,28 +7,41 @@ runs are diffable and hashable; :func:`run_scenario` executes one scenario
 into a persistent run directory containing CSV time series, SVG charts, and
 a manifest with seeds, checksums, and any warning flags.
 
-Config schema (schema_version 1)::
+Config schema (schema_version 1); "= x" marks an optional key and its default::
 
     {
-      "schema_version": 1,
+      "schema_version": 1,                   # = 1
       "name": "generation-ideal",
-      "chain": {"n_qubits": 8, "epsilon": 0.0, "delta": 0.1,
-                "coupling": 0.025, "energy_unit_kelvin": 1.0},
+      "chain": {"n_qubits": 8, "epsilon": 0.0, "delta": 0.1,   # scalars or
+                "coupling": 0.025, "energy_unit_kelvin": 1.0},  # per site; = 1.0
       "initial_state": "product_eigen",      # or bell_head_eigen |
                                              #    ground_of_k_ini | thermal_of_k_ini
-      "quench": {"k_ini": 0.0, "k_fin": 0.025},
-      "noise": {"gamma": 0.01, "n_thermal": 0.0},   # or temperature_mk
+      "quench": {"k_ini": 0.0, "k_fin": 0.025},     # = 0.0 and the chain's coupling
+      "noise": {"gamma": 0.01, "n_thermal": 0.0},   # = 0.0; or temperature_mk
       "initial_temperature_mk": null,        # thermal_of_k_ini only
       "disorder": {"fraction": 0.05, "targets": ["delta", "coupling"],
-                   "ensemble_size": 1000},   # optional
-      "solver": {"kind": "exact"},           # or {"kind": "mps",
-                                             #     "bond_dim": 60, "dt": 0.05}
+                   "ensemble_size": 1000},   # optional; ensemble_size = 1
+      "solver": {"kind": "exact"},           # = exact; mps: "bond_dim" = 60, "dt" = 0.05
       "t_max": 50.0, "dt": 0.01, "sample_every": 25,
-      "observables": {"pairs": [[1, 2], [1, 8]], "blocks": [],
-                      "measures": ["e_n", "c2", "c2_opt"],
-                      "frozen_axes": false},
+      "observables": {"pairs": [[1, 2], [1, 8]], "blocks": [],   # = []
+                      "measures": ["e_n", "c2", "c2_opt"],       # = ["e_n"]
+                      "frozen_axes": false},                     # = false
       "seed": 7
     }
+
+The chain's coupling is replaced by quench.k_fin: it only sets the default
+of k_fin.  Scan schema (schema_version 1), for :func:`steady_state_scan`::
+
+    {
+      "schema_version": 1, "name": "steady-scan",   # schema_version = 1
+      "chain": {"n_qubits": 4, "epsilon": 0.0, "delta": 0.1},  # coupling optional:
+      "coupling_ratios": [0.25, 1.5],        # each sets it to ratio x delta_1
+      "gammas": [0.0, 0.001, 0.01, 0.1], "n_thermal": 0.1,
+      "pair": [1, 2], "tol": 1e-8,           # = [1, 2] and 1e-8 (certified residual)
+      "transient_t_max": 40.0, "transient_dt": 0.05   # = 40.0 and 0.05
+    }
+
+A scan accepts and ignores a seed.  Both kinds refuse unknown keys.
 
 All energies are in units of E_C, times in 1/E_C; temperatures are given in
 millikelvin and converted with the chain's energy_unit_kelvin, using the
@@ -40,7 +53,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
 from typing import Callable, Iterator
 
@@ -66,11 +79,13 @@ from .mps import MixedTebdEngine, MpsMixedState, TrotterPlan, mps_from_product, 
 from .negativity import ReducedState, log_negativity, reduce, reduce_statevector
 from .states import density_from_pure, eigenbasis_bell_head, eigenbasis_product, ground_state, thermal_state
 from .witness import (
-    SYMMETRY_WARN_LIMIT,
     CorrelationMatrix,
+    asymmetry_flags,
     bound_c1,
     bound_c2,
     bound_c2_optimized,
+    c2_opt_defined,
+    c2_opt_value,
     correlation_matrix_from_pair,
     frozen_axes_bound,
 )
@@ -154,11 +169,77 @@ class ObservablesConfig:
 class DisorderConfig:
     fraction: float
     targets: tuple[str, ...]
-    ensemble_size: int
+    ensemble_size: int = 1
 
     def __post_init__(self):
         if self.ensemble_size < 1:
             raise ConfigError("ensemble_size must be >= 1")
+        DisorderSpec(self.fraction, self.targets, 0)
+
+
+def _section(data: dict, table: dict, what: str, cls: type | None = None) -> dict:
+    """Keyword arguments from one config section, each value converted by `table`.
+
+    Refuses keys outside the table, and a missing key for a field of `cls`
+    without a default; an absent key takes the field's default.  A key
+    whose converter is None is accepted and dropped.
+    """
+    unknown = set(data) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for f in fields(cls) if cls else ():
+        if f.name in table and f.name not in data and f.default is MISSING:
+            raise ConfigError(f"missing config key: {f.name!r}")
+    return {key: table[key](value) for key, value in data.items() if table[key] is not None}
+
+
+def _build(cls: type, table: dict, what: str) -> Callable[[dict], object]:
+    """Converter of one config section into the dataclass `cls`."""
+    return lambda data: cls(**_section(data, table, what, cls))
+
+
+def _as_given(value):
+    return value
+
+
+def _schema_version(value) -> int:
+    if value != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {value}")
+    return int(value)
+
+
+def _pair(values) -> tuple[int, int]:
+    i, j = values
+    return int(i), int(j)
+
+
+# Scalars broadcast per site; ChainSpec converts them.
+_CHAIN = {"n_qubits": int, "epsilon": _as_given, "delta": _as_given, "coupling": _as_given, "energy_unit_kelvin": float}
+_OBSERVABLES = {
+    "pairs": lambda pairs: tuple(map(_pair, pairs)),
+    "blocks": lambda blocks: tuple((_pair(a), _pair(b)) for a, b in blocks),
+    "measures": tuple,
+    "frozen_axes": bool,
+}
+_disorder = _build(DisorderConfig, {"fraction": float, "targets": tuple, "ensemble_size": int}, "disorder")
+
+_SCENARIO = {
+    "schema_version": _schema_version,
+    "name": str,
+    "chain": _build(ChainSpec, _CHAIN, "chain"),
+    "initial_state": str,
+    "quench": _build(QuenchSpec, {"k_ini": float, "k_fin": float}, "quench"),
+    # The noise section stays a dict: temperature_mk needs the chain.
+    "noise": lambda data: _section(data, {"gamma": float, "n_thermal": float, "temperature_mk": float}, "noise"),
+    "initial_temperature_mk": _as_given,
+    "disorder": lambda data: _disorder(data) if data else None,
+    "solver": _build(SolverConfig, {"kind": str, "bond_dim": int, "dt": float}, "solver"),
+    "t_max": float,
+    "dt": float,
+    "sample_every": int,
+    "observables": _build(ObservablesConfig, _OBSERVABLES, "observables"),
+    "seed": int,
+}
 
 
 @dataclass(frozen=True)
@@ -166,22 +247,22 @@ class ScenarioConfig:
     name: str
     chain: ChainSpec
     initial_state: str
-    quench: QuenchSpec
-    noise: NoiseSpec
-    solver: SolverConfig
     t_max: float
     dt: float
     sample_every: int
     observables: ObservablesConfig
     seed: int
+    quench: QuenchSpec | None = None  # None: from 0 to the chain's first coupling
+    noise: NoiseSpec = NoiseSpec()
+    solver: SolverConfig = SolverConfig("exact")
     disorder: DisorderConfig | None = None
     initial_temperature_mk: float | None = None
     noise_temperature_mk: float | None = None
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        if self.schema_version != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema_version {self.schema_version}")
+        if self.quench is None:
+            object.__setattr__(self, "quench", QuenchSpec(0.0, self.chain.coupling[0]))
         if self.initial_state not in INITIAL_STATES:
             raise ConfigError(f"initial_state must be one of {INITIAL_STATES}")
         if self.t_max <= 0 or self.dt <= 0 or self.sample_every < 1:
@@ -216,146 +297,24 @@ class ScenarioConfig:
         return self.dt if self.solver.kind == "exact" else self.solver.dt
 
     def to_dict(self) -> dict:
-        chain = {
-            "n_qubits": self.chain.n_qubits,
-            "epsilon": list(self.chain.epsilon),
-            "delta": list(self.chain.delta),
-            "coupling": list(self.chain.coupling),
-            "energy_unit_kelvin": self.chain.energy_unit_kelvin,
-        }
-        out = {
-            "schema_version": self.schema_version,
-            "name": self.name,
-            "chain": chain,
-            "initial_state": self.initial_state,
-            "quench": {"k_ini": self.quench.k_ini, "k_fin": self.quench.k_fin},
-            "noise": {"gamma": self.noise.gamma, "n_thermal": self.noise.n_thermal},
-            "solver": {"kind": self.solver.kind, "bond_dim": self.solver.bond_dim, "dt": self.solver.dt},
-            "t_max": self.t_max,
-            "dt": self.dt,
-            "sample_every": self.sample_every,
-            "observables": {
-                "pairs": [list(p) for p in self.observables.pairs],
-                "blocks": [[list(a), list(b)] for a, b in self.observables.blocks],
-                "measures": list(self.observables.measures),
-                "frozen_axes": self.observables.frozen_axes,
-            },
-            "seed": self.seed,
-        }
-        if self.disorder:
-            out["disorder"] = {
-                "fraction": self.disorder.fraction,
-                "targets": list(self.disorder.targets),
-                "ensemble_size": self.disorder.ensemble_size,
-            }
-        if self.initial_temperature_mk is not None:
-            out["initial_temperature_mk"] = self.initial_temperature_mk
-        if self.noise_temperature_mk is not None:
-            out["noise"] = {"gamma": self.noise.gamma, "temperature_mk": self.noise_temperature_mk}
-        return out
+        out = asdict(self)
+        temperature = out.pop("noise_temperature_mk")
+        if temperature is not None:
+            out["noise"] = {"gamma": self.noise.gamma, "temperature_mk": temperature}
+        return {key: value for key, value in out.items() if value is not None}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        data = dict(data)
-        known = {
-            "schema_version",
-            "name",
-            "chain",
-            "initial_state",
-            "quench",
-            "noise",
-            "initial_temperature_mk",
-            "disorder",
-            "solver",
-            "t_max",
-            "dt",
-            "sample_every",
-            "observables",
-            "seed",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            chain_d = dict(data["chain"])
-            chain = ChainSpec(
-                n_qubits=int(chain_d.pop("n_qubits")),
-                epsilon=chain_d.pop("epsilon"),
-                delta=chain_d.pop("delta"),
-                coupling=chain_d.pop("coupling"),
-                energy_unit_kelvin=float(chain_d.pop("energy_unit_kelvin", 1.0)),
-            )
-            if chain_d:
-                raise ConfigError(f"unknown chain keys: {sorted(chain_d)}")
-            quench_d = data.get("quench", {"k_ini": 0.0, "k_fin": chain.coupling[0]})
-            quench = QuenchSpec(float(quench_d["k_ini"]), float(quench_d["k_fin"]))
-
-            noise_d = dict(data.get("noise", {"gamma": 0.0}))
-            gamma = float(noise_d.pop("gamma", 0.0))
-            noise_temperature_mk = None
-            if "temperature_mk" in noise_d:
-                noise_temperature_mk = float(noise_d.pop("temperature_mk"))
-                omega1 = mixing_angles(chain).omega[0]
-                n_thermal = nbar_from_temperature(
-                    omega1, noise_temperature_mk * 1e-3, chain.energy_unit_kelvin
-                )
-            else:
-                n_thermal = float(noise_d.pop("n_thermal", 0.0))
-            if noise_d:
-                raise ConfigError(f"unknown noise keys: {sorted(noise_d)}")
-
-            disorder = None
-            if data.get("disorder"):
-                dd = dict(data["disorder"])
-                disorder = DisorderConfig(
-                    fraction=float(dd.pop("fraction")),
-                    targets=tuple(dd.pop("targets")),
-                    ensemble_size=int(dd.pop("ensemble_size", 1)),
-                )
-                if dd:
-                    raise ConfigError(f"unknown disorder keys: {sorted(dd)}")
-                DisorderSpec(disorder.fraction, frozenset(disorder.targets), 0)
-
-            solver_d = dict(data.get("solver", {"kind": "exact"}))
-            solver = SolverConfig(
-                kind=str(solver_d.pop("kind")),
-                bond_dim=int(solver_d.pop("bond_dim", 60)),
-                dt=float(solver_d.pop("dt", 0.05)),
-            )
-            if solver_d:
-                raise ConfigError(f"unknown solver keys: {sorted(solver_d)}")
-
-            obs_d = dict(data["observables"])
-            observables = ObservablesConfig(
-                pairs=tuple((int(i), int(j)) for i, j in obs_d.pop("pairs")),
-                blocks=tuple(
-                    ((int(a[0]), int(a[1])), (int(b[0]), int(b[1])))
-                    for a, b in obs_d.pop("blocks", ())
-                ),
-                measures=tuple(obs_d.pop("measures", ("e_n",))),
-                frozen_axes=bool(obs_d.pop("frozen_axes", False)),
-            )
-            if obs_d:
-                raise ConfigError(f"unknown observables keys: {sorted(obs_d)}")
-
-            return cls(
-                name=str(data["name"]),
-                chain=chain,
-                initial_state=str(data["initial_state"]),
-                quench=quench,
-                noise=NoiseSpec(gamma, n_thermal),
-                solver=solver,
-                t_max=float(data["t_max"]),
-                dt=float(data["dt"]),
-                sample_every=int(data["sample_every"]),
-                observables=observables,
-                seed=int(data["seed"]),
-                disorder=disorder,
-                initial_temperature_mk=data.get("initial_temperature_mk"),
-                noise_temperature_mk=noise_temperature_mk,
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config key: {exc}") from exc
+        kwargs = _section(data, _SCENARIO, "config", cls)
+        noise = kwargs.pop("noise", {})
+        temperature = noise.pop("temperature_mk", None)
+        if temperature is not None:
+            if "n_thermal" in noise:
+                raise ConfigError("noise takes n_thermal or temperature_mk, not both")
+            chain = kwargs["chain"]
+            omega1, kelvin = mixing_angles(chain).omega[0], chain.energy_unit_kelvin
+            noise["n_thermal"] = nbar_from_temperature(omega1, temperature * 1e-3, kelvin)
+        return cls(**kwargs, noise=NoiseSpec(**noise), noise_temperature_mk=temperature)
 
 
 @dataclass(frozen=True)
@@ -436,11 +395,7 @@ def _member_chain(config: ScenarioConfig, member: int) -> ChainSpec:
     template = config.chain.with_coupling(config.quench.k_fin)
     if config.disorder is None:
         return template
-    dis = DisorderSpec(
-        config.disorder.fraction,
-        frozenset(config.disorder.targets),
-        member_seed(config.seed, member),
-    )
+    dis = DisorderSpec(config.disorder.fraction, config.disorder.targets, member_seed(config.seed, member))
     return sample_disorder(template, dis)
 
 
@@ -467,7 +422,7 @@ def _prepare_initial(config: ScenarioConfig, chain_fin: ChainSpec) -> np.ndarray
     return thermal_state(h_ini, config.initial_temperature_mk * 1e-3, config.chain.energy_unit_kelvin)
 
 
-def _measure_pair(pair_state: ReducedState, x: CorrelationMatrix | None, measures, flags: list[str]) -> dict[str, float]:
+def _measure_pair(pair_state: ReducedState, x: CorrelationMatrix | None, measures) -> dict[str, float]:
     out = {}
     if "e_n" in measures:
         out["e_n"] = log_negativity(pair_state, (pair_state.sites[0],))
@@ -476,13 +431,7 @@ def _measure_pair(pair_state: ReducedState, x: CorrelationMatrix | None, measure
     if "c2" in measures:
         out["c2"] = bound_c2(x)
     if "c2_opt" in measures:
-        if x.asymmetry < SYMMETRY_WARN_LIMIT:
-            out["c2_opt"] = bound_c2_optimized(x).value
-        else:
-            out["c2_opt"] = math.nan
-            flags.append(
-                f"c2_opt skipped for pair {x.sites}: asymmetry {x.asymmetry:.2e}"
-            )
+        out["c2_opt"] = c2_opt_value(x)
     return out
 
 
@@ -536,8 +485,9 @@ def propagate(
             yield t, partial(reduce, rho)
 
 
-def _run_member(config: ScenarioConfig, member: int, pair_series, block_series, flags, keep_correlations):
-    """Measure one ensemble member into row `member` of the (members, times) series.
+def _run_member(config: ScenarioConfig, member: int, pair_series, block_series, asymmetry, flags, keep_correlations):
+    """Measure one ensemble member into row `member` of the (members, times) series,
+    including the pairs' correlation asymmetries where `asymmetry` has a series.
 
     Returns {pair: [CorrelationMatrix per sample]} with `keep_correlations`, else {}.
     """
@@ -561,8 +511,10 @@ def _run_member(config: ScenarioConfig, member: int, pair_series, block_series, 
         for p in config.observables.pairs:
             rs = acc(p)
             x = correlation_matrix_from_pair(rs) if need_x else None
-            for m, value in _measure_pair(rs, x, measures, flags).items():
+            for m, value in _measure_pair(rs, x, measures).items():
                 pair_series[p][m][member, k] = value
+            if p in asymmetry:
+                asymmetry[p][member, k] = x.asymmetry
             if keep_correlations:
                 correlations[p].append(x)
         for a, b in config.observables.blocks:
@@ -590,12 +542,13 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ResultSet:
     measures = config.observables.measures
     pair_series = {p: {m: np.empty((members, len(times))) for m in measures} for p in pairs}
     block_series = {b: np.empty((members, len(times))) for b in config.observables.blocks}
+    asymmetry = {p: np.empty((members, len(times))) for p in pairs} if "c2_opt" in measures else {}
     flags: list[str] = []
     member_flags: list[list[str]] = [[] for _ in range(members)]
     frozen = config.observables.frozen_axes
 
     def one(m: int):
-        return _run_member(config, m, pair_series, block_series, member_flags[m], frozen and m == 0)
+        return _run_member(config, m, pair_series, block_series, asymmetry, member_flags[m], frozen and m == 0)
 
     if threads > 1 and members > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -606,6 +559,8 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ResultSet:
         correlations = [one(m) for m in range(members)][0]
     for mf in member_flags:
         flags.extend(mf)
+    for p, a in asymmetry.items():
+        flags.extend(asymmetry_flags(p, a))
 
     # nanmean over a column with no evaluable member is NaN by design
     # (c2_opt under the symmetrization policy); silence the numpy warning.
@@ -645,7 +600,7 @@ def _frozen_axes(times, pair_series, correlations, flags: list[str]):
     for p, xs in correlations.items():
         ref_idx = int(np.nanargmax(pair_series[p]["e_n"][0]))
         x_ref = xs[ref_idx]
-        if x_ref.asymmetry >= SYMMETRY_WARN_LIMIT:
+        if not c2_opt_defined(x_ref.asymmetry):
             flags.append(
                 f"frozen axes unavailable for pair {p}: reference asymmetry {x_ref.asymmetry:.2e}"
             )
@@ -658,6 +613,24 @@ def _frozen_axes(times, pair_series, correlations, flags: list[str]):
             "axes": [[float(v) for v in axis] for axis in axes],
         }
     return series, info
+
+
+_SCAN = {
+    "schema_version": _schema_version,
+    "name": str,
+    # Every coupling becomes ratio x delta_1, so a scan chain may omit it.
+    "chain": lambda data: _SCENARIO["chain"]({"coupling": 0.025, **data}),
+    "gammas": lambda gammas: tuple(map(float, gammas)),
+    "coupling_ratios": lambda ratios: tuple(map(float, ratios)),
+    "n_thermal": float,
+    "pair": _pair,
+    "tol": float,
+    "transient_t_max": float,
+    "transient_dt": float,
+    # A scan draws no random numbers; the master seed that generated configs
+    # carry (the benchmark's among them) is accepted and has no effect.
+    "seed": None,
+}
 
 
 @dataclass(frozen=True)
@@ -673,6 +646,7 @@ class ScanConfig:
     tol: float = 1e-8
     transient_t_max: float = 40.0
     transient_dt: float = 0.05
+    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         if not self.gammas or not self.coupling_ratios:
@@ -681,54 +655,10 @@ class ScanConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScanConfig":
-        data = dict(data)
-        if data.pop("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise ConfigError("unsupported schema_version")
-        # A scan draws no random numbers; a master seed, which drivers write
-        # into every config they generate, is accepted and has no effect.
-        data.pop("seed", None)
-        chain_d = data.pop("chain")
-        chain = ChainSpec(
-            n_qubits=int(chain_d["n_qubits"]),
-            epsilon=chain_d["epsilon"],
-            delta=chain_d["delta"],
-            coupling=chain_d.get("coupling", 0.025),
-            energy_unit_kelvin=float(chain_d.get("energy_unit_kelvin", 1.0)),
-        )
-        out = cls(
-            name=str(data.pop("name")),
-            chain=chain,
-            gammas=tuple(float(g) for g in data.pop("gammas")),
-            coupling_ratios=tuple(float(r) for r in data.pop("coupling_ratios")),
-            n_thermal=float(data.pop("n_thermal")),
-            pair=tuple(int(s) for s in data.pop("pair", (1, 2))),
-            tol=float(data.pop("tol", 1e-8)),
-            transient_t_max=float(data.pop("transient_t_max", 40.0)),
-            transient_dt=float(data.pop("transient_dt", 0.05)),
-        )
-        if data:
-            raise ConfigError(f"unknown scan config keys: {sorted(data)}")
-        return out
+        return cls(**_section(data, _SCAN, "scan config", cls))
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "chain": {
-                "n_qubits": self.chain.n_qubits,
-                "epsilon": list(self.chain.epsilon),
-                "delta": list(self.chain.delta),
-                "coupling": list(self.chain.coupling),
-                "energy_unit_kelvin": self.chain.energy_unit_kelvin,
-            },
-            "gammas": list(self.gammas),
-            "coupling_ratios": list(self.coupling_ratios),
-            "n_thermal": self.n_thermal,
-            "pair": list(self.pair),
-            "tol": self.tol,
-            "transient_t_max": self.transient_t_max,
-            "transient_dt": self.transient_dt,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

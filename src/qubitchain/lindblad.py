@@ -46,13 +46,20 @@ DEFAULT_DT = 0.01
 
 _TRACE_ABORT = 1e-6
 _POSITIVITY_ABORT = 1e-6
+# Largest growth ||A^-1 v|| / ||v|| * max|A| of the steady-state system A on
+# v_k = sin(k).  Measured at least 1.4e17 on degenerate kernels (homogeneous
+# dephasing-only chains in the eigenbasis frame, N = 2-4) and at most 1.1e3
+# on unique ones (N = 2-5 with Gamma from 1e-3 to 0.2, the 40 points of
+# steady_scan.json, and dephasing-only chains with epsilon = 0.05 or in the
+# lab frame).
+_GROWTH_LIMIT = 1e10
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
     """Phenomenological decay rate Gamma and thermal occupation n_T."""
 
-    gamma: float
+    gamma: float = 0.0
     n_thermal: float = 0.0
 
     def __post_init__(self):
@@ -342,11 +349,15 @@ def steady_state(h: np.ndarray, rates: RateSet, tol: float = 1e-8) -> SteadyStat
 
     Requires a unique steady state.  `rates_from_angles` with Gamma > 0
     gives every site a relaxation channel (the mixing angles have
-    delta_i > 0, so sin^2(theta_i) > 0), which makes it unique.  Without
-    one, e.g. under pure dephasing, the kernel of L is degenerate and the
-    solve returns an arbitrary member of it: a failed factorization or a
-    state with an eigenvalue below -1e-6 raises ValueError, but a positive
-    member is returned as if unique.
+    delta_i > 0, so sin^2(theta_i) > 0), which makes it unique.  A
+    degenerate kernel (e.g. pure dephasing of a homogeneous chain in the
+    eigenbasis frame) leaves the system singular to rounding and raises
+    ValueError: the factors solve a fixed generic right-hand side with a
+    growth above _GROWTH_LIMIT.  So do a failed factorization and a state
+    with an eigenvalue below -1e-6.  The growth of a unique kernel scales
+    with the inverse of its slowest rate (280 at Gamma = 1e-3 and 30 at
+    Gamma = 1e-2 for N = 2), so rates below about 1e-10 of the energy scale
+    are refused as well.
     """
     # Imported here: scipy.sparse.linalg adds 2 MB to every process that loads it.
     from scipy.sparse.linalg import splu
@@ -363,9 +374,20 @@ def steady_state(h: np.ndarray, rates: RateSet, tol: float = 1e-8) -> SteadyStat
     # Multiple-minimum-degree ordering on A^T + A: 0.15 s and 5.9 s to factor
     # at N = 5 and 6, against 0.34 s and 18.9 s with SuperLU's default COLAMD.
     try:
-        rho = splu(system, permc_spec="MMD_AT_PLUS_A").solve(rhs).reshape(d, d)
+        lu = splu(system, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise ValueError(f"steady-state solve failed ({exc}); the steady state is not unique") from exc
+    # A generic right-hand side: no conserved quantity is orthogonal to it.
+    # Reading the pivots instead (lu.U) copies the factor, 10 MB at N = 5.
+    probe = np.sin(np.arange(1.0, d * d + 1)).astype(complex)
+    growth = np.linalg.norm(lu.solve(probe)) / np.linalg.norm(probe) * np.abs(system.data).max()
+    if growth > _GROWTH_LIMIT:
+        raise ValueError(
+            f"steady-state system is singular to rounding (solve growth {growth:.1e}); "
+            "the steady state is not unique (does every site have a relaxation channel?)"
+        )
+    rho = lu.solve(rhs).reshape(d, d)
+    del lu  # the factors would otherwise sit under the certificate's temporaries
     rho = 0.5 * (rho + rho.conj().T)
     rho /= float(np.trace(rho).real)
     min_eig = float(np.linalg.eigvalsh(rho)[0])

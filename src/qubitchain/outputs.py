@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .witness import asymmetry_flags
+
 TIMESERIES_COLUMNS = ("time", "pair_i", "pair_j", "e_n", "c1", "c2", "c2_opt", "ensemble_mean_flag")
 
 _SVG_COLORS = ("#1f6fb2", "#c23b22", "#2e8b57", "#8b5d9e", "#b8860b", "#444444")
@@ -307,11 +309,7 @@ def emit_bounds_outputs(matrices: dict, results: dict, out_dir: str | Path, buil
         "schema_version": 1,
         "build": build_id,
         "pairs": [list(p) for p in sorted(results)],
-        "flags": [
-            f"c2_opt unavailable for pair {list(p)} (asymmetric correlations)"
-            for p in sorted(results)
-            if results[p]["c2_opt"] is None or (isinstance(results[p]["c2_opt"], float) and math.isnan(results[p]["c2_opt"]))
-        ],
+        "flags": [flag for p in sorted(results) for flag in asymmetry_flags(p, matrices[p].asymmetry)],
         "files": {f.name: sha256_file(f) for f in files},
     }
     manifest_path = out / "manifest.json"

@@ -19,7 +19,7 @@ together with the optimal axes (the eigenvectors).
 from __future__ import annotations
 
 import csv
-import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,12 +28,10 @@ import numpy as np
 from .negativity import ReducedState, reduce
 from .pauli import PAULI_BY_AXIS
 
-logger = logging.getLogger(__name__)
-
 AXES = ("x", "y", "z")
 
 # Asymmetry policy for the optimized bound: silently symmetrize below the
-# first threshold, warn below the second, refuse above it.
+# first threshold, symmetrize with a flag below the second, refuse above it.
 SYMMETRY_TOL = 1e-8
 SYMMETRY_WARN_LIMIT = 1e-4
 
@@ -130,29 +128,56 @@ def bound_c2(x: CorrelationMatrix) -> float:
     return max(0.0, float(np.log2(s)) - 1.0)
 
 
-def bound_c2_optimized(x: CorrelationMatrix, symmetry_tol: float = SYMMETRY_TOL) -> OptimizedBound:
+def c2_opt_defined(asymmetry):
+    """Whether C2' is defined at this asymmetry of X (elementwise for arrays).
+
+    Where it is not, C2' is refused by :func:`bound_c2_optimized` and
+    written as NaN.
+    """
+    return asymmetry < SYMMETRY_WARN_LIMIT
+
+
+def bound_c2_optimized(x: CorrelationMatrix) -> OptimizedBound:
     """Rotation-optimized bound from the eigenvalues of the symmetrized X.
 
-    Valid only for (near-)symmetric correlation matrices: asymmetry below
-    `symmetry_tol` is silently symmetrized, below SYMMETRY_WARN_LIMIT it is
-    symmetrized with a logged warning, and anything larger is refused.
+    Valid only for (near-)symmetric correlation matrices: X is symmetrized
+    where :func:`c2_opt_defined` holds and refused otherwise.  Callers
+    report asymmetry of SYMMETRY_TOL or more through :func:`asymmetry_flags`.
     """
-    if x.asymmetry >= SYMMETRY_WARN_LIMIT:
+    if not c2_opt_defined(x.asymmetry):
         raise ValueError(
             f"correlation matrix asymmetry {x.asymmetry:.3e} exceeds "
             f"{SYMMETRY_WARN_LIMIT}; the optimized bound requires a symmetric X"
-        )
-    if x.asymmetry >= symmetry_tol:
-        logger.warning(
-            "correlation matrix of pair %s symmetrized despite asymmetry %.3e",
-            x.sites,
-            x.asymmetry,
         )
     sym = 0.5 * (x.entries + x.entries.T)
     eigenvalues, eigenvectors = np.linalg.eigh(sym)
     s = 1.0 + float(np.abs(eigenvalues).sum())
     value = max(0.0, float(np.log2(s)) - 1.0)
     return OptimizedBound(value, eigenvectors.T.copy(), eigenvalues)
+
+
+def c2_opt_value(x: CorrelationMatrix) -> float:
+    """C2' of X, or NaN where it is not defined."""
+    return bound_c2_optimized(x).value if c2_opt_defined(x.asymmetry) else math.nan
+
+
+def asymmetry_flags(pair: tuple[int, int], asymmetries) -> list[str]:
+    """Manifest flags for the asymmetries of a pair's correlation matrices.
+
+    One flag per kind: C2' evaluated on a symmetrized X (asymmetry of
+    SYMMETRY_TOL or more), and C2' skipped as undefined.  Each gives the
+    number of samples and their largest asymmetry.
+    """
+    a = np.asarray(asymmetries, dtype=float).ravel()
+    defined = c2_opt_defined(a)
+    flags = []
+    for kind, hit in (("symmetrized", defined & (a >= SYMMETRY_TOL)), ("skipped", ~defined)):
+        if hit.any():
+            flags.append(
+                f"c2_opt {kind} for pair {tuple(pair)} at {int(hit.sum())} of {a.size} samples "
+                f"(max asymmetry {a[hit].max():.2e})"
+            )
+    return flags
 
 
 def frozen_axes_bound(x: CorrelationMatrix, axes: np.ndarray) -> float:

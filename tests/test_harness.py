@@ -53,15 +53,28 @@ SMALL_SCAN = {
 }
 
 
+def load_config(data: dict):
+    return (ScanConfig if "gammas" in data else ScenarioConfig).from_dict(data)
+
+
 class TestConfig:
     def test_round_trips_through_dict(self):
-        cfg = small_config()
-        again = ScenarioConfig.from_dict(cfg.to_dict())
-        assert again == cfg
+        # Every shipped config of both kinds, plus the small test scenario.
+        configs = {path.name: json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))}
+        assert len(configs) == 13
+        for name, data in {**configs, "small": small_config().to_dict()}.items():
+            cfg = load_config(data)
+            assert type(cfg).from_dict(cfg.to_dict()) == cfg, name
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             small_config(bogus=1)
+        with pytest.raises(ConfigError, match="unknown quench keys"):
+            small_config(quench={"k_ini": 0.0, "k_fin": 0.025, "bogus": 1})
+
+    def test_schema_version_checked(self):
+        with pytest.raises(ConfigError, match="unsupported schema_version 2"):
+            small_config(schema_version=2)
 
     def test_exact_solver_size_guard(self):
         with pytest.raises(ConfigError, match="exact solver") as err:
@@ -96,6 +109,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"unknown scan config keys: \['t_cap'\]"):
             ScanConfig.from_dict({**SMALL_SCAN, "t_cap": 2e4})
 
+    def test_scan_rejects_unknown_chain_keys(self):
+        with pytest.raises(ConfigError, match=r"unknown chain keys: \['bogus'\]"):
+            ScanConfig.from_dict({**SMALL_SCAN, "chain": {**SMALL_SCAN["chain"], "bogus": 1}})
+
+    def test_scan_reports_missing_key(self):
+        data = {k: v for k, v in SMALL_SCAN.items() if k != "gammas"}
+        with pytest.raises(ConfigError, match="missing config key: 'gammas'"):
+            ScanConfig.from_dict(data)
+
+    def test_scan_chain_may_omit_coupling(self):
+        chain = {k: v for k, v in SMALL_SCAN["chain"].items() if k != "coupling"}
+        scan = ScanConfig.from_dict({**SMALL_SCAN, "chain": chain})
+        assert scan.chain.n_qubits == 3
+
     def test_scan_ignores_seed(self):
         # A scan draws no random numbers: the seed is not part of its config.
         with_seed = ScanConfig.from_dict({**SMALL_SCAN, "seed": 5})
@@ -104,11 +131,7 @@ class TestConfig:
 
     def test_shipped_configs_parse(self):
         for path in sorted(CONFIG_DIR.glob("*.json")):
-            data = json.loads(path.read_text())
-            if "gammas" in data:
-                ScanConfig.from_dict(data)
-            else:
-                ScenarioConfig.from_dict(data)
+            load_config(json.loads(path.read_text()))
 
 
 class TestFirstMaximum:

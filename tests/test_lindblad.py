@@ -221,13 +221,15 @@ class TestSteadyState:
             qc.steady_state(h, qc.RateSet.zero(3))
 
     def test_degenerate_kernel_is_refused(self):
-        # Pure dephasing leaves the kernel of L degenerate; at this point the
-        # solve lands on a member of it with an eigenvalue of about -0.07.
-        spec = qc.ChainSpec.homogeneous(3)
-        h = qc.build_hamiltonian_eigen(spec)
-        rates = qc.RateSet((0.0,) * 3, (0.0,) * 3, (0.01,) * 3)
-        with pytest.raises(ValueError, match="not unique"):
-            qc.steady_state(h, rates)
+        # Pure dephasing of a homogeneous chain in the eigenbasis frame leaves
+        # a two-dimensional kernel of L.  At (3, 0.01) the solve would land on
+        # a member with an eigenvalue of about -0.07; at the other inputs on a
+        # positive member, which a residual check alone would certify.
+        for n, g in ((3, 0.01), (2, 0.01), (3, 0.05), (4, 0.01)):
+            h = qc.build_hamiltonian_eigen(qc.ChainSpec.homogeneous(n))
+            rates = qc.RateSet((0.0,) * n, (0.0,) * n, (g,) * n)
+            with pytest.raises(ValueError, match="not unique"):
+                qc.steady_state(h, rates)
 
     def test_uncertified_result_is_flagged(self):
         spec = qc.ChainSpec.homogeneous(3)

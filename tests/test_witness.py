@@ -4,7 +4,7 @@ import pytest
 import qubitchain as qc
 from conftest import random_density_matrix
 from qubitchain.negativity import ReducedState, log_negativity
-from qubitchain.witness import correlation_matrix_from_pair
+from qubitchain.witness import asymmetry_flags, correlation_matrix_from_pair
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -119,16 +119,17 @@ class TestBounds:
         with pytest.raises(ValueError, match="asymmetry"):
             qc.bound_c2_optimized(x)
 
-    def test_mild_asymmetry_symmetrized_with_warning(self, caplog):
+    def test_mild_asymmetry_symmetrized_with_warning(self):
         entries = np.diag([0.5, 0.2, -0.4]).astype(float)
         entries[0, 1] = 1e-5
         x = qc.CorrelationMatrix.from_entries(entries)
-        import logging
-
-        with caplog.at_level(logging.WARNING, logger="qubitchain.witness"):
-            value = qc.bound_c2_optimized(x).value
-        assert value >= 0.0
-        assert any("symmetrized" in rec.message for rec in caplog.records)
+        assert qc.bound_c2_optimized(x).value >= 0.0
+        # The warning is one flag per pair and kind, however many samples.
+        flags = asymmetry_flags((1, 2), [x.asymmetry, 0.0, x.asymmetry, 3e-4])
+        assert flags == [
+            "c2_opt symmetrized for pair (1, 2) at 2 of 4 samples (max asymmetry 1.00e-05)",
+            "c2_opt skipped for pair (1, 2) at 1 of 4 samples (max asymmetry 3.00e-04)",
+        ]
 
 
 class TestCorrelationsCsv:
