@@ -164,7 +164,8 @@ def _check_dense_size(n: int) -> None:
 
 
 def _new_dense(n: int) -> np.ndarray:
-    return np.zeros((2**n, 2**n), dtype=complex)
+    # Every term of both frames is real.
+    return np.zeros((2**n, 2**n))
 
 
 def _add_diagonal(h: np.ndarray, diag: np.ndarray) -> None:
@@ -178,7 +179,7 @@ def _add_flip(h: np.ndarray, col_map: np.ndarray, values: np.ndarray | float) ->
 
 
 def build_hamiltonian_lab(spec: ChainSpec) -> np.ndarray:
-    """Dense lab-frame chain Hamiltonian (site 1 most significant)."""
+    """Dense real lab-frame chain Hamiltonian (site 1 most significant)."""
     n = spec.n_qubits
     _check_dense_size(n)
     h = _new_dense(n)
@@ -193,7 +194,7 @@ def build_hamiltonian_lab(spec: ChainSpec) -> np.ndarray:
 
 
 def build_hamiltonian_eigen(spec: ChainSpec) -> np.ndarray:
-    """Dense eigenbasis-frame chain Hamiltonian (same spectrum as the lab frame)."""
+    """Dense real eigenbasis-frame chain Hamiltonian (same spectrum as the lab frame)."""
     n = spec.n_qubits
     _check_dense_size(n)
     angles = mixing_angles(spec)
@@ -214,6 +215,24 @@ def build_hamiltonian_eigen(spec: ChainSpec) -> np.ndarray:
         _add_flip(h, fi[fj], k * si * sj)
     _add_diagonal(h, diag)
     return h
+
+
+def parity_blocks(spec: ChainSpec) -> list[np.ndarray]:
+    """Basis indices of the diagonal blocks of the eigenbasis-frame Hamiltonian.
+
+    With every epsilon_i = 0 (theta_i = pi/2) the couplings flip sites in
+    pairs, so H' commutes with the parity prod_i Z_i and splits into the
+    even and odd popcount sectors; otherwise one block holds every index.
+    The split is read from the spec, not from H': its parity-odd entries
+    are K c_i s_j / 2 with c_i = cos(pi/2) = 6e-17, about 1.5e-18, and are
+    dropped by the split.
+    """
+    n = spec.n_qubits
+    index = np.arange(2**n)
+    if any(e != 0.0 for e in spec.epsilon):
+        return [index]
+    odd = np.prod([z_pattern(i, n) for i in range(1, n + 1)], axis=0) < 0
+    return [index[~odd], index[odd]]
 
 
 def frame_rotation(angles: MixingAngles) -> np.ndarray:

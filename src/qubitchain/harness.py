@@ -65,6 +65,7 @@ from .chain import (
     QuenchSpec,
     build_hamiltonian_eigen,
     mixing_angles,
+    parity_blocks,
     sample_disorder,
 )
 from .lindblad import (
@@ -104,12 +105,14 @@ class ConfigError(ValueError):
 
 
 # Peak working set of one exact-solver member, in d x d complex arrays
-# (d = 2^N).  Measured peak RSS above the 63 MB of an N = 4 run, at N = 9..11:
+# (d = 2^N).  Measured peak RSS above that of an N = 4 run, at N = 9..11:
 # 12.2 arrays with noise (RK4 stages and the temporaries of
-# LindbladGenerator.apply), 5.1 for a noiseless state vector (H and eigh),
-# 8.0 for a noiseless density matrix (H, eigh and the eigenbasis state).
-# Each count below leaves about one spare.
-_NOISY_ARRAYS, _PURE_ARRAYS, _MIXED_ARRAYS = 13, 6, 9
+# LindbladGenerator.apply); 3.8/3.8/4.0 for a noiseless state vector over a
+# full chunk of d samples with pairs (1, 2) and (1, N) (real H, half-size
+# block eigh, the chunk of amplitudes and its reduction); 5.1/5.0/4.6 for a
+# noiseless thermal state (its preparation, the eigenbasis blocks and one
+# sample).  Each count below leaves about one spare.
+_NOISY_ARRAYS, _PURE_ARRAYS, _MIXED_ARRAYS = 13, 5, 6
 # Interpreter, numpy and scipy, counted once per process.
 _PROCESS_BYTES = 128 * 2**20
 
@@ -117,7 +120,7 @@ _PROCESS_BYTES = 128 * 2**20
 def exact_member_bytes(n_qubits: int, noisy: bool, pure: bool = True) -> int:
     """Estimated peak bytes of one exact-solver member: RK4 on the density
     matrix if `noisy`, else a state vector (`pure`) or density matrix
-    propagated in the eigenbasis of H."""
+    propagated in the eigenbasis of each parity block of H."""
     arrays = _NOISY_ARRAYS if noisy else _PURE_ARRAYS if pure else _MIXED_ARRAYS
     return arrays * 16 * 4**n_qubits
 
@@ -262,6 +265,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.quench is None:
+            if not self.chain.coupling:
+                raise ConfigError("a chain without couplings needs an explicit quench section")
             object.__setattr__(self, "quench", QuenchSpec(0.0, self.chain.coupling[0]))
         if self.initial_state not in INITIAL_STATES:
             raise ConfigError(f"initial_state must be one of {INITIAL_STATES}")
@@ -422,16 +427,18 @@ def _prepare_initial(config: ScenarioConfig, chain_fin: ChainSpec) -> np.ndarray
     return thermal_state(h_ini, config.initial_temperature_mk * 1e-3, config.chain.energy_unit_kelvin)
 
 
-def _measure_pair(pair_state: ReducedState, x: CorrelationMatrix | None, measures) -> dict[str, float]:
+def _measure_pair(pair_state: ReducedState, xs: list[CorrelationMatrix] | None, measures) -> dict:
+    """Each of `measures` at every sample of the stacked `pair_state`; `xs`
+    holds its correlation matrices, one per sample."""
     out = {}
     if "e_n" in measures:
-        out["e_n"] = log_negativity(pair_state, (pair_state.sites[0],))
+        out["e_n"] = log_negativity(pair_state, pair_state.sites[:1])
     if "c1" in measures:
-        out["c1"] = bound_c1(x)
+        out["c1"] = [bound_c1(x) for x in xs]
     if "c2" in measures:
-        out["c2"] = bound_c2(x)
+        out["c2"] = [bound_c2(x) for x in xs]
     if "c2_opt" in measures:
-        out["c2_opt"] = c2_opt_value(x)
+        out["c2_opt"] = [c2_opt_value(x) for x in xs]
     return out
 
 
@@ -439,6 +446,9 @@ def sample_grid(t_max: float, dt: float, sample_every: int) -> np.ndarray:
     """Sample times of every propagation path: every sample_every steps of dt, and the last step."""
     n_steps = int(round(t_max / dt))
     return np.array([k * dt for k in [*range(0, n_steps, sample_every), n_steps]])
+
+
+Accessor = Callable[[tuple[int, ...]], ReducedState]
 
 
 def propagate(
@@ -449,40 +459,77 @@ def propagate(
     dt: float,
     sample_every: int = 1,
     engine: MixedTebdEngine | None = None,
-) -> Iterator[tuple[float, Callable[[tuple[int, ...]], ReducedState]]]:
-    """Propagate one state and yield (t, accessor) at each time of :func:`sample_grid`.
+    blocks: list[np.ndarray] | None = None,
+) -> Iterator[tuple[np.ndarray, Accessor]]:
+    """Propagate one state and yield (times, accessor) blocks that cover :func:`sample_grid` in order.
 
-    The accessor maps ascending 1-based sites to the reduced density matrix
-    at t and stays valid after later samples are drawn.  With `engine`,
-    `state0` is an MpsMixedState advanced by TEBD steps of `dt` and `h` is
-    unused.  Otherwise `state0` is a state vector or density matrix under
-    the dense Hamiltonian `h`: without noise it is propagated exactly in the
-    eigenbasis of `h`, with noise by RK4 (:func:`qubitchain.lindblad.stream`).
+    The accessor maps ascending 1-based sites to the reduced density
+    matrices at `times`, stacked as (len(times), 2^m, 2^m), and stays valid
+    after later blocks are drawn.  With `engine`, `state0` is an
+    MpsMixedState advanced by TEBD steps of `dt` and `h` is unused.
+    Otherwise `state0` is a state vector or density matrix under the dense
+    real Hamiltonian `h`: with noise it is integrated by RK4
+    (:func:`qubitchain.lindblad.stream`).  TEBD and RK4 yield one sample
+    per block.
+
+    Without noise the state is propagated exactly in the eigenbasis of each
+    diagonal block of `h`; `blocks` lists their basis indices (default one
+    block of every index; :func:`qubitchain.chain.parity_blocks` gives the
+    parity sectors).  A block whose component of `state0` is exactly zero
+    is skipped.  A state vector is served up to 2^N samples per block, one
+    GEMM per diagonal block; a density matrix one sample per block.
     """
     times = sample_grid(t_max, dt, sample_every)
     if engine is not None:
         state, done = state0, 0
-        for t in times:
+        for k, t in enumerate(times):
             while done < int(round(t / dt)):
                 state = engine.step(state)
                 done += 1
-            yield t, partial(reduced_sites_dm, state)
+            yield times[k : k + 1], partial(_mps_sample, state)
     elif rates.is_zero():
-        energies, vectors = np.linalg.eigh(h)
-        if state0.ndim == 1:
-            coeff = vectors.conj().T @ state0
-            for t in times:
-                yield t, partial(reduce_statevector, vectors @ (np.exp(-1j * energies * t) * coeff))
-        else:
-            rho_eig = vectors.conj().T @ state0 @ vectors
-            for t in times:
-                phase = np.exp(-1j * energies * t)
-                rho = vectors @ (phase[:, None] * rho_eig * phase.conj()[None, :]) @ vectors.conj().T
-                yield t, partial(reduce, rho)
+        yield from _propagate_unitary(state0, h, times, blocks or [np.arange(len(h))])
     else:
         rho0 = density_from_pure(state0) if state0.ndim == 1 else state0
         for t, rho, _, _ in stream(rho0, h, rates, t_max, dt, sample_every):
-            yield t, partial(reduce, rho)
+            yield np.array([t]), partial(reduce, rho[None])
+
+
+def _mps_sample(state: MpsMixedState, sites) -> ReducedState:
+    """Reduced state of one MPS sample, stacked as a block of one."""
+    rs = reduced_sites_dm(state, sites)
+    return ReducedState(rs.sites, rs.matrix[None])
+
+
+def _propagate_unitary(
+    state0: np.ndarray, h: np.ndarray, times: np.ndarray, blocks: list[np.ndarray]
+) -> Iterator[tuple[np.ndarray, Accessor]]:
+    """The noiseless branch of :func:`propagate`: exact phases in each block's real eigenbasis."""
+    d = len(h)
+    # A block that state0 does not reach (no nonzero row) is never diagonalized.
+    eig = [(b, *np.linalg.eigh(h[np.ix_(b, b)])) for b in blocks if state0[b].any()]
+    if state0.ndim == 1:
+        parts = [(b, e, v, v.T @ state0[b]) for b, e, v in eig]
+        # At most d samples at once: the amplitudes never outgrow one d x d array.
+        for start in range(0, len(times), d):
+            ts = times[start : start + d]
+            psi = np.zeros((len(ts), d), dtype=complex)
+            for b, e, v, c in parts:
+                psi[:, b] = (np.exp(-1j * np.outer(ts, e)) * c) @ v.T
+            yield ts, partial(reduce_statevector, psi)
+    else:
+        parts = [
+            (a, ea, va, b, eb, vb, va.T @ state0[np.ix_(a, b)] @ vb)
+            for a, ea, va in eig
+            for b, eb, vb in eig
+            if state0[np.ix_(a, b)].any()
+        ]
+        for k, t in enumerate(times):
+            rho = np.zeros((1, d, d), dtype=complex)
+            for a, ea, va, b, eb, vb, r in parts:
+                phase_a, phase_b = np.exp(-1j * ea * t), np.exp(-1j * eb * t)
+                rho[0][np.ix_(a, b)] = va @ (phase_a[:, None] * r * phase_b.conj()) @ vb.T
+            yield times[k : k + 1], partial(reduce, rho)
 
 
 def _run_member(config: ScenarioConfig, member: int, pair_series, block_series, asymmetry, flags, keep_correlations):
@@ -493,7 +540,7 @@ def _run_member(config: ScenarioConfig, member: int, pair_series, block_series, 
     """
     chain_fin = _member_chain(config, member)
     rates = rates_from_angles(mixing_angles(chain_fin), config.noise)
-    engine = h = None
+    engine = h = blocks = None
     if config.solver.kind == "mps":
         plan = TrotterPlan.build(config.solver.dt, order=4)
         engine = MixedTebdEngine(chain_fin, rates, plan, config.solver.bond_dim)
@@ -501,24 +548,28 @@ def _run_member(config: ScenarioConfig, member: int, pair_series, block_series, 
         state0 = mps_from_product([ground] * config.chain.n_qubits, bond_dim=config.solver.bond_dim)
     else:
         h = build_hamiltonian_eigen(chain_fin)
+        blocks = parity_blocks(chain_fin)
         state0 = _prepare_initial(config, chain_fin)
-    samples = propagate(state0, h, rates, config.t_max, config.step, config.sample_every, engine)
+    samples = propagate(state0, h, rates, config.t_max, config.step, config.sample_every, engine, blocks)
 
     measures = config.observables.measures
     need_x = keep_correlations or any(m in measures for m in ("c1", "c2", "c2_opt"))
     correlations = {p: [] for p in config.observables.pairs} if keep_correlations else {}
-    for k, (_, acc) in enumerate(samples):
+    done = 0
+    for ts, acc in samples:
+        rows = slice(done, done + len(ts))
+        done += len(ts)
         for p in config.observables.pairs:
             rs = acc(p)
-            x = correlation_matrix_from_pair(rs) if need_x else None
-            for m, value in _measure_pair(rs, x, measures).items():
-                pair_series[p][m][member, k] = value
+            xs = [correlation_matrix_from_pair(ReducedState(p, matrix)) for matrix in rs.matrix] if need_x else None
+            for m, values in _measure_pair(rs, xs, measures).items():
+                pair_series[p][m][member, rows] = values
             if p in asymmetry:
-                asymmetry[p][member, k] = x.asymmetry
+                asymmetry[p][member, rows] = [x.asymmetry for x in xs]
             if keep_correlations:
-                correlations[p].append(x)
+                correlations[p].extend(xs)
         for a, b in config.observables.blocks:
-            block_series[(a, b)][member, k] = log_negativity(acc(tuple(sorted(a + b))), a)
+            block_series[(a, b)][member, rows] = log_negativity(acc(tuple(sorted(a + b))), a)
     if engine is not None:
         if engine.flagged_steps:
             flags.append(
@@ -714,13 +765,15 @@ def steady_state_scan(config: ScanConfig) -> ScanResult:
     for ratio in config.coupling_ratios:
         chain = config.chain.with_coupling(ratio * config.chain.delta[0])
         h = build_hamiltonian_eigen(chain)
+        blocks = parity_blocks(chain)
         angles = mixing_angles(chain)
         row_values = []
         for gamma in config.gammas:
             noise = NoiseSpec(gamma, config.n_thermal)
             rates = rates_from_angles(angles, noise)
-            samples = propagate(rho0_vec, h, rates, config.transient_t_max, config.transient_dt, sample)
-            times, series = zip(*((t, log_negativity(acc(config.pair), part)) for t, acc in samples))
+            samples = propagate(rho0_vec, h, rates, config.transient_t_max, config.transient_dt, sample, blocks=blocks)
+            measured = [(ts, log_negativity(acc(config.pair), part)) for ts, acc in samples]
+            times, series = (np.concatenate(column) for column in zip(*measured))
             fm = first_maximum(times, series)
             fm = fm.value if fm else 0.0
             if gamma == 0.0 or rates.is_zero():

@@ -171,7 +171,8 @@ class LindbladGenerator:
         if rates.n_sites != self.n:
             raise ValueError(f"rate set has {rates.n_sites} sites, Hamiltonian has {self.n}")
         self.rates = rates
-        self.h_sparse = sparse.csr_matrix(h)
+        # Complex, as rho is: scipy would convert a real H's data on every product.
+        self.h_sparse = sparse.csr_matrix(h, dtype=complex)
         self._h_transpose = self.h_sparse.T.tocsr()
         # Row-sum norm: upper-bounds the spectral norm, cheap at any size.
         self._h_norm = float(np.abs(h).sum(axis=1).max())
@@ -398,12 +399,3 @@ def steady_state(h: np.ndarray, rates: RateSet, tol: float = 1e-8) -> SteadyStat
         )
     residual = _certify(gen, rho)
     return SteadyStateResult(rho, residual < tol, 0.0, residual)
-
-
-def unitary_propagate(rho0: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-iHt) rho exp(+iHt) by eigendecomposition (noiseless oracle)."""
-    require_hermitian(h, what="hamiltonian")
-    energies, vectors = np.linalg.eigh(h)
-    phases = np.exp(-1j * energies * t)
-    u = (vectors * phases) @ vectors.conj().T
-    return u @ rho0 @ u.conj().T

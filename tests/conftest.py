@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import qubitchain as qc
 
@@ -36,3 +37,9 @@ def random_density_matrix(rng, dim, rank=None):
 def random_pure_state(rng, dim):
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return psi / np.linalg.norm(psi)
+
+
+def unitary_propagate(rho0, h, t):
+    """exp(-iHt) rho0 exp(+iHt) by the dense matrix exponential (noiseless oracle)."""
+    u = expm(-1j * t * h)
+    return u @ rho0 @ u.conj().T

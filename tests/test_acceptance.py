@@ -250,10 +250,10 @@ def ideal_generation_series():
     spec = qc.ChainSpec.homogeneous(8)
     h = qc.build_hamiltonian_eigen(spec)
     times, e12, e18 = [], [], []
-    for t, acc in propagate(qc.eigenbasis_product(8), h, qc.RateSet.zero(8), 300.0, 0.5):
-        times.append(t)
-        e12.append(log_negativity(acc((1, 2)), (1,)))
-        e18.append(log_negativity(acc((1, 8)), (1,)))
+    for ts, acc in propagate(qc.eigenbasis_product(8), h, qc.RateSet.zero(8), 300.0, 0.5):
+        times.extend(ts)
+        e12.extend(log_negativity(acc((1, 2)), (1,)))
+        e18.extend(log_negativity(acc((1, 8)), (1,)))
     return np.array(times), np.array(e12), np.array(e18)
 
 

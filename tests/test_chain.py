@@ -102,6 +102,20 @@ class TestHamiltonianEigen:
         )
         assert np.abs(h - (np.diag(field) + xx)).max() < 1e-13
 
+    def test_real_and_parity_block_diagonal_at_degeneracy(self):
+        spec = qc.ChainSpec(5, 0.0, (0.1, 0.12, 0.09, 0.1, 0.11), (0.02, 0.03, 0.025, 0.02))
+        h = qc.build_hamiltonian_eigen(spec)
+        assert h.dtype == np.float64 and qc.build_hamiltonian_lab(spec).dtype == np.float64
+        even, odd = qc.chain.parity_blocks(spec)
+        popcount = np.array([bin(j).count("1") for j in range(32)])
+        assert np.array_equal(even, np.flatnonzero(popcount % 2 == 0))
+        assert np.array_equal(odd, np.flatnonzero(popcount % 2 == 1))
+        # Only the cos(pi/2) = 6e-17 terms couple the sectors.
+        assert 0 < np.abs(h[np.ix_(even, odd)]).max() < 1e-17
+        biased = qc.ChainSpec(5, (0.0, 0.0, 1e-3, 0.0, 0.0), 0.1, 0.025)
+        (whole,) = qc.chain.parity_blocks(biased)
+        assert np.array_equal(whole, np.arange(32))
+
     def test_spectra_agree_between_frames(self, rng):
         for _ in range(3):
             spec = qc.ChainSpec(

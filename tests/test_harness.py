@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qubitchain as qc
+from conftest import unitary_propagate
 from qubitchain.harness import (
     ConfigError,
     ScanConfig,
@@ -16,7 +17,9 @@ from qubitchain.harness import (
     classify_row,
     first_maximum,
     member_seed,
+    propagate,
     run_scenario,
+    sample_grid,
     steady_state_scan,
 )
 from qubitchain.outputs import emit_outputs, emit_scan_outputs
@@ -80,6 +83,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="exact solver") as err:
             small_config(chain={"n_qubits": 15, "epsilon": 0.0, "delta": 0.1, "coupling": 0.025})
         assert re.search(r"estimated peak [\d.]+ GiB exceeds the [\d.]+ GiB", str(err.value))
+
+    def test_uncoupled_chain_without_quench_is_a_config_error(self):
+        data = {key: value for key, value in small_config().to_dict().items() if key != "quench"}
+        data["chain"] = {"n_qubits": 1, "epsilon": 0.0, "delta": 0.1, "coupling": []}
+        data["observables"] = {"pairs": [], "measures": ["e_n"]}
+        with pytest.raises(ConfigError, match="explicit quench"):
+            ScenarioConfig.from_dict(data)
+        data["quench"] = {"k_ini": 0.0, "k_fin": 0.0}
+        assert ScenarioConfig.from_dict(data).chain.n_qubits == 1
 
     def test_frozen_axes_needs_negativity(self):
         with pytest.raises(ConfigError, match="frozen_axes mode requires the e_n measure"):
@@ -182,6 +194,20 @@ class TestRunScenario:
         parallel = run_scenario(cfg, threads=3)
         assert np.array_equal(serial.member_series((1, 2)), parallel.member_series((1, 2)))
 
+    def test_long_mps_chain_builds_nothing_dense(self):
+        # A 40-site dense index or operator would need 2^40 entries.
+        cfg = small_config(
+            chain={"n_qubits": 40, "epsilon": 0.0, "delta": 0.1, "coupling": 0.025},
+            noise={"gamma": 0.01, "n_thermal": 0.0},
+            solver={"kind": "mps", "bond_dim": 4, "dt": 0.05},
+            t_max=0.1,
+            sample_every=1,
+            observables={"pairs": [[1, 2], [39, 40]], "measures": ["e_n"]},
+        )
+        res = run_scenario(cfg)
+        assert res.member_series((1, 2)).shape == (1, 3)
+        assert res.member_series((1, 2))[0, -1] > 0
+
     def test_member_seeds_are_distinct_and_stable(self):
         seeds = {member_seed(9, m) for m in range(100)}
         assert len(seeds) == 100
@@ -266,6 +292,110 @@ class TestPropagation:
         assert res.frozen_axes_info["[2, 3]"]["reference_time"] == res.times[k]
         assert frozen[k] == pytest.approx(res.member_series((2, 3), "c2_opt")[0][k], abs=1e-12)
         assert frozen[k] >= c2[k] - 1e-12
+
+
+def dense_reduced(rho: np.ndarray, sites) -> np.ndarray:
+    """Partial trace of a chain density matrix onto ascending sites, by axis moves."""
+    n = int(np.log2(len(rho)))
+    keep = [s - 1 for s in sites]
+    order = keep + [p for p in range(n) if p not in keep]
+    tensor = rho.reshape((2,) * (2 * n)).transpose(order + [n + p for p in order])
+    k, rest = 2 ** len(keep), 2 ** (n - len(keep))
+    return np.einsum("iaja->ij", tensor.reshape(k, rest, k, rest))
+
+
+class TestNoiselessBlocks:
+    """The noiseless propagation over parity blocks against one block and a dense expm oracle."""
+
+    PAIRS = ((1, 2), (1, 3), (2, 4))
+    T_MAX, DT, EVERY = 30.0, 0.25, 2  # 61 samples: several chunks of 2^N at N = 4 and 5
+
+    def initial_states(self, chain):
+        h_ini = qc.build_hamiltonian_eigen(chain.with_coupling(0.001))
+        n = chain.n_qubits
+        return {
+            "product_eigen": qc.eigenbasis_product(n),
+            "bell_head_eigen": qc.eigenbasis_bell_head(n),
+            "ground_of_k_ini": qc.ground_state(h_ini).vector,
+            "thermal_of_k_ini": qc.thermal_state(h_ini, 0.03),
+        }
+
+    def series(self, state0, h, blocks):
+        n = int(np.log2(len(h)))
+        out = {p: [] for p in self.PAIRS}
+        times = []
+        for ts, acc in propagate(state0, h, qc.RateSet.zero(n), self.T_MAX, self.DT, self.EVERY, blocks=blocks):
+            times.extend(ts)
+            for p in self.PAIRS:
+                out[p].extend(acc(p).matrix)
+        assert np.array_equal(times, sample_grid(self.T_MAX, self.DT, self.EVERY))
+        return {p: np.array(v) for p, v in out.items()}
+
+    def oracle(self, state0, h):
+        rho0 = qc.density_from_pure(state0) if state0.ndim == 1 else state0
+        states = [unitary_propagate(rho0, h, t) for t in sample_grid(self.T_MAX, self.DT, self.EVERY)]
+        return {p: np.array([dense_reduced(rho, p) for rho in states]) for p in self.PAIRS}
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_two_blocks_match_one_block_and_expm(self, n):
+        chain = qc.ChainSpec(n, 0.0, 0.1, tuple(np.linspace(0.02, 0.03, n - 1)))
+        h = qc.build_hamiltonian_eigen(chain)
+        blocks = qc.chain.parity_blocks(chain)
+        assert len(blocks) == 2
+        for name, state0 in self.initial_states(chain).items():
+            two = self.series(state0, h, blocks)
+            one = self.series(state0, h, None)
+            want = self.oracle(state0, h)
+            for p in self.PAIRS:
+                assert np.abs(two[p] - want[p]).max() < 1e-12, (name, p)
+                assert np.abs(two[p] - one[p]).max() < 1e-12, (name, p)
+
+    def test_blocks_without_weight_are_skipped(self, monkeypatch):
+        chain = qc.ChainSpec.homogeneous(5)
+        h = qc.build_hamiltonian_eigen(chain)
+        blocks = qc.chain.parity_blocks(chain)
+        grazed = qc.eigenbasis_product(5)
+        grazed[1] = 1e-20  # odd-sector roundoff, as in a full-eigh ground state
+        eigh, sizes = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
+        for state0, expected in [
+            (qc.eigenbasis_product(5), [16]),
+            (qc.eigenbasis_bell_head(5), [16]),
+            (grazed, [16, 16]),
+            (qc.density_from_pure(qc.eigenbasis_bell_head(5)), [16]),
+        ]:
+            sizes.clear()
+            for ts, acc in propagate(state0, h, qc.RateSet.zero(5), 5.0, 0.5, blocks=blocks):
+                assert acc((1, 2)).matrix.shape == (len(ts), 4, 4)
+            assert sizes == expected
+
+    def test_biased_chain_is_one_block_and_matches_expm(self):
+        chain = qc.ChainSpec(5, (0.02, -0.01, 0.0, 0.03, 0.01), 0.1, 0.025)
+        blocks = qc.chain.parity_blocks(chain)
+        assert len(blocks) == 1 and np.array_equal(blocks[0], np.arange(32))
+        h = qc.build_hamiltonian_eigen(chain)
+        for name, state0 in self.initial_states(chain).items():
+            got = self.series(state0, h, blocks)
+            want = self.oracle(state0, h)
+            for p in self.PAIRS:
+                assert np.abs(got[p] - want[p]).max() < 1e-12, (name, p)
+
+    def test_run_scenario_uses_parity_blocks_of_each_member(self):
+        # Epsilon disorder breaks the parity split; both kinds of member
+        # must reproduce the dense oracle.
+        for targets in (["delta", "coupling"], ["epsilon"]):
+            cfg = small_config(
+                disorder={"fraction": 0.05, "targets": targets, "ensemble_size": 2},
+                observables={"pairs": [[1, 2], [2, 4]], "measures": ["e_n"]},
+            )
+            res = run_scenario(cfg)
+            for m in range(2):
+                chain = qc.harness._member_chain(cfg, m)
+                h = qc.build_hamiltonian_eigen(chain)
+                rho0 = qc.density_from_pure(qc.eigenbasis_product(4))
+                for p in cfg.observables.pairs:
+                    want = [qc.pair_log_negativity(unitary_propagate(rho0, h, t), *p) for t in res.times]
+                    assert np.abs(res.member_series(p)[m] - want).max() < 1e-12, (targets, m, p)
 
 
 class TestEmitOutputs:

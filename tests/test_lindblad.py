@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qubitchain as qc
-from conftest import random_density_matrix
+from conftest import random_density_matrix, unitary_propagate
 from qubitchain.lindblad import LindbladGenerator
 
 
@@ -129,7 +129,7 @@ class TestEvolve:
         h = qc.build_hamiltonian_eigen(spec)
         rho0 = qc.density_from_pure(qc.eigenbasis_bell_head(5))
         traj = qc.evolve(rho0, h, qc.RateSet.zero(5), t_max=100.0, dt=0.01, sample_every=10_000)
-        exact = qc.lindblad.unitary_propagate(rho0, h, 100.0)
+        exact = unitary_propagate(rho0, h, 100.0)
         assert np.linalg.norm(traj.states[-1] - exact) < 1e-7
 
     def test_snapshot_invariants(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qubitchain as qc
-from conftest import random_density_matrix, random_pure_state
+from conftest import random_density_matrix, random_pure_state, unitary_propagate
 from qubitchain.pauli import kron_all
 
 
@@ -38,6 +38,19 @@ class TestReduce:
         dense = qc.reduce(qc.density_from_pure(psi), (2, 5))
         fast = qc.reduce_statevector(psi, (2, 5))
         assert np.abs(dense.matrix - fast.matrix).max() < 1e-13
+
+    def test_leading_batch_axis_matches_per_state_reduction(self, rng):
+        rhos = np.array([random_density_matrix(rng, 2**5) for _ in range(3)])
+        psis = np.array([random_pure_state(rng, 2**5) for _ in range(3)])
+        for sites in ((2, 5), (1, 3, 4)):
+            stacked = qc.reduce(rhos, sites)
+            assert stacked.matrix.shape == (3, 2 ** len(sites), 2 ** len(sites))
+            for rho, got in zip(rhos, stacked.matrix):
+                assert np.abs(got - qc.reduce(rho, sites).matrix).max() < 1e-15
+            stacked = qc.reduce_statevector(psis, sites)
+            for psi, got in zip(psis, stacked.matrix):
+                assert np.abs(got - qc.reduce_statevector(psi, sites).matrix).max() < 1e-15
+                assert np.abs(got - qc.reduce(qc.density_from_pure(psi), sites).matrix).max() < 1e-13
 
     def test_validates_sites(self):
         rho = np.eye(8) / 8
@@ -115,6 +128,29 @@ class TestLogNegativity:
             rotated = qc.ReducedState((1, 2), u @ rho @ u.conj().T)
             assert qc.log_negativity(rotated, (1,)) == pytest.approx(base, abs=1e-9)
 
+    def test_stacked_equals_per_matrix_loop(self, rng):
+        # Werner states p |Bell><Bell| + (1 - p) I/4 with p > 1/3 have
+        # trace norm (1 + 3p)/2: p = 1/3 + 2e-11 lies inside the separable
+        # window (trace norm 1 + 3e-11), p = 1/3 + 1e-9 just above it.
+        bell = np.array([0, 1, 1, 0]) / np.sqrt(2)
+        werner = {p: p * np.outer(bell, bell) + (1 - p) * np.eye(4) / 4 for p in (1 / 3 + 2e-11, 1 / 3 + 1e-9, 0.5)}
+        product = np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
+        randoms = [random_density_matrix(rng, 4, rank=r) for r in (1, 2, 4)]
+        stack = np.array([np.outer(bell, bell), product, *werner.values(), *randoms])
+        stacked = qc.log_negativity(qc.ReducedState((1, 2), stack), (1,))
+        looped = [qc.log_negativity(qc.ReducedState((1, 2), m), (1,)) for m in stack]
+        assert stacked.shape == (len(stack),)
+        assert np.array_equal(stacked, looped)
+        expected = [1.0, 0.0] + [0.0 if p < 1 / 3 + 1e-10 else np.log2((1 + 3 * p) / 2) for p in werner]
+        assert np.abs(stacked[:5] - expected).max() < 1e-14
+        assert stacked[3] > 0.0
+
+    def test_stacked_block_cut_equals_per_matrix_loop(self, rng):
+        stack = np.array([random_density_matrix(rng, 16, rank=r) for r in (1, 2, 16)])
+        rs = qc.ReducedState((1, 2, 5, 6), stack)
+        looped = [qc.log_negativity(qc.ReducedState(rs.sites, m), (1, 2)) for m in stack]
+        assert np.array_equal(qc.log_negativity(rs, (1, 2)), looped)
+
     def test_trace_norm_matches_singular_values(self, rng):
         rho = random_density_matrix(rng, 4)
         pt = qc.partial_transpose(qc.ReducedState((1, 2), rho), (1,))
@@ -146,7 +182,7 @@ class TestBlockLogNegativity:
         spec = qc.ChainSpec.homogeneous(8)
         h = qc.build_hamiltonian_eigen(spec)
         rho0 = qc.density_from_pure(qc.eigenbasis_product(8))
-        rho = qc.lindblad.unitary_propagate(rho0, h, 15.0)
+        rho = unitary_propagate(rho0, h, 15.0)
         block = qc.block_log_negativity(rho, (1, 2), (3, 4))
         pair = qc.pair_log_negativity(rho, 2, 3)
         assert block >= pair - 1e-9
