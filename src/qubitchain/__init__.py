@@ -24,7 +24,6 @@ from .lindblad import (
     SteadyStateResult,
     Trajectory,
     evolve,
-    lindblad_rhs,
     nbar_from_temperature,
     rates_from_angles,
     steady_state,

@@ -71,13 +71,15 @@ from .chain import (
 from .lindblad import (
     NoiseSpec,
     RateSet,
+    block_stack,
+    couples_blocks,
     nbar_from_temperature,
     rates_from_angles,
     steady_state,
     stream,
 )
 from .mps import MixedTebdEngine, MpsMixedState, TrotterPlan, mps_from_product, reduced_sites_dm
-from .negativity import ReducedState, log_negativity, reduce, reduce_statevector
+from .negativity import ReducedState, log_negativity, reduce, reduce_blocks, reduce_statevector
 from .states import density_from_pure, eigenbasis_bell_head, eigenbasis_product, ground_state, thermal_state
 from .witness import (
     CorrelationMatrix,
@@ -104,25 +106,38 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent scenario configs."""
 
 
-# Peak working set of one exact-solver member, in d x d complex arrays
-# (d = 2^N).  Measured peak RSS above that of an N = 4 run, at N = 9..11:
-# 12.2 arrays with noise (RK4 stages and the temporaries of
-# LindbladGenerator.apply); 3.8/3.8/4.0 for a noiseless state vector over a
-# full chunk of d samples with pairs (1, 2) and (1, N) (real H, half-size
-# block eigh, the chunk of amplitudes and its reduction); 5.1/5.0/4.6 for a
-# noiseless thermal state (its preparation, the eigenbasis blocks and one
-# sample).  Each count below leaves about one spare.
-_NOISY_ARRAYS, _PURE_ARRAYS, _MIXED_ARRAYS = 13, 5, 6
+# Peak working set of one exact-solver member, in complex arrays.  Measured
+# peak RSS above that of an N = 4 run, at N = 9..11.  With noise, in arrays
+# the size of the RK4 sector (d^2/2 entries with two parity blocks, d^2 with
+# one; d = 2^N): 11.8/12.6/12.7 from a product state and 12.4/12.0/13.3 from
+# a thermal one with two blocks (12.5 at N = 12 from a product state), and
+# 11.1/12.1/11.7 with one.  Of these, the sparse dissipator is about 4.9 at
+# N = 11 and grows by 0.375 per site; the RK4 stages and the temporaries of
+# LindbladGenerator.apply are about 6.  Without noise, in d x d arrays:
+# 3.8/3.8/4.0 for a state vector over a full chunk of d samples with pairs
+# (1, 2) and (1, N) (real H, half-size block eigh, the chunk of amplitudes
+# and its reduction); 5.1/5.0/4.6 for a thermal state (its preparation, the
+# eigenbasis blocks and one sample).  Each count below leaves about one
+# spare; with noise 1.7 at N = 11 and about 0.6 at N = 14.
+_NOISY_ARRAYS, _PURE_ARRAYS, _MIXED_ARRAYS = 15, 5, 6
 # Interpreter, numpy and scipy, counted once per process.
 _PROCESS_BYTES = 128 * 2**20
 
 
-def exact_member_bytes(n_qubits: int, noisy: bool, pure: bool = True) -> int:
+def exact_member_bytes(n_qubits: int, noisy: bool, pure: bool = True, sectors: int = 1) -> int:
     """Estimated peak bytes of one exact-solver member: RK4 on the density
-    matrix if `noisy`, else a state vector (`pure`) or density matrix
-    propagated in the eigenbasis of each parity block of H."""
-    arrays = _NOISY_ARRAYS if noisy else _PURE_ARRAYS if pure else _MIXED_ARRAYS
-    return arrays * 16 * 4**n_qubits
+    matrix's `sectors` parity blocks (2 when every epsilon_i = 0) if `noisy`,
+    else a state vector (`pure`) or density matrix propagated in the
+    eigenbasis of each parity block of H."""
+    if noisy:
+        return _NOISY_ARRAYS * 16 * 4**n_qubits // sectors
+    return (_PURE_ARRAYS if pure else _MIXED_ARRAYS) * 16 * 4**n_qubits
+
+
+def _parity_sectors(chain: ChainSpec, disorder_targets=()) -> int:
+    """Number of parity blocks of every member: 2 when each epsilon_i = 0 and
+    stays so (no epsilon disorder), else 1 (see :func:`qubitchain.chain.parity_blocks`)."""
+    return 1 if any(chain.epsilon) or "epsilon" in disorder_targets else 2
 
 
 def _check_exact_memory(n_qubits: int, member_bytes: int, members_at_once: int = 1) -> None:
@@ -294,7 +309,8 @@ class ScenarioConfig:
     @property
     def member_bytes(self) -> int:
         mixed = self.initial_state == "thermal_of_k_ini"
-        return exact_member_bytes(self.chain.n_qubits, self.noise.gamma > 0, pure=not mixed)
+        sectors = _parity_sectors(self.chain, self.disorder.targets if self.disorder else ())
+        return exact_member_bytes(self.chain.n_qubits, self.noise.gamma > 0, not mixed, sectors)
 
     @property
     def step(self) -> float:
@@ -422,9 +438,11 @@ def _prepare_initial(config: ScenarioConfig, chain_fin: ChainSpec) -> np.ndarray
         return eigenbasis_bell_head(n)
     chain_ini = _initial_coupling_chain(config, chain_fin)
     h_ini = build_hamiltonian_eigen(chain_ini)
+    # Per parity block: the state has exactly no weight in the other sector.
+    blocks = parity_blocks(chain_ini)
     if kind == "ground_of_k_ini":
-        return ground_state(h_ini).vector
-    return thermal_state(h_ini, config.initial_temperature_mk * 1e-3, config.chain.energy_unit_kelvin)
+        return ground_state(h_ini, blocks=blocks).vector
+    return thermal_state(h_ini, config.initial_temperature_mk * 1e-3, config.chain.energy_unit_kelvin, blocks)
 
 
 def _measure_pair(pair_state: ReducedState, xs: list[CorrelationMatrix] | None, measures) -> dict:
@@ -468,16 +486,20 @@ def propagate(
     after later blocks are drawn.  With `engine`, `state0` is an
     MpsMixedState advanced by TEBD steps of `dt` and `h` is unused.
     Otherwise `state0` is a state vector or density matrix under the dense
-    real Hamiltonian `h`: with noise it is integrated by RK4
-    (:func:`qubitchain.lindblad.stream`).  TEBD and RK4 yield one sample
-    per block.
+    real Hamiltonian `h`, and `blocks` lists the basis indices of the
+    diagonal blocks of `h` (default one block of every index;
+    :func:`qubitchain.chain.parity_blocks` gives the parity sectors).
+    TEBD and RK4 yield one sample per block.
+
+    With noise, RK4 (:func:`qubitchain.lindblad.stream`) integrates the
+    diagonal blocks rho[b, b] of the density matrix, and the accessor reads
+    the reduced states straight from them.  A state with a nonzero entry
+    between two blocks runs as one block of every index instead.
 
     Without noise the state is propagated exactly in the eigenbasis of each
-    diagonal block of `h`; `blocks` lists their basis indices (default one
-    block of every index; :func:`qubitchain.chain.parity_blocks` gives the
-    parity sectors).  A block whose component of `state0` is exactly zero
-    is skipped.  A state vector is served up to 2^N samples per block, one
-    GEMM per diagonal block; a density matrix one sample per block.
+    diagonal block of `h`.  A block whose component of `state0` is exactly
+    zero is skipped.  A state vector is served up to 2^N samples per block,
+    one GEMM per diagonal block; a density matrix one sample per block.
     """
     times = sample_grid(t_max, dt, sample_every)
     if engine is not None:
@@ -490,9 +512,20 @@ def propagate(
     elif rates.is_zero():
         yield from _propagate_unitary(state0, h, times, blocks or [np.arange(len(h))])
     else:
-        rho0 = density_from_pure(state0) if state0.ndim == 1 else state0
-        for t, rho, _, _ in stream(rho0, h, rates, t_max, dt, sample_every):
-            yield np.array([t]), partial(reduce, rho[None])
+        rho0, blocks = _sector_start(state0, blocks or [np.arange(len(h))])
+        samples = stream(rho0, h, rates, t_max, dt, sample_every, blocks)
+        del state0, rho0  # the stream keeps its own copy of the blocks
+        for t, rho, _, _ in samples:
+            yield np.array([t]), partial(reduce_blocks, rho[None], blocks)
+
+
+def _sector_start(state0: np.ndarray, blocks: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Stacked diagonal blocks of the initial density matrix, and the blocks:
+    one block of every index if the state has a nonzero entry between two."""
+    rho0 = density_from_pure(state0) if state0.ndim == 1 else state0
+    if couples_blocks(rho0, blocks):
+        blocks = [np.arange(len(rho0))]
+    return block_stack(rho0, blocks), blocks
 
 
 def _mps_sample(state: MpsMixedState, sites) -> ReducedState:
@@ -551,6 +584,7 @@ def _run_member(config: ScenarioConfig, member: int, pair_series, block_series, 
         blocks = parity_blocks(chain_fin)
         state0 = _prepare_initial(config, chain_fin)
     samples = propagate(state0, h, rates, config.t_max, config.step, config.sample_every, engine, blocks)
+    del state0  # with noise, propagate lets go of a full initial density matrix
 
     measures = config.observables.measures
     need_x = keep_correlations or any(m in measures for m in ("c1", "c2", "c2_opt"))
@@ -702,7 +736,8 @@ class ScanConfig:
     def __post_init__(self):
         if not self.gammas or not self.coupling_ratios:
             raise ConfigError("scan grids must be non-empty")
-        _check_exact_memory(self.chain.n_qubits, exact_member_bytes(self.chain.n_qubits, any(self.gammas)))
+        n = self.chain.n_qubits
+        _check_exact_memory(n, exact_member_bytes(n, any(self.gammas), sectors=_parity_sectors(self.chain)))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScanConfig":
@@ -779,7 +814,7 @@ def steady_state_scan(config: ScanConfig) -> ScanResult:
             if gamma == 0.0 or rates.is_zero():
                 points.append(ScanPoint(ratio, gamma, math.nan, False, math.nan, fm, False))
                 continue
-            res = steady_state(h, rates, config.tol)
+            res = steady_state(h, rates, config.tol, blocks)
             en = log_negativity(reduce(res.state, config.pair), part)
             points.append(ScanPoint(ratio, gamma, en, res.converged, res.residual, fm, True))
             row_values.append(en)

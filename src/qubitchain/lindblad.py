@@ -16,16 +16,31 @@ environment, and the mixing angles:
     Gt_i = sin^2(theta_i) n_T Gamma            (thermal excitation)
     g_i  = cos^2(theta_i) Gamma                (pure dephasing)
 
-Integration uses fixed-step classical Runge-Kutta (RK4) acting on the dense
-density matrix; the dissipator is applied through per-site index slicing
-and an elementwise damping mask, so the cost per step is dominated by the
-two sparse H-rho products of the commutator.
+The generator acts on a sector of rho: its diagonal blocks rho[b, b] over
+equal-size index blocks b, stacked as one (blocks, m, m) array.  When every
+epsilon_i = 0 the chain has the weak parity symmetry rho -> P rho P with
+P = prod_i Z_i (Buca & Prosen, New J. Phys. 14, 073007 (2012)): H keeps
+each parity sector, every jump s+/-_i flips it and sz_i keeps it, so a
+state without coherence between the even and odd sectors never gains any.
+The sector rho_ee + rho_oo (:func:`qubitchain.chain.parity_blocks`) then
+holds half the entries of rho.  Otherwise one block holds every index and
+the sector is all of rho.  The commutator is taken per block with the
+block's own real sparse H, which drops the 1.5e-18 parity-odd entries of
+H as the noiseless path does.  The rest of the generator is one
+precomputed sparse matrix on the vectorized sector: the damping on its
+diagonal, and the jumps as the indexed entries that carry rho[i, j] of
+one block into rho[i', j'] of the other (of the same, with one block).
 
-The steady state is the null vector of the sparse Liouvillian L (the same
-generator in Kronecker form on the vectorized density matrix), found by one
-sparse LU solve of L vec(rho) = 0 with one row replaced by the trace
+Integration uses fixed-step classical Runge-Kutta (RK4) on the sector; the
+positivity check at each snapshot is one stacked eigvalsh over the blocks.
+
+The steady state is the null vector of the sparse Liouvillian L restricted
+to the sector (the same pieces in Kronecker form; half the unknowns of the
+full d^2 when there are two parity blocks, since a unique steady state is
+parity-symmetric (Albert & Jiang, Phys. Rev. A 89, 022118 (2014))), found
+by one sparse LU solve of L vec(rho) = 0 with one row replaced by the trace
 condition (Johansson, Nation & Nori, Comput. Phys. Commun. 184, 1234
-(2013)) and certified by the residual of the dense right-hand side.
+(2013)) and certified by the residual of the right-hand side.
 """
 
 from __future__ import annotations
@@ -38,7 +53,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .chain import MixingAngles, require_hermitian
-from .pauli import SP, site_bit, z_pattern
+from .pauli import site_bit, z_pattern
 
 # dt must satisfy dt * max(||H||, Gamma) <= this factor (RK4 accuracy guard).
 STEP_GUARD_FACTOR = 0.1
@@ -47,11 +62,12 @@ DEFAULT_DT = 0.01
 _TRACE_ABORT = 1e-6
 _POSITIVITY_ABORT = 1e-6
 # Largest growth ||A^-1 v|| / ||v|| * max|A| of the steady-state system A on
-# v_k = sin(k).  Measured at least 1.4e17 on degenerate kernels (homogeneous
-# dephasing-only chains in the eigenbasis frame, N = 2-4) and at most 1.1e3
-# on unique ones (N = 2-5 with Gamma from 1e-3 to 0.2, the 40 points of
-# steady_scan.json, and dephasing-only chains with epsilon = 0.05 or in the
-# lab frame).
+# v_k = sin(k).  Measured at least 1.5e17 on degenerate kernels (homogeneous
+# dephasing-only chains in the eigenbasis frame, N = 2-4, on the parity
+# sector and on one block) and at most 2.8e2 on unique ones on the sector
+# (N = 2-5, K/delta from 0.25 to 2 and Gamma from 1e-3 to 0.2 at n_T = 0.1,
+# which covers the 40 points of steady_scan.json), 1.1e3 on one block
+# (dephasing-only chains with epsilon = 0.05 or in the lab frame).
 _GROWTH_LIMIT = 1e10
 
 
@@ -159,45 +175,104 @@ def temperature_from_nbar(omega: float, n_thermal: float, energy_unit_kelvin: fl
     return omega * energy_unit_kelvin / math.log1p(1.0 / n_thermal)
 
 
+def _dissipator(rates: RateSet, stacked: np.ndarray) -> sparse.csr_matrix:
+    """Everything but the commutator, as one sparse matrix on the vectorized stack.
+
+    `stacked` holds the basis indices of each block in a row.  Row (b, p, q)
+    is the equation for rho[i, j], i = stacked[b, p], j = stacked[b, q].
+    Its diagonal entry is the damping: the anticommutator parts of the
+    jumps (diagonal operators) plus the full dephasing channel.  It takes
+    2 G rho[i', j'] from each site where i and j carry equal bits, with i',
+    j' = i, j flipped there: relaxation (G_i) into bits 0, excitation
+    (Gt_i) into bits 1; i' and j' again share a block.  The matrix is
+    filled row by row in place: this build sets the generator's peak
+    memory, and coordinate lists would take more than twice the matrix.
+    """
+    n = rates.n_sites
+    n_blocks, m = stacked.shape
+    size = n_blocks * m * m
+    idx = np.arange(2**n)
+    row_of, col_of = np.empty(2**n, dtype=np.intp), np.empty(2**n, dtype=np.intp)
+    row_of[stacked], col_of[stacked] = np.arange(n_blocks * m).reshape(n_blocks, m), np.arange(m)
+
+    out_rate = np.zeros(2**n)
+    damp = np.zeros((n_blocks, m, m))
+    for site in range(1, n + 1):
+        bit = site_bit(idx, site, n)
+        out_rate += rates.g_relax[site - 1] * bit + rates.g_excite[site - 1] * (1 - bit)
+        if rates.g_dephase[site - 1]:
+            z = z_pattern(site, n)[stacked]
+            damp += 2.0 * rates.g_dephase[site - 1] * (z[:, :, None] * z[:, None, :] - 1.0)
+    damp -= out_rate[stacked][:, :, None] + out_rate[stacked][:, None, :]
+
+    def jump_values(site):  # 2 G of each row from this site's jumps, 0 where none
+        bit = site_bit(stacked, site, n)
+        rate = np.array([2.0 * rates.g_relax[site - 1], 2.0 * rates.g_excite[site - 1]])[bit]
+        return np.where(bit[:, :, None] == bit[:, None, :], rate[:, :, None], 0.0).ravel()
+
+    sites = [s for s in range(1, n + 1) if rates.g_relax[s - 1] or rates.g_excite[s - 1]]
+    counts = np.ones(size, dtype=np.intp)
+    for site in sites:
+        counts += jump_values(site) != 0
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    del counts
+    index = np.int32 if indptr[-1] < 2**31 else np.int64
+    indices, data = np.empty(indptr[-1], dtype=index), np.empty(indptr[-1])
+    cursor = indptr[:-1].copy()
+    indices[cursor], data[cursor] = np.arange(size), damp.ravel()
+    cursor += 1
+    for site in sites:
+        value = jump_values(site)
+        on = value != 0
+        flipped = stacked ^ (1 << (n - site))
+        source = (row_of[flipped][:, :, None] * m + col_of[flipped][:, None, :]).ravel()
+        at = cursor[on]
+        indices[at], data[at] = source[on], value[on]
+        cursor[on] += 1
+    return sparse.csr_matrix((data, indices, indptr.astype(index)), shape=(size, size))
+
+
+def _as_pairs(x: np.ndarray) -> np.ndarray:
+    """A contiguous complex array as (real, imaginary) rows of a float64 view."""
+    return x.reshape(-1).view(np.float64).reshape(-1, 2)
+
+
 class LindbladGenerator:
-    """Precomputed fast application of the master-equation right-hand side."""
+    """The master-equation right-hand side on the sector of equal-size index blocks.
 
-    def __init__(self, h: np.ndarray, rates: RateSet):
+    `blocks` (default: one block of every index) lists the basis indices of
+    the diagonal blocks of rho that are kept; entries of `h` between two
+    blocks are dropped.  A state is the stack of its diagonal blocks,
+    shaped `shape` = (len(blocks), m, m); with one block a d x d matrix is
+    accepted too.
+    """
+
+    def __init__(self, h: np.ndarray, rates: RateSet, blocks: list[np.ndarray] | None = None):
         require_hermitian(h, what="hamiltonian")
-        self.dim = h.shape[0]
-        self.n = int(round(np.log2(self.dim)))
-        if 2**self.n != self.dim:
+        d = h.shape[0]
+        n = int(round(np.log2(d)))
+        if 2**n != d:
             raise ValueError("Hamiltonian dimension must be a power of two")
-        if rates.n_sites != self.n:
-            raise ValueError(f"rate set has {rates.n_sites} sites, Hamiltonian has {self.n}")
+        if rates.n_sites != n:
+            raise ValueError(f"rate set has {rates.n_sites} sites, Hamiltonian has {n}")
         self.rates = rates
-        # Complex, as rho is: scipy would convert a real H's data on every product.
-        self.h_sparse = sparse.csr_matrix(h, dtype=complex)
-        self._h_transpose = self.h_sparse.T.tocsr()
-        # Row-sum norm: upper-bounds the spectral norm, cheap at any size.
-        self._h_norm = float(np.abs(h).sum(axis=1).max())
+        self.blocks = [np.arange(d)] if blocks is None else [np.asarray(b) for b in blocks]
+        stacked = np.stack(self.blocks)
+        if np.sort(stacked, axis=None).tolist() != list(range(d)):
+            raise ValueError("blocks must be equal-size and partition the basis indices")
+        n_blocks, m = stacked.shape
+        self.shape = (n_blocks, m, m)
 
-        # Elementwise damping mask: anticommutator parts of the jump terms
-        # (diagonal operators) plus the full dephasing channel.
-        idx = np.arange(self.dim)
-        m = np.zeros(self.dim)
-        damp = np.zeros((self.dim, self.dim))
-        for i in range(1, self.n + 1):
-            gr = rates.g_relax[i - 1]
-            ge = rates.g_excite[i - 1]
-            gd = rates.g_dephase[i - 1]
-            bit = site_bit(idx, i, self.n)
-            m += gr * bit + ge * (1 - bit)
-            if gd:
-                z = z_pattern(i, self.n)
-                damp += 2.0 * gd * (np.outer(z, z) - 1.0)
-        damp -= m[:, None] + m[None, :]
-        self._damp = damp
-        self._jump_sites = [
-            (i, rates.g_relax[i - 1], rates.g_excite[i - 1])
-            for i in range(1, self.n + 1)
-            if rates.g_relax[i - 1] or rates.g_excite[i - 1]
-        ]
+        # Each block's own H, sparse; real H multiplies complex rho through a
+        # float64 view, so scipy never converts either operand.
+        self._h_parts = [sparse.csr_matrix(h[np.ix_(b, b)]) for b in self.blocks]
+        self._h = sparse.block_diag(self._h_parts, format="csr")
+        self._h_t = self._h.T.tocsr()
+        self._real = not np.iscomplexobj(self._h.data)
+        # Row-sum norm: upper-bounds the spectral norm, cheap at any size.
+        self._h_norm = float(abs(self._h).sum(axis=1).max())
+
+        self._dissipator = _dissipator(rates, stacked)
 
     @property
     def frequency_scale(self) -> float:
@@ -207,49 +282,53 @@ class LindbladGenerator:
         )
         return max(self._h_norm, rate_scale)
 
+    def _times(self, h: sparse.csr_matrix, rho: np.ndarray) -> np.ndarray:
+        """Each block of the stack `rho` multiplied by its block of `h` from the left."""
+        rows = rho.reshape(-1, self.shape[-1])
+        if self._real:
+            return (h @ rows.view(np.float64)).view(complex).reshape(self.shape)
+        return (h @ rows).reshape(self.shape)
+
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """drho/dt for a (not necessarily normalized) density matrix."""
-        # rho H as (H^T rho^T)^T: scipy's dense @ sparse dispatch costs more
-        # than the product itself at the chain lengths of a steady-state scan.
-        out = -1j * (self.h_sparse @ rho - (self._h_transpose @ rho.T).T)
-        out += self._damp * rho
-        for site, gr, ge in self._jump_sites:
-            left = 2 ** (site - 1)
-            right = self.dim // (2 * left)
-            r6 = rho.reshape(left, 2, right, left, 2, right)
-            o6 = out.reshape(left, 2, right, left, 2, right)
-            if gr:
-                o6[:, 0, :, :, 0, :] += (2.0 * gr) * r6[:, 1, :, :, 1, :]
-            if ge:
-                o6[:, 1, :, :, 1, :] += (2.0 * ge) * r6[:, 0, :, :, 0, :]
-        return out
+        """drho/dt of a (not necessarily normalized) state, in the shape given."""
+        r = np.ascontiguousarray(rho, dtype=complex).reshape(self.shape)
+        out = self._times(self._h, r)
+        # rho H = (H^T rho^T)^T: scipy's dense @ sparse dispatch costs more
+        # than the product itself.
+        out -= self._times(self._h_t, np.ascontiguousarray(r.transpose(0, 2, 1))).transpose(0, 2, 1)
+        out *= -1j
+        _as_pairs(out)[...] += self._dissipator @ _as_pairs(r)
+        return out.reshape(rho.shape)
 
     def superoperator(self) -> sparse.csr_matrix:
-        """Sparse generator L on row-major-vectorized rho: vec(apply(rho)) = L vec(rho).
+        """Sparse generator L on the row-major-vectorized stack: vec(apply(rho)) = L vec(rho).
 
         Kronecker form, using vec(A rho B) = (A kron B^T) vec(rho): the
-        commutator -i (H kron I - I kron H^T), the damping mask on the
-        diagonal, and 2 G S kron S per jump, with S = |0><1| (relaxation)
-        or |1><0| (excitation) on the jump's site.
+        commutator -i (H_b kron I - I kron H_b^T) of each block, plus the
+        dissipator matrix that `apply` uses.
         """
-        d = self.dim
-        eye = sparse.identity(d, format="csr")
-        out = -1j * (sparse.kron(self.h_sparse, eye) - sparse.kron(eye, self._h_transpose))
-        out = out + sparse.diags(self._damp.ravel())
-        for site, gr, ge in self._jump_sites:
-            lower = sparse.kron(sparse.kron(sparse.identity(2 ** (site - 1)), SP), sparse.identity(d >> site))
-            for rate, jump in ((gr, lower), (ge, lower.T)):
-                if rate:
-                    out = out + (2.0 * rate) * sparse.kron(jump, jump)
-        return out.tocsr()
+        eye = sparse.identity(self.shape[-1], format="csr")
+        commutator = sparse.block_diag([sparse.kron(hb, eye) - sparse.kron(eye, hb.T) for hb in self._h_parts])
+        return (-1j * commutator + self._dissipator).tocsr()
 
 
-def lindblad_rhs(rho: np.ndarray, h: np.ndarray, rates: RateSet) -> np.ndarray:
-    """One-shot right-hand side evaluation (see LindbladGenerator for loops)."""
-    gen = LindbladGenerator(h, rates)
-    if rho.shape != (gen.dim, gen.dim):
-        raise ValueError("density matrix and Hamiltonian dimensions differ")
-    return gen.apply(rho)
+def block_stack(rho: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
+    """The diagonal blocks rho[b, b], stacked along a new first axis."""
+    return np.stack([rho[np.ix_(b, b)] for b in blocks])
+
+
+def block_matrix(parts: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
+    """The d x d matrix with diagonal blocks `parts` (stacked) and zeros between them."""
+    d = sum(len(b) for b in blocks)
+    out = np.zeros((d, d), dtype=parts.dtype)
+    for part, b in zip(parts, blocks):
+        out[np.ix_(b, b)] = part
+    return out
+
+
+def couples_blocks(rho: np.ndarray, blocks: list[np.ndarray]) -> bool:
+    """Whether rho has a nonzero entry between two of `blocks`."""
+    return np.count_nonzero(rho) != sum(np.count_nonzero(rho[np.ix_(b, b)]) for b in blocks)
 
 
 def _check_step(dt: float, gen: LindbladGenerator) -> None:
@@ -264,11 +343,15 @@ def _check_step(dt: float, gen: LindbladGenerator) -> None:
 
 
 def _rk4_step(gen: LindbladGenerator, rho: np.ndarray, dt: float) -> np.ndarray:
-    k1 = gen.apply(rho)
-    k2 = gen.apply(rho + (0.5 * dt) * k1)
-    k3 = gen.apply(rho + (0.5 * dt) * k2)
-    k4 = gen.apply(rho + dt * k3)
-    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical RK4 step; each stage is accumulated as soon as it is taken."""
+    k = gen.apply(rho)
+    out = rho + (dt / 6.0) * k
+    for shift, weight in ((0.5, 1.0 / 3.0), (0.5, 1.0 / 3.0), (1.0, 1.0 / 6.0)):
+        k *= shift * dt
+        k += rho
+        k = gen.apply(k)
+        out += (weight * dt) * k
+    return out
 
 
 def stream(
@@ -278,35 +361,45 @@ def stream(
     t_max: float,
     dt: float = DEFAULT_DT,
     sample_every: int = 10,
+    blocks: list[np.ndarray] | None = None,
 ) -> Iterator[tuple[float, np.ndarray, float, float]]:
-    """Integrate the master equation, yielding a snapshot every `sample_every` steps.
+    """Integrate the master equation on the sector of `blocks`, yielding a
+    snapshot every `sample_every` steps.
 
-    Yields (t, rho, trace drift, Hermiticity drift) at t = 0, every
-    `sample_every` steps and the last step; only the current state and the
-    RK4 stages are held, and a yielded array is never written to again.
-    Snapshots are re-Hermitized ((rho + rho^dagger)/2) and trace-renormalized;
-    the drift corrected at each snapshot is yielded with it.  Cumulative trace
-    drift beyond 1e-6 or a snapshot eigenvalue below -1e-6 aborts with a
-    diagnostic, since either indicates a broken integration rather than roundoff.
+    `rho0` and every snapshot are stacks of diagonal blocks
+    (:func:`block_stack`; with `blocks` None, one block of every index: the
+    d x d matrix under a leading axis of one).  Yields (t, rho, trace
+    drift, Hermiticity drift) at t = 0, every `sample_every` steps and the
+    last step; only the current state and the RK4 stages are held, and a
+    yielded array is never written to again.  Snapshots are re-Hermitized
+    ((rho + rho^dagger)/2 per block) and trace-renormalized; the drift
+    corrected at each snapshot is yielded with it.  Cumulative trace drift
+    beyond 1e-6 or a snapshot eigenvalue below -1e-6 (one stacked eigvalsh
+    over the blocks) aborts with a diagnostic, since either indicates a
+    broken integration rather than roundoff.
     """
-    gen = LindbladGenerator(h, rates)
-    if rho0.shape != (gen.dim, gen.dim):
-        raise ValueError("initial state and Hamiltonian dimensions differ")
+    gen = LindbladGenerator(h, rates, blocks)
+    if rho0.shape != gen.shape:
+        raise ValueError(f"initial state has shape {rho0.shape}, the sector {gen.shape}")
     _check_step(dt, gen)
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     n_steps = int(round(t_max / dt))
 
     rho = rho0.astype(complex)
-    yield 0.0, rho, abs(float(np.trace(rho).real) - 1.0), 0.0
+    del rho0
+    yield 0.0, rho, abs(_trace(rho) - 1.0), 0.0
     cumulative_trace = 0.0
     for step in range(1, n_steps + 1):
         rho = _rk4_step(gen, rho, dt)
         if step % sample_every == 0 or step == n_steps:
-            herm = float(np.abs(rho - rho.conj().T).max())
+            adjoint = rho.conj().transpose(0, 2, 1)
+            herm = float(np.abs(rho - adjoint).max())
             scale = float(np.abs(rho).max())
-            rho = 0.5 * (rho + rho.conj().T)
-            tr = float(np.trace(rho).real)
+            rho += adjoint
+            rho *= 0.5
+            del adjoint
+            tr = _trace(rho)
             drift = abs(tr - 1.0)
             cumulative_trace += drift
             if cumulative_trace > _TRACE_ABORT:
@@ -315,12 +408,17 @@ def stream(
                     f"at t={step * dt:.3f}; reduce dt"
                 )
             rho /= tr
-            min_eig = float(np.linalg.eigvalsh(rho)[0])
+            min_eig = float(np.linalg.eigvalsh(rho)[:, 0].min())
             if min_eig < -_POSITIVITY_ABORT:
                 raise RuntimeError(
                     f"positivity violated (min eigenvalue {min_eig:.3e}) at t={step * dt:.3f}"
                 )
             yield step * dt, rho, drift, herm / scale if scale > 0 else 0.0
+
+
+def _trace(rho: np.ndarray) -> float:
+    """Trace of the block-diagonal matrix whose diagonal blocks are stacked in `rho`."""
+    return float(np.trace(rho, axis1=-2, axis2=-1).sum().real)
 
 
 def evolve(
@@ -331,8 +429,11 @@ def evolve(
     dt: float = DEFAULT_DT,
     sample_every: int = 10,
 ) -> Trajectory:
-    """Every snapshot of :func:`stream`, collected into a Trajectory."""
-    times, states, trace_drift, herm_drift = zip(*stream(rho0, h, rates, t_max, dt, sample_every))
+    """Every snapshot of :func:`stream` from the d x d matrix `rho0` (one block), collected."""
+    if rho0.shape != h.shape:
+        raise ValueError("initial state and Hamiltonian dimensions differ")
+    samples = stream(rho0[None], h, rates, t_max, dt, sample_every)
+    times, states, trace_drift, herm_drift = zip(*((t, rho[0], a, b) for t, rho, a, b in samples))
     return Trajectory(np.asarray(times), list(states), np.asarray(trace_drift), np.asarray(herm_drift))
 
 
@@ -340,62 +441,70 @@ def _certify(gen: LindbladGenerator, rho: np.ndarray) -> float:
     return float(np.linalg.norm(gen.apply(rho))) / max(float(np.linalg.norm(rho)), 1e-300)
 
 
-def steady_state(h: np.ndarray, rates: RateSet, tol: float = 1e-8) -> SteadyStateResult:
-    """Null vector of the sparse Liouvillian, certified by its residual.
+def steady_state(
+    h: np.ndarray, rates: RateSet, tol: float = 1e-8, blocks: list[np.ndarray] | None = None
+) -> SteadyStateResult:
+    """Null vector of the sparse Liouvillian on the sector of `blocks`, certified by its residual.
 
-    Solves L vec(rho) = 0 with the first row of L (the equation for
-    rho[0, 0]) replaced by the trace condition tr rho = 1, by one sparse LU
-    factorization; the result is re-Hermitized and trace-normalized, and is
-    certified (converged=True) when ||drho/dt||_F / ||rho||_F < tol.
+    Solves L vec(rho) = 0 on the stacked diagonal blocks of rho (default
+    one block of every index; the parity blocks of an epsilon_i = 0 chain
+    halve the unknowns) with the first row of L (the equation for the
+    first diagonal entry) replaced by the trace condition tr rho = 1, by
+    one sparse LU factorization; the result is re-Hermitized and
+    trace-normalized, returned as the d x d matrix, and certified
+    (converged=True) when ||drho/dt||_F / ||rho||_F < tol.
 
     Requires a unique steady state.  `rates_from_angles` with Gamma > 0
     gives every site a relaxation channel (the mixing angles have
     delta_i > 0, so sin^2(theta_i) > 0), which makes it unique.  A
     degenerate kernel (e.g. pure dephasing of a homogeneous chain in the
-    eigenbasis frame) leaves the system singular to rounding and raises
-    ValueError: the factors solve a fixed generic right-hand side with a
-    growth above _GROWTH_LIMIT.  So do a failed factorization and a state
-    with an eigenvalue below -1e-6.  The growth of a unique kernel scales
-    with the inverse of its slowest rate (280 at Gamma = 1e-3 and 30 at
-    Gamma = 1e-2 for N = 2), so rates below about 1e-10 of the energy scale
-    are refused as well.
+    eigenbasis frame, whose identity on each parity sector is stationary)
+    leaves the system singular to rounding and raises ValueError: the
+    factors solve a fixed generic right-hand side with a growth above
+    _GROWTH_LIMIT.  So do a failed factorization and a state with an
+    eigenvalue below -1e-6.  The growth of a unique kernel scales with the
+    inverse of its slowest rate (260 at Gamma = 1e-3 and 33 at Gamma = 1e-2
+    for N = 2 on the sector), so rates below about 1e-10 of the energy
+    scale are refused as well.
     """
     # Imported here: scipy.sparse.linalg adds 2 MB to every process that loads it.
     from scipy.sparse.linalg import splu
 
     if rates.is_zero():
         raise ValueError("steady_state requires a dissipative channel (all rates are zero)")
-    gen = LindbladGenerator(h, rates)
-    d = gen.dim
-    diagonal = np.arange(d) * (d + 1)
-    trace_row = sparse.csr_matrix((np.ones(d), (np.zeros(d, dtype=int), diagonal)), shape=(1, d * d))
+    gen = LindbladGenerator(h, rates, blocks)
+    n_blocks, m, _ = gen.shape
+    size = n_blocks * m * m
+    diagonal = (np.arange(n_blocks)[:, None] * m * m + np.arange(m) * (m + 1)).ravel()
+    trace_row = sparse.csr_matrix((np.ones(len(diagonal)), (np.zeros_like(diagonal), diagonal)), shape=(1, size))
     system = sparse.vstack([trace_row, gen.superoperator()[1:]], format="csc")
-    rhs = np.zeros(d * d, dtype=complex)
+    rhs = np.zeros(size, dtype=complex)
     rhs[0] = 1.0
     # Multiple-minimum-degree ordering on A^T + A: 0.15 s and 5.9 s to factor
-    # at N = 5 and 6, against 0.34 s and 18.9 s with SuperLU's default COLAMD.
+    # the full d^2 system at N = 5 and 6, against 0.34 s and 18.9 s with
+    # SuperLU's default COLAMD.
     try:
         lu = splu(system, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise ValueError(f"steady-state solve failed ({exc}); the steady state is not unique") from exc
     # A generic right-hand side: no conserved quantity is orthogonal to it.
     # Reading the pivots instead (lu.U) copies the factor, 10 MB at N = 5.
-    probe = np.sin(np.arange(1.0, d * d + 1)).astype(complex)
+    probe = np.sin(np.arange(1.0, size + 1)).astype(complex)
     growth = np.linalg.norm(lu.solve(probe)) / np.linalg.norm(probe) * np.abs(system.data).max()
     if growth > _GROWTH_LIMIT:
         raise ValueError(
             f"steady-state system is singular to rounding (solve growth {growth:.1e}); "
             "the steady state is not unique (does every site have a relaxation channel?)"
         )
-    rho = lu.solve(rhs).reshape(d, d)
+    rho = lu.solve(rhs).reshape(gen.shape)
     del lu  # the factors would otherwise sit under the certificate's temporaries
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= float(np.trace(rho).real)
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    rho /= _trace(rho)
+    min_eig = float(np.linalg.eigvalsh(rho)[:, 0].min())
     if min_eig < -_POSITIVITY_ABORT:
         raise ValueError(
             f"steady-state solve returned a non-positive state (min eigenvalue {min_eig:.3e}); "
             "the steady state is likely not unique (does every site have a relaxation channel?)"
         )
     residual = _certify(gen, rho)
-    return SteadyStateResult(rho, residual < tol, 0.0, residual)
+    return SteadyStateResult(block_matrix(rho, gen.blocks), residual < tol, 0.0, residual)

@@ -17,6 +17,8 @@ from string import ascii_letters
 
 import numpy as np
 
+from .pauli import site_bit
+
 # Trace-norm window treated as exactly separable; shields E_N from roundoff.
 _SEPARABLE_WINDOW = 1e-10
 
@@ -79,6 +81,37 @@ def reduce(rho: np.ndarray, sites) -> ReducedState:
     batch = rho.shape[:-2]
     reduced = np.einsum(spec, rho.reshape(batch + (2,) * (2 * n))).reshape(batch + (2**k, 2**k))
     return ReducedState(kept, np.ascontiguousarray(reduced))
+
+
+def reduce_blocks(parts: np.ndarray, blocks: list[np.ndarray], sites) -> ReducedState:
+    """Partial trace onto `sites` of the block-diagonal density matrix whose
+    diagonal blocks rho[b, b] are stacked in `parts` (zero between blocks).
+
+    Reads the summed entries straight from the blocks: a table of each
+    block's positions by traced and kept bits gathers them, 2^(N+m) entries
+    for m kept sites.  `parts` may carry leading batch axes before the
+    block axis; the result then stacks along them.
+    """
+    d = sum(len(b) for b in blocks)
+    n = int(round(np.log2(d)))
+    kept = _validate_sites(sites, n)
+    k = len(kept)
+    idx = np.arange(d)
+    keep, rest = np.zeros(d, dtype=int), np.zeros(d, dtype=int)
+    for s in range(1, n + 1):
+        if s in kept:
+            keep = 2 * keep + site_bit(idx, s, n)
+        else:
+            rest = 2 * rest + site_bit(idx, s, n)
+    reduced = np.zeros(parts.shape[:-3] + (2**k, 2**k), dtype=parts.dtype)
+    for b, part in zip(blocks, np.moveaxis(parts, -3, 0)):
+        table = np.full((2 ** (n - k), 2**k), -1)
+        table[rest[b], keep[b]] = np.arange(len(b))
+        present = table >= 0
+        at = np.where(present, table, 0)
+        entries = part[..., at[:, :, None], at[:, None, :]]
+        reduced += (entries * (present[:, :, None] & present[:, None, :])).sum(axis=-3)
+    return ReducedState(kept, reduced)
 
 
 def reduce_statevector(psi: np.ndarray, sites) -> ReducedState:

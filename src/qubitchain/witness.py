@@ -153,7 +153,11 @@ def bound_c2_optimized(x: CorrelationMatrix) -> OptimizedBound:
     eigenvalues, eigenvectors = np.linalg.eigh(sym)
     s = 1.0 + float(np.abs(eigenvalues).sum())
     value = max(0.0, float(np.log2(s)) - 1.0)
-    return OptimizedBound(value, eigenvectors.T.copy(), eigenvalues)
+    # An axis and its negative measure the same; each is signed so that its
+    # largest component is positive, not as eigh happens to return it.
+    axes = eigenvectors.T.copy()
+    axes *= np.sign(axes[np.arange(3), np.abs(axes).argmax(axis=1)])[:, None]
+    return OptimizedBound(value, axes, eigenvalues)
 
 
 def c2_opt_value(x: CorrelationMatrix) -> float:

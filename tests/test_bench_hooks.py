@@ -1,0 +1,36 @@
+"""The benchmark's tracer finds every hook it patches in the package.
+
+``bench/launch.py`` looks its spans up by name: methods with
+``vars(cls)[attr]`` (so they must be defined on the class itself) and
+functions by attribute and then by identity in every loaded module.  A
+rename fails every traced launch; these tests fail first.
+"""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_setup_only_launch_exits_cleanly(tmp_path):
+    report = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "launch.py"), "--report", str(report), "--trace", "--setup-only", "--",
+         "scan", "--config", str(ROOT / "configs" / "steady_scan.json"), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "entry_monotonic" in json.loads(report.read_text())
+
+
+def test_steady_result_keeps_the_field_the_tracer_reads():
+    # Read by the tracer's callback once a traced steady_state returns, so a
+    # setup-only launch does not reach it.
+    from qubitchain.lindblad import SteadyStateResult
+
+    assert "time_reached" in {f.name for f in dataclasses.fields(SteadyStateResult)}

@@ -84,6 +84,13 @@ class TestConfig:
             small_config(chain={"n_qubits": 15, "epsilon": 0.0, "delta": 0.1, "coupling": 0.025})
         assert re.search(r"estimated peak [\d.]+ GiB exceeds the [\d.]+ GiB", str(err.value))
 
+    def test_noisy_estimate_counts_parity_sectors(self):
+        noise = {"gamma": 0.01, "n_thermal": 0.0}
+        two = small_config(noise=noise).member_bytes
+        biased = small_config(noise=noise, chain={"n_qubits": 4, "epsilon": 0.01, "delta": 0.1, "coupling": 0.025})
+        disordered = small_config(noise=noise, disorder={"fraction": 0.05, "targets": ["epsilon"], "ensemble_size": 2})
+        assert biased.member_bytes == disordered.member_bytes == 2 * two
+
     def test_uncoupled_chain_without_quench_is_a_config_error(self):
         data = {key: value for key, value in small_config().to_dict().items() if key != "quench"}
         data["chain"] = {"n_qubits": 1, "epsilon": 0.0, "delta": 0.1, "coupling": []}
@@ -396,6 +403,53 @@ class TestNoiselessBlocks:
                 for p in cfg.observables.pairs:
                     want = [qc.pair_log_negativity(unitary_propagate(rho0, h, t), *p) for t in res.times]
                     assert np.abs(res.member_series(p)[m] - want).max() < 1e-12, (targets, m, p)
+
+
+class TestNoisyBlocks:
+    """RK4 on the parity sector against one block of every index."""
+
+    PAIRS = ((1, 2), (2, 4))
+
+    def series(self, state0, h, rates, blocks):
+        out = {p: [] for p in self.PAIRS}
+        for ts, acc in propagate(state0, h, rates, 5.0, 0.05, 10, blocks=blocks):
+            for p in self.PAIRS:
+                out[p].extend(acc(p).matrix)
+        return {p: np.array(v) for p, v in out.items()}
+
+    def test_coherent_start_runs_as_one_block(self, monkeypatch):
+        import qubitchain.harness as harness
+
+        chain = qc.ChainSpec.homogeneous(4)
+        h = qc.build_hamiltonian_eigen(chain)
+        rates = qc.rates_from_angles(qc.mixing_angles(chain), qc.NoiseSpec(0.02, 0.1))
+        coherent = np.zeros(16, dtype=complex)
+        coherent[[0, 8]] = 2**-0.5  # |0000> + |1000>: even and odd
+        counts, stream = [], harness.stream
+        monkeypatch.setattr(harness, "stream", lambda *a: counts.append(len(a[-1])) or stream(*a))
+        for state0, expected in [
+            (qc.eigenbasis_product(4), 2),
+            (qc.density_from_pure(qc.eigenbasis_bell_head(4)), 2),
+            (coherent, 1),
+            (qc.density_from_pure(coherent), 1),
+        ]:
+            counts.clear()
+            two = self.series(state0, h, rates, qc.chain.parity_blocks(chain))
+            assert counts == [expected]
+            one = self.series(state0, h, rates, None)
+            for p in self.PAIRS:
+                assert np.abs(two[p] - one[p]).max() < 1e-12
+
+    def test_prepared_states_have_no_inter_sector_weight(self):
+        from qubitchain.harness import _prepare_initial
+        from qubitchain.lindblad import couples_blocks
+
+        for kind, extra in (("ground_of_k_ini", {}), ("thermal_of_k_ini", {"initial_temperature_mk": 33.0})):
+            cfg = small_config(initial_state=kind, quench={"k_ini": 0.01, "k_fin": 0.025}, **extra)
+            chain = qc.harness._member_chain(cfg, 0)
+            state0 = _prepare_initial(cfg, chain)
+            rho0 = qc.density_from_pure(state0) if state0.ndim == 1 else state0
+            assert not couples_blocks(rho0, qc.chain.parity_blocks(chain)), kind
 
 
 class TestEmitOutputs:

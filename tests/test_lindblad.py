@@ -3,7 +3,48 @@ import pytest
 
 import qubitchain as qc
 from conftest import random_density_matrix, unitary_propagate
-from qubitchain.lindblad import LindbladGenerator
+from qubitchain.chain import parity_blocks
+from qubitchain.lindblad import LindbladGenerator, block_matrix, block_stack, stream
+
+
+def sector_rates(n):
+    """Relaxation, excitation and dephasing all nonzero and site-dependent."""
+    return qc.RateSet(
+        tuple(0.010 + 0.002 * i for i in range(n)),
+        tuple(0.003 + 0.001 * i for i in range(n)),
+        tuple(0.004 + 0.0015 * i for i in range(n)),
+    )
+
+
+def parity_chain(n):
+    """An epsilon = 0 chain (two parity blocks) with unequal splittings and couplings."""
+    return qc.ChainSpec(n, 0.0, tuple(np.linspace(0.09, 0.12, n)), tuple(np.linspace(0.02, 0.03, n - 1)))
+
+
+def random_block_diagonal(rng, blocks):
+    """A random density matrix with its entries between the blocks set to zero (still a state)."""
+    return block_matrix(block_stack(random_density_matrix(rng, sum(map(len, blocks))), blocks), blocks)
+
+
+def kronecker_liouvillian(h, rates):
+    """Dense d^2 x d^2 generator on row-major vec(rho), from explicit jump operators."""
+    from qubitchain.pauli import SM, SP, SZ, site_operator
+
+    n = rates.n_sites
+    d = len(h)
+    eye = np.eye(d)
+    out = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for i in range(1, n + 1):
+        for rate, op in ((rates.g_relax, SP), (rates.g_excite, SM), (rates.g_dephase, SZ)):
+            jump = site_operator(op, i, n)
+            jj = jump.conj().T @ jump
+            out += rate[i - 1] * (2 * np.kron(jump, jump.conj()) - np.kron(jj, eye) - np.kron(eye, jj.T))
+    return out
+
+
+def sector_positions(blocks, d):
+    """Row-major vec positions of the stacked diagonal blocks within vec(rho)."""
+    return np.concatenate([(b[:, None] * d + b[None, :]).ravel() for b in blocks])
 
 
 def two_site_uncoupled(omega=0.1):
@@ -62,7 +103,7 @@ class TestRhs:
         rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.02, 0.3))
         for _ in range(5):
             rho = random_density_matrix(rng, 8)
-            out = qc.lindblad_rhs(rho, h, rates)
+            out = LindbladGenerator(h, rates).apply(rho)
             assert abs(np.trace(out)) < 1e-14
             assert np.abs(out - out.conj().T).max() < 1e-14
 
@@ -84,7 +125,7 @@ class TestRhs:
             expected += g * (2 * sp @ rho @ sm - rho @ sm @ sp - sm @ sp @ rho)
             expected += gt * (2 * sm @ rho @ sp - rho @ sp @ sm - sp @ sm @ rho)
             expected += gd * (2 * sz @ rho @ sz - 2 * rho)
-        out = qc.lindblad_rhs(rho, h, rates)
+        out = LindbladGenerator(h, rates).apply(rho)
         assert np.abs(out - expected).max() < 1e-13
 
     def test_single_qubit_relaxation_closed_form(self):
@@ -106,12 +147,19 @@ class TestRhs:
         gen = LindbladGenerator(h, rates)
         rho = random_density_matrix(rng, 8)
         assert np.abs(gen.superoperator() @ rho.ravel() - gen.apply(rho).ravel()).max() < 1e-14
+        # The two-block generator of an epsilon = 0 chain, on its sector.
+        chain = parity_chain(3)
+        blocks = parity_blocks(chain)
+        gen = LindbladGenerator(qc.build_hamiltonian_eigen(chain), sector_rates(3), blocks)
+        assert gen.shape == (2, 4, 4)
+        rho = block_stack(random_density_matrix(rng, 8), blocks)
+        assert np.abs(gen.superoperator() @ rho.ravel() - gen.apply(rho).ravel()).max() < 1e-14
 
     def test_zero_rates_reduce_to_commutator(self, rng):
         spec = qc.ChainSpec.homogeneous(3)
         h = qc.build_hamiltonian_eigen(spec)
         rho = random_density_matrix(rng, 8)
-        out = qc.lindblad_rhs(rho, h, qc.RateSet.zero(3))
+        out = LindbladGenerator(h, qc.RateSet.zero(3)).apply(rho)
         assert np.abs(out - (-1j) * (h @ rho - rho @ h)).max() < 1e-14
 
 
@@ -225,11 +273,15 @@ class TestSteadyState:
         # a two-dimensional kernel of L.  At (3, 0.01) the solve would land on
         # a member with an eigenvalue of about -0.07; at the other inputs on a
         # positive member, which a residual check alone would certify.
+        # On the parity sector the identities of the even and the odd
+        # sector are both stationary, so the kernel stays two-dimensional.
         for n, g in ((3, 0.01), (2, 0.01), (3, 0.05), (4, 0.01)):
-            h = qc.build_hamiltonian_eigen(qc.ChainSpec.homogeneous(n))
+            spec = qc.ChainSpec.homogeneous(n)
+            h = qc.build_hamiltonian_eigen(spec)
             rates = qc.RateSet((0.0,) * n, (0.0,) * n, (g,) * n)
-            with pytest.raises(ValueError, match="not unique"):
-                qc.steady_state(h, rates)
+            for blocks in (None, parity_blocks(spec)):
+                with pytest.raises(ValueError, match="not unique"):
+                    qc.steady_state(h, rates, blocks=blocks)
 
     def test_uncertified_result_is_flagged(self):
         spec = qc.ChainSpec.homogeneous(3)
@@ -239,3 +291,66 @@ class TestSteadyState:
         res = qc.steady_state(h, rates, tol=tol)
         assert not res.converged
         assert res.residual >= tol
+
+
+class TestSectors:
+    """The generator on the parity sector against dense oracles and the one-block path."""
+
+    def test_sector_generator_matches_kronecker_oracle(self, rng):
+        for n in (3, 4, 5):
+            chain = parity_chain(n)
+            h = qc.build_hamiltonian_eigen(chain)
+            rates = sector_rates(n)
+            blocks = parity_blocks(chain)
+            gen = LindbladGenerator(h, rates, blocks)
+            full = kronecker_liouvillian(h, rates)
+            sector = sector_positions(blocks, 2**n)
+            assert np.abs(gen.superoperator().toarray() - full[np.ix_(sector, sector)]).max() < 1e-14
+            rho = random_block_diagonal(rng, blocks)
+            want = full @ rho.ravel()
+            assert np.abs(gen.apply(block_stack(rho, blocks)).ravel() - want[sector]).max() < 1e-14
+            # Weak parity symmetry: nothing leaks out of the sector beyond the
+            # 1e-18 parity-odd entries of H that the blocks drop.
+            outside = np.setdiff1d(np.arange(4**n), sector)
+            assert np.abs(want[outside]).max() < 1e-16
+
+    def test_complex_hamiltonian_matches_kronecker_oracle(self, rng):
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        h = 0.01 * (g + g.conj().T)
+        rates = sector_rates(3)
+        gen = LindbladGenerator(h, rates)
+        full = kronecker_liouvillian(h, rates)
+        rho = random_density_matrix(rng, 8)
+        assert np.abs(gen.superoperator().toarray() - full).max() < 1e-14
+        assert np.abs(gen.apply(rho).ravel() - full @ rho.ravel()).max() < 1e-14
+
+    @pytest.mark.parametrize("start", ["product_eigen", "bell_head_eigen", "thermal_of_k_ini"])
+    def test_two_block_rk4_matches_one_block(self, start):
+        n = 5
+        chain = parity_chain(n)
+        h = qc.build_hamiltonian_eigen(chain)
+        rates = qc.rates_from_angles(qc.mixing_angles(chain), qc.NoiseSpec(0.02, 0.2))
+        blocks = parity_blocks(chain)
+        if start == "thermal_of_k_ini":
+            rho0 = qc.thermal_state(qc.build_hamiltonian_eigen(chain.with_coupling(0.01)), 0.05, blocks=blocks)
+        else:
+            psi = qc.eigenbasis_product(n) if start == "product_eigen" else qc.eigenbasis_bell_head(n)
+            rho0 = qc.density_from_pure(psi)
+        odd = blocks[1]
+        assert (start == "bell_head_eigen") == (np.trace(rho0[np.ix_(odd, odd)]).real > 0.5)
+        two = list(stream(block_stack(rho0, blocks), h, rates, t_max=6.0, dt=0.05, sample_every=10, blocks=blocks))
+        one = list(stream(rho0[None], h, rates, t_max=6.0, dt=0.05, sample_every=10))
+        assert len(two) == 13  # 120 steps
+        for (_, a, drift_a, _), (_, b, drift_b, _) in zip(two, one):
+            assert np.abs(block_matrix(a, blocks) - b[0]).max() < 1e-12
+            assert abs(drift_a - drift_b) < 1e-12
+
+    def test_sector_steady_state_matches_one_block(self):
+        for n in (3, 4, 5):
+            chain = parity_chain(n)
+            h = qc.build_hamiltonian_eigen(chain)
+            for rates in (sector_rates(n), qc.rates_from_angles(qc.mixing_angles(chain), qc.NoiseSpec(0.01, 0.1))):
+                sector = qc.steady_state(h, rates, tol=1e-9, blocks=parity_blocks(chain))
+                one = qc.steady_state(h, rates, tol=1e-9)
+                assert sector.converged and one.converged
+                assert np.abs(sector.state - one.state).max() < 1e-12

@@ -52,6 +52,19 @@ class TestReduce:
                 assert np.abs(got - qc.reduce_statevector(psi, sites).matrix).max() < 1e-15
                 assert np.abs(got - qc.reduce(qc.density_from_pure(psi), sites).matrix).max() < 1e-13
 
+    def test_block_reduction_matches_dense(self, rng):
+        from qubitchain.lindblad import block_matrix, block_stack
+
+        spec = qc.ChainSpec.homogeneous(5)
+        for blocks in (qc.chain.parity_blocks(spec), [np.arange(32)]):
+            parts = np.array([block_stack(random_density_matrix(rng, 32), blocks) for _ in range(2)])
+            for sites in ((3,), (2, 5), (1, 3, 4), (1, 2, 4, 5)):
+                stacked = qc.negativity.reduce_blocks(parts, blocks, sites)
+                assert stacked.sites == sites
+                for part, got in zip(parts, stacked.matrix):
+                    want = qc.reduce(block_matrix(part, blocks), sites).matrix
+                    assert np.abs(got - want).max() < 1e-15
+
     def test_validates_sites(self):
         rho = np.eye(8) / 8
         with pytest.raises(ValueError):

@@ -77,6 +77,17 @@ class TestGroundState:
         g = qc.ground_state(np.zeros((4, 4), dtype=complex))
         assert g.degenerate
 
+    def test_parity_blocks_give_a_parity_pure_ground_state(self):
+        spec = qc.ChainSpec.homogeneous(6, coupling=0.001)
+        h = qc.build_hamiltonian_eigen(spec)
+        even, odd = qc.chain.parity_blocks(spec)
+        full = qc.ground_state(h)
+        split = qc.ground_state(h, blocks=[even, odd])
+        assert split.energy == pytest.approx(full.energy, abs=1e-14)
+        assert split.gap == pytest.approx(full.gap, abs=1e-14)
+        assert abs(np.vdot(full.vector, split.vector)) == pytest.approx(1.0, abs=1e-12)
+        assert not split.vector[odd].any()
+
 
 class TestThermalState:
     def test_low_temperature_limit_is_ground_state(self):
@@ -103,6 +114,16 @@ class TestThermalState:
         g = qc.ground_state(h)
         fids = [qc.fidelity(g.vector, qc.thermal_state(h, t)) for t in (0.005, 0.01, 0.02, 0.04, 0.08)]
         assert all(a >= b - 1e-12 for a, b in zip(fids, fids[1:]))
+
+    def test_parity_blocks_match_full_and_leave_no_coherence(self):
+        spec = qc.ChainSpec.homogeneous(6, coupling=0.01)
+        h = qc.build_hamiltonian_eigen(spec)
+        even, odd = qc.chain.parity_blocks(spec)
+        for temperature in (0.01, 0.05, 1.0):
+            full = qc.thermal_state(h, temperature)
+            split = qc.thermal_state(h, temperature, blocks=[even, odd])
+            assert np.abs(split - full).max() < 1e-14
+            assert not split[np.ix_(even, odd)].any() and not split[np.ix_(odd, even)].any()
 
     def test_rejects_nonpositive_temperature(self):
         spec = qc.ChainSpec.homogeneous(2)
