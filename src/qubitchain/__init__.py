@@ -13,8 +13,6 @@ from .chain import (
     QuenchSpec,
     build_hamiltonian_eigen,
     build_hamiltonian_lab,
-    charge_qubit_bias,
-    frame_rotation,
     mixing_angles,
     sample_disorder,
 )
@@ -27,23 +25,19 @@ from .lindblad import (
     nbar_from_temperature,
     rates_from_angles,
     steady_state,
-    temperature_from_nbar,
 )
 from .mps import (
     MixedTebdEngine,
     MpsMixedState,
     TrotterPlan,
-    load_checkpoint,
     mps_from_product,
     mps_to_dense,
     mps_trace,
     reduced_pair_dm,
     reduced_sites_dm,
-    save_checkpoint,
 )
 from .negativity import (
     ReducedState,
-    block_log_negativity,
     log_negativity,
     pair_log_negativity,
     partial_transpose,
@@ -67,7 +61,6 @@ from .witness import (
     bound_c1,
     bound_c2,
     bound_c2_optimized,
-    correlation,
     correlation_matrix,
     frozen_axes_bound,
     load_correlations_csv,

@@ -138,13 +138,6 @@ class QuenchSpec:
             raise ValueError("k_ini must be >= 0")
 
 
-def charge_qubit_bias(n_g: float, e_c: float) -> float:
-    """Energy bias of a charge qubit at gate charge n_g: 4 e_c (1 - 2 n_g)."""
-    if e_c <= 0:
-        raise ValueError("e_c must be > 0")
-    return 4.0 * e_c * (1.0 - 2.0 * n_g)
-
-
 def mixing_angles(spec: ChainSpec) -> MixingAngles:
     """Mixing angles theta_i = atan2(delta_i, epsilon_i) and splittings omega_i.
 
@@ -233,20 +226,6 @@ def parity_blocks(spec: ChainSpec) -> list[np.ndarray]:
         return [index]
     odd = np.prod([z_pattern(i, n) for i in range(1, n + 1)], axis=0) < 0
     return [index[~odd], index[odd]]
-
-
-def frame_rotation(angles: MixingAngles) -> np.ndarray:
-    """Unitary mapping eigenbasis amplitudes to lab-frame amplitudes.
-
-    Column s of the per-site factor is the lab-frame representation of the
-    eigenbasis state |s>, built from theta_i.
-    """
-    out = np.eye(1, dtype=complex)
-    for t in angles.theta:
-        c2, s2 = math.cos(t / 2.0), math.sin(t / 2.0)
-        u = np.array([[c2, -s2], [s2, c2]], dtype=complex)
-        out = np.kron(out, u)
-    return out
 
 
 def sample_disorder(spec: ChainSpec, dis: DisorderSpec) -> ChainSpec:

@@ -499,7 +499,9 @@ def propagate(
     Without noise the state is propagated exactly in the eigenbasis of each
     diagonal block of `h`.  A block whose component of `state0` is exactly
     zero is skipped.  A state vector is served up to 2^N samples per block,
-    one GEMM per diagonal block; a density matrix one sample per block.
+    one GEMM per diagonal block.  A density matrix is served one sample per
+    block, as its stacked diagonal blocks like RK4's, with the same
+    fallback to one block.
     """
     times = sample_grid(t_max, dt, sample_every)
     if engine is not None:
@@ -539,30 +541,29 @@ def _propagate_unitary(
 ) -> Iterator[tuple[np.ndarray, Accessor]]:
     """The noiseless branch of :func:`propagate`: exact phases in each block's real eigenbasis."""
     d = len(h)
-    # A block that state0 does not reach (no nonzero row) is never diagonalized.
-    eig = [(b, *np.linalg.eigh(h[np.ix_(b, b)])) for b in blocks if state0[b].any()]
-    if state0.ndim == 1:
-        parts = [(b, e, v, v.T @ state0[b]) for b, e, v in eig]
+    mixed = state0.ndim == 2
+    if mixed:
+        state0, blocks = _sector_start(state0, blocks)
+    parts = state0 if mixed else [state0[b] for b in blocks]
+    # A block that state0 does not reach (no nonzero entry) is never diagonalized.
+    eig = [(k, *np.linalg.eigh(h[np.ix_(b, b)])) for k, b in enumerate(blocks) if parts[k].any()]
+    if not mixed:
+        coeffs = [(blocks[k], e, v, v.T @ parts[k]) for k, e, v in eig]
         # At most d samples at once: the amplitudes never outgrow one d x d array.
         for start in range(0, len(times), d):
             ts = times[start : start + d]
             psi = np.zeros((len(ts), d), dtype=complex)
-            for b, e, v, c in parts:
+            for b, e, v, c in coeffs:
                 psi[:, b] = (np.exp(-1j * np.outer(ts, e)) * c) @ v.T
             yield ts, partial(reduce_statevector, psi)
     else:
-        parts = [
-            (a, ea, va, b, eb, vb, va.T @ state0[np.ix_(a, b)] @ vb)
-            for a, ea, va in eig
-            for b, eb, vb in eig
-            if state0[np.ix_(a, b)].any()
-        ]
-        for k, t in enumerate(times):
-            rho = np.zeros((1, d, d), dtype=complex)
-            for a, ea, va, b, eb, vb, r in parts:
-                phase_a, phase_b = np.exp(-1j * ea * t), np.exp(-1j * eb * t)
-                rho[0][np.ix_(a, b)] = va @ (phase_a[:, None] * r * phase_b.conj()) @ vb.T
-            yield times[k : k + 1], partial(reduce, rho)
+        coeffs = [(k, e, v, v.T @ parts[k] @ v) for k, e, v in eig]
+        for i, t in enumerate(times):
+            rho = np.zeros(parts.shape, dtype=complex)
+            for k, e, v, r in coeffs:
+                phase = np.exp(-1j * e * t)
+                rho[k] = v @ (phase[:, None] * r * phase.conj()) @ v.T
+            yield times[i : i + 1], partial(reduce_blocks, rho[None], blocks)
 
 
 def _run_member(config: ScenarioConfig, member: int, pair_series, block_series, asymmetry, flags, keep_correlations):
@@ -737,6 +738,14 @@ class ScanConfig:
         if not self.gammas or not self.coupling_ratios:
             raise ConfigError("scan grids must be non-empty")
         n = self.chain.n_qubits
+        i, j = self.pair
+        if not 1 <= i < j <= n:
+            raise ConfigError(f"pair ({i}, {j}) must be ordered i < j inside the chain of {n} sites")
+        for key in ("tol", "transient_t_max", "transient_dt"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be > 0")
+        if not all(g >= 0 for g in self.gammas) or not self.n_thermal >= 0:
+            raise ConfigError("every gamma and n_thermal must be >= 0")
         _check_exact_memory(n, exact_member_bytes(n, any(self.gammas), sectors=_parity_sectors(self.chain)))
 
     @classmethod

@@ -84,11 +84,6 @@ class NoiseSpec:
         if self.n_thermal < 0:
             raise ValueError("n_thermal must be >= 0")
 
-    @property
-    def decoherence_time(self) -> float:
-        """t_d = 1/Gamma (infinite for the noiseless limit)."""
-        return math.inf if self.gamma == 0 else 1.0 / self.gamma
-
 
 @dataclass(frozen=True)
 class RateSet:
@@ -166,13 +161,6 @@ def nbar_from_temperature(omega: float, temperature_kelvin: float, energy_unit_k
     if x > 40.0:  # 1/(e^x - 1) = e^-x to double precision; avoids overflow
         return math.exp(-x)
     return 1.0 / math.expm1(x)
-
-
-def temperature_from_nbar(omega: float, n_thermal: float, energy_unit_kelvin: float = 1.0) -> float:
-    """Inverse of nbar_from_temperature, in Kelvin."""
-    if omega <= 0 or n_thermal <= 0:
-        raise ValueError("omega and n_thermal must be > 0")
-    return omega * energy_unit_kelvin / math.log1p(1.0 / n_thermal)
 
 
 def _dissipator(rates: RateSet, stacked: np.ndarray) -> sparse.csr_matrix:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
@@ -42,8 +41,6 @@ from .negativity import ReducedState
 from .pauli import ID2, SM, SP, SX, SZ
 
 logger = logging.getLogger(__name__)
-
-CHECKPOINT_FORMAT = "qubitchain-mps-mixed/1"
 
 DEFAULT_TRUNCATION_CEILING = 1e-6
 _SV_FLOOR = 1e-14  # relative floor below which singular values are dropped
@@ -419,44 +416,3 @@ class MixedTebdEngine:
         )
         state.tensors[b] = t_new
         return discarded
-
-
-def save_checkpoint(
-    state: MpsMixedState,
-    path: str | Path,
-    dt: float,
-    step_count: int,
-    truncation_weight: float,
-) -> None:
-    """Dump the state and run counters to a self-describing .npz file."""
-    arrays = {f"tensor_{j}": t for j, t in enumerate(state.tensors)}
-    arrays.update({f"bond_weight_{j}": w for j, w in enumerate(state.bond_weights)})
-    np.savez_compressed(
-        path,
-        format=np.array(CHECKPOINT_FORMAT),
-        tensor_convention=np.array("bond-weights-absorbed-right"),
-        n_sites=np.array(state.n_sites),
-        bond_dim=np.array(state.bond_dim),
-        dt=np.array(dt),
-        step_count=np.array(step_count),
-        truncation_weight=np.array(truncation_weight),
-        **arrays,
-    )
-
-
-def load_checkpoint(path: str | Path) -> tuple[MpsMixedState, dict]:
-    """Restore a state saved by save_checkpoint, with its run counters."""
-    with np.load(path) as data:
-        fmt = str(data["format"])
-        if fmt != CHECKPOINT_FORMAT:
-            raise ValueError(f"unknown checkpoint format {fmt!r}")
-        n = int(data["n_sites"])
-        tensors = [data[f"tensor_{j}"] for j in range(n)]
-        weights = [data[f"bond_weight_{j}"] for j in range(n - 1)]
-        state = MpsMixedState(n, tensors, weights, int(data["bond_dim"]))
-        meta = {
-            "dt": float(data["dt"]),
-            "step_count": int(data["step_count"]),
-            "truncation_weight": float(data["truncation_weight"]),
-        }
-    return state, meta

@@ -181,15 +181,3 @@ def pair_log_negativity(rho: np.ndarray, i: int, j: int) -> float:
     """E_N of the reduced pair (i, j) of a dense chain density matrix."""
     rs = reduce(rho, (i, j))
     return log_negativity(rs, (rs.sites[0],))
-
-
-def block_log_negativity(rho: np.ndarray, block_a, block_b) -> float:
-    """E_N between two two-site blocks across the (block_a | block_b) cut."""
-    a = tuple(int(s) for s in block_a)
-    b = tuple(int(s) for s in block_b)
-    if len(a) != 2 or len(b) != 2:
-        raise ValueError("blocks must contain exactly two sites each")
-    if len(set(a + b)) != 4:
-        raise ValueError("the four block sites must be distinct")
-    rs = reduce(rho, a + b)
-    return log_negativity(rs, a)

@@ -126,19 +126,3 @@ def fidelity(state: np.ndarray, rho: np.ndarray) -> float:
 def density_from_pure(state: np.ndarray) -> np.ndarray:
     """Projector |psi><psi| of a normalized state vector."""
     return np.outer(state, state.conj())
-
-
-def check_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-10,
-    positivity_tol: float = 1e-9,
-) -> None:
-    """Raise if rho violates Hermiticity, unit trace, or positivity tolerances."""
-    require_hermitian(rho, rtol=herm_tol, what="density matrix")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace {tr} deviates from 1 beyond {trace_tol}")
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
-    if min_eig < -positivity_tol:
-        raise ValueError(f"minimum eigenvalue {min_eig:.3e} below -{positivity_tol}")

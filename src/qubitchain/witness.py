@@ -54,6 +54,8 @@ class CorrelationMatrix:
         entries = np.asarray(self.entries, dtype=float)
         if entries.shape != (3, 3):
             raise ValueError("correlation matrix must be 3x3")
+        if not np.isfinite(entries).all():
+            raise ValueError("correlations must be finite")
         if np.abs(entries).max() > 1.0 + 1e-9:
             raise ValueError("correlations must lie in [-1, 1]")
         object.__setattr__(self, "entries", entries)
@@ -80,17 +82,7 @@ class OptimizedBound:
     eigenvalues: np.ndarray
 
 
-def correlation(rho: np.ndarray, i: int, j: int, a: str, b: str) -> float:
-    """Tr[sigma^a_i sigma^b_j rho] for a dense chain density matrix."""
-    if a not in AXES or b not in AXES:
-        raise ValueError(f"axes must be in {AXES}")
-    pair = reduce(rho, (i, j))
-    return _pair_correlation(pair, a, b, swap=(i > j))
-
-
-def _pair_correlation(pair: ReducedState, a: str, b: str, swap: bool = False) -> float:
-    if swap:
-        a, b = b, a
+def _pair_correlation(pair: ReducedState, a: str, b: str) -> float:
     value = complex(np.trace(_PAIR_PAULI[(a, b)] @ pair.matrix))
     if abs(value.imag) > _IMAG_TOL:
         raise ValueError(
@@ -203,8 +195,8 @@ def frozen_axes_bound(x: CorrelationMatrix, axes: np.ndarray) -> float:
 def load_correlations_csv(path: str | Path) -> dict[tuple[int, int], CorrelationMatrix]:
     """Read measured correlations from a CSV with columns i, j, a, b, value.
 
-    Returns one CorrelationMatrix per (i, j) pair; every pair must come with
-    all nine axis combinations.
+    Returns one CorrelationMatrix per (i, j) pair with 1 <= i < j; every
+    pair must come with all nine axis combinations, each exactly once.
     """
     cells: dict[tuple[int, int], dict[tuple[str, str], float]] = {}
     with open(path, newline="") as fh:
@@ -217,7 +209,12 @@ def load_correlations_csv(path: str | Path) -> dict[tuple[int, int], Correlation
             a, b = row["a"].strip().lower(), row["b"].strip().lower()
             if a not in AXES or b not in AXES:
                 raise ValueError(f"unknown axis pair ({a}, {b}) in {path}")
-            cells.setdefault((i, j), {})[(a, b)] = float(row["value"])
+            if not 1 <= i < j:
+                raise ValueError(f"pair ({i}, {j}) in {path} must satisfy 1 <= i < j")
+            values = cells.setdefault((i, j), {})
+            if (a, b) in values:
+                raise ValueError(f"pair ({i}, {j}) repeats correlation {a}{b} in {path}")
+            values[(a, b)] = float(row["value"])
     out = {}
     for pair, values in sorted(cells.items()):
         if len(values) != 9:

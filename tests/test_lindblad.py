@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -86,8 +88,9 @@ class TestNbar:
         assert qc.nbar_from_temperature(0.1, 1e-4) < 1e-40
 
     def test_round_trip_with_inverse(self):
-        t = qc.temperature_from_nbar(0.1, 0.05)
-        assert qc.nbar_from_temperature(0.1, t) == pytest.approx(0.05)
+        # The inverse in closed form: T = w / ln(1 + 1/n), so T = w / ln 2 gives n = 1.
+        assert qc.nbar_from_temperature(0.1, 0.1 / math.log(2)) == pytest.approx(1.0)
+        assert qc.nbar_from_temperature(0.1, 0.1 / math.log1p(1 / 0.05)) == pytest.approx(0.05)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -6,12 +6,10 @@ from qubitchain.mps import (
     MixedTebdEngine,
     TrotterPlan,
     bond_hamiltonians,
-    load_checkpoint,
     mps_from_product,
     mps_to_dense,
     mps_trace,
     reduced_pair_dm,
-    save_checkpoint,
 )
 
 GROUND = np.diag([1.0, 0.0]).astype(complex)
@@ -188,33 +186,3 @@ class TestTebd:
             dim_right = 2 ** (5 - b - 2)
             total += np.kron(np.kron(np.eye(dim_left), h), np.eye(dim_right))
         assert np.abs(total - qc.build_hamiltonian_eigen(spec)).max() < 1e-13
-
-
-class TestCheckpoint:
-    def test_round_trip_resumes_bit_compatibly(self, tmp_path):
-        spec = qc.ChainSpec.homogeneous(4)
-        rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.01, 0.1))
-        plan = TrotterPlan.build(0.05, 4)
-        engine = MixedTebdEngine(spec, rates, plan, bond_dim=32)
-        state = product_state(4, bond_dim=32)
-        for _ in range(10):
-            state = engine.step(state)
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(state, path, dt=plan.dt, step_count=10, truncation_weight=engine.truncation_weight)
-        loaded, meta = load_checkpoint(path)
-        assert meta["step_count"] == 10
-        assert meta["dt"] == plan.dt
-        for a, b in zip(state.tensors, loaded.tensors):
-            assert np.array_equal(a, b)
-        for a, b in zip(state.bond_weights, loaded.bond_weights):
-            assert np.array_equal(a, b)
-        # continuing from the checkpoint is identical to continuing in place
-        cont_a = engine.step(state)
-        cont_b = engine.step(loaded)
-        assert np.array_equal(mps_to_dense(cont_a), mps_to_dense(cont_b))
-
-    def test_unknown_format_rejected(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, format=np.array("other/9"))
-        with pytest.raises(ValueError, match="format"):
-            load_checkpoint(path)

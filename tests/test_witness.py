@@ -21,29 +21,38 @@ def swap_symmetrize(rho):
     return 0.5 * (rho + SWAP @ rho @ SWAP)
 
 
+def write_csv(tmp_path, rows, pair=None):
+    """Correlation CSV of `rows`, after all nine cells of `pair` (each 0.1) if given."""
+    lines = ["i,j,a,b,value"]
+    if pair is not None:
+        lines += [f"{pair[0]},{pair[1]},{a},{b},0.1" for a in "xyz" for b in "xyz"]
+    path = tmp_path / "corr.csv"
+    path.write_text("\n".join(lines + rows) + "\n")
+    return path
+
+
 class TestCorrelation:
     def test_zero_product_state(self):
-        rho = qc.density_from_pure(qc.eigenbasis_product(2))
-        assert qc.correlation(rho, 1, 2, "z", "z") == pytest.approx(1.0)
-        assert qc.correlation(rho, 1, 2, "x", "x") == pytest.approx(0.0, abs=1e-14)
-        assert qc.correlation(rho, 1, 2, "y", "y") == pytest.approx(0.0, abs=1e-14)
+        x = qc.correlation_matrix(qc.density_from_pure(qc.eigenbasis_product(2)), 1, 2).entries
+        assert x[2, 2] == pytest.approx(1.0)
+        assert x[0, 0] == pytest.approx(0.0, abs=1e-14)
+        assert x[1, 1] == pytest.approx(0.0, abs=1e-14)
 
     def test_bell_prime_diagonal(self):
-        rho = qc.density_from_pure(BELL_PRIME)
-        assert qc.correlation(rho, 1, 2, "x", "x") == pytest.approx(1.0)
-        assert qc.correlation(rho, 1, 2, "y", "y") == pytest.approx(1.0)
-        assert qc.correlation(rho, 1, 2, "z", "z") == pytest.approx(-1.0)
+        x = qc.correlation_matrix(qc.density_from_pure(BELL_PRIME), 1, 2).entries
+        assert x[0, 0] == pytest.approx(1.0)
+        assert x[1, 1] == pytest.approx(1.0)
+        assert x[2, 2] == pytest.approx(-1.0)
 
     def test_maximally_mixed_vanishes(self):
-        rho = np.eye(4, dtype=complex) / 4
-        for a in "xyz":
-            for b in "xyz":
-                assert qc.correlation(rho, 1, 2, a, b) == pytest.approx(0.0, abs=1e-14)
+        x = qc.correlation_matrix(np.eye(4, dtype=complex) / 4, 1, 2).entries
+        assert np.abs(x).max() == pytest.approx(0.0, abs=1e-14)
 
-    def test_axis_validation(self):
-        rho = np.eye(4) / 4
-        with pytest.raises(ValueError):
-            qc.correlation(rho, 1, 2, "w", "z")
+    def test_axis_validation(self, tmp_path):
+        # Axis names enter only through measured data.
+        path = write_csv(tmp_path, ["1,2,w,z,0.5"])
+        with pytest.raises(ValueError, match="unknown axis"):
+            qc.load_correlations_csv(path)
 
     def test_matrix_from_larger_chain(self):
         rho = qc.density_from_pure(qc.eigenbasis_bell_head(4))
@@ -158,3 +167,17 @@ class TestCorrelationsCsv:
         path.write_text("i,j,value\n1,2,0.5\n")
         with pytest.raises(ValueError, match="columns"):
             qc.load_correlations_csv(path)
+
+    def test_nan_entry_rejected(self, tmp_path):
+        rows = [f"1,2,{a},{b},{'nan' if a + b == 'xx' else 0.1}" for a in "xyz" for b in "xyz"]
+        with pytest.raises(ValueError, match="finite"):
+            qc.load_correlations_csv(write_csv(tmp_path, rows))
+
+    def test_repeated_row_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="repeats correlation zz"):
+            qc.load_correlations_csv(write_csv(tmp_path, ["1,2,z,z,0.9"], pair=(1, 2)))
+
+    @pytest.mark.parametrize("pair", [(3, 3), (2, 1), (0, 2)])
+    def test_pair_outside_ordered_sites_rejected(self, tmp_path, pair):
+        with pytest.raises(ValueError, match="1 <= i < j"):
+            qc.load_correlations_csv(write_csv(tmp_path, [], pair=pair))
