@@ -287,6 +287,8 @@ class ScenarioConfig:
             raise ConfigError(f"initial_state must be one of {INITIAL_STATES}")
         if self.t_max <= 0 or self.dt <= 0 or self.sample_every < 1:
             raise ConfigError("t_max, dt must be > 0 and sample_every >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         n = self.chain.n_qubits
         if self.solver.kind == "exact":
             _check_exact_memory(n, self.member_bytes)
@@ -347,9 +349,13 @@ class FirstMaximum:
 
 
 def first_maximum(times: np.ndarray, series: np.ndarray, floor: float = FIRST_MAX_FLOOR) -> FirstMaximum | None:
-    """First strict local maximum above `floor`, refined across three samples."""
+    """First local maximum above `floor`, refined across three samples.
+
+    The drop after the maximum must exceed roundoff, so a series that is flat
+    up to its last bits has none.
+    """
     for k in range(1, len(series) - 1):
-        if series[k] > floor and series[k] >= series[k - 1] and series[k] > series[k + 1]:
+        if series[k] > floor and series[k] >= series[k - 1] and series[k] - series[k + 1] > 1e-12 * series[k]:
             y0, y1, y2 = series[k - 1], series[k], series[k + 1]
             denom = y0 - 2.0 * y1 + y2
             shift = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
@@ -620,6 +626,8 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ResultSet:
 
     Aggregation is indexed by member, so results do not depend on `threads`.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     times = sample_grid(config.t_max, config.step, config.sample_every)
     members = config.ensemble_size
     if config.solver.kind == "exact":

@@ -14,8 +14,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
-
 from .witness import asymmetry_flags
 
 TIMESERIES_COLUMNS = ("time", "pair_i", "pair_j", "e_n", "c1", "c2", "c2_opt", "ensemble_mean_flag")
@@ -24,10 +22,8 @@ _SVG_COLORS = ("#1f6fb2", "#c23b22", "#2e8b57", "#8b5d9e", "#b8860b", "#444444")
 
 
 def _fmt(value: float) -> str:
-    """Full-precision decimal text for a float; empty for missing values."""
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
-    return repr(float(value))
+    """Full-precision decimal text for a float; empty for NaN."""
+    return "" if math.isnan(value) else repr(float(value))
 
 
 def canonical_json(data) -> str:
@@ -42,69 +38,60 @@ def sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_timeseries_csv(
-    path: Path,
-    times: np.ndarray,
-    rows: dict[tuple[int, int], dict[str, np.ndarray]],
-    ensemble_mean: bool,
-) -> None:
+class RunDirectory:
+    """One output directory: each file is checksummed from the bytes on disk,
+    and `manifest` lists them all, so a complete manifest certifies a
+    complete run."""
+
+    def __init__(self, out_dir: str | Path):
+        self.path = Path(out_dir)
+        self.path.mkdir(parents=True, exist_ok=True)
+        self.files: dict[str, str] = {}
+
+    def text(self, name: str, text: str) -> None:
+        path = self.path / name
+        path.write_text(text)
+        self.files[name] = sha256_file(path)
+
+    def json(self, name: str, data) -> None:
+        self.text(name, canonical_json(data) + "\n")
+
+    def csv(self, name: str, columns, rows) -> None:
+        """Header of `columns`, then one line per row of cell strings."""
+        self.text(name, "\n".join([",".join(columns), *(",".join(cells) for cells in rows)]) + "\n")
+
+    def manifest(self, **fields) -> Path:
+        path = self.path / "manifest.json"
+        path.write_text(canonical_json({**fields, "files": self.files}) + "\n")
+        return path
+
+
+def timeseries_rows(times, series: dict, ensemble_mean: bool):
     """Pair observables in the fixed column order, one row per (time, pair)."""
-    lines = [",".join(TIMESERIES_COLUMNS)]
     flag = "1" if ensemble_mean else "0"
-    for pair in sorted(rows):
-        values = rows[pair]
+    for (i, j), values in sorted(series.items()):
         for k, t in enumerate(times):
-            cells = [
-                _fmt(float(t)),
-                str(pair[0]),
-                str(pair[1]),
-                _fmt(values["e_n"][k]) if "e_n" in values else "",
-                _fmt(values["c1"][k]) if "c1" in values else "",
-                _fmt(values["c2"][k]) if "c2" in values else "",
-                _fmt(values["c2_opt"][k]) if "c2_opt" in values else "",
-                flag,
-            ]
-            lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+            measured = (_fmt(values[m][k]) if m in values else "" for m in TIMESERIES_COLUMNS[3:7])
+            yield [_fmt(t), str(i), str(j), *measured, flag]
 
 
-def write_blocks_csv(path: Path, times: np.ndarray, blocks: dict[tuple, np.ndarray]) -> None:
-    lines = ["time,block_a,block_b,e_n"]
-    for (a, b), series in sorted(blocks.items()):
+def keyed_rows(times, series: dict, label=str):
+    """One row per (key, time): the time, both halves of the key, the value."""
+    for (a, b), values in sorted(series.items()):
         for k, t in enumerate(times):
-            lines.append(
-                ",".join(
-                    [_fmt(float(t)), "+".join(map(str, a)), "+".join(map(str, b)), _fmt(series[k])]
-                )
-            )
-    path.write_text("\n".join(lines) + "\n")
+            yield [_fmt(t), label(a), label(b), _fmt(values[k])]
 
 
-def write_frozen_axes_csv(path: Path, times: np.ndarray, series: dict[tuple[int, int], np.ndarray]) -> None:
-    lines = ["time,pair_i,pair_j,c2_frozen"]
-    for pair in sorted(series):
-        for k, t in enumerate(times):
-            lines.append(",".join([_fmt(float(t)), str(pair[0]), str(pair[1]), _fmt(series[pair][k])]))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_scan_csv(path: Path, points) -> None:
-    lines = ["coupling_ratio,gamma,steady_e_n,converged,residual,first_max,applicable"]
+def scan_rows(points):
     for p in points:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(p.coupling_ratio),
-                    _fmt(p.gamma),
-                    _fmt(p.steady_e_n) if p.applicable else "",
-                    ("1" if p.converged else "0") if p.applicable else "",
-                    _fmt(p.residual) if p.applicable else "",
-                    _fmt(p.first_max),
-                    "1" if p.applicable else "0",
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+        steady = [_fmt(p.steady_e_n), "1" if p.converged else "0", _fmt(p.residual)]
+        yield [
+            _fmt(p.coupling_ratio),
+            _fmt(p.gamma),
+            *(steady if p.applicable else ["", "", ""]),
+            _fmt(p.first_max),
+            "1" if p.applicable else "0",
+        ]
 
 
 def _svg_polyline(xs, ys, x0, x1, y0, y1, color) -> str:
@@ -121,7 +108,7 @@ def _svg_polyline(xs, ys, x0, x1, y0, y1, color) -> str:
     return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{" ".join(pts)}"/>'
 
 
-def write_svg(path: Path, times: np.ndarray, series: dict[str, np.ndarray], title: str) -> None:
+def svg_chart(times, series: dict, title: str) -> str:
     """Minimal deterministic line chart of the given named series."""
     x0, x1 = float(times[0]), float(times[-1])
     finite = [v for s in series.values() for v in s if not math.isnan(v)]
@@ -146,172 +133,106 @@ def write_svg(path: Path, times: np.ndarray, series: dict[str, np.ndarray], titl
             f'<text x="{70 + 90 * k}" y="32" font-size="11" font-family="sans-serif" fill="{color}">{name}</text>'
         )
     parts.append("</svg>")
-    path.write_text("\n".join(p for p in parts if p) + "\n")
+    return "\n".join(p for p in parts if p) + "\n"
 
 
 def emit_outputs(result, out_dir: str | Path, build_id: str) -> Path:
     """Persist a ResultSet as a run directory; returns the manifest path.
 
-    Always writes config.json and manifest.json; timeseries files only when
-    observables were tracked.  The manifest carries flags and checksums and
-    is written last, so a complete manifest certifies a complete run.
+    Always writes config.json, stats.json and manifest.json; timeseries
+    files only when observables were tracked.  A single-member run writes
+    its member's series, which is also its mean.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    config_dict = result.config.to_dict()
-    files: list[Path] = []
+    config, times = result.config, result.times
+    config_dict = config.to_dict()
+    run = RunDirectory(out_dir)
+    run.json("config.json", config_dict)
 
-    cfg_path = out / "config.json"
-    cfg_path.write_text(canonical_json(config_dict) + "\n")
-    files.append(cfg_path)
-
-    ensemble = result.config.ensemble_size > 1
-    if result.config.observables.pairs:
-        ts_path = out / "timeseries.csv"
+    ensemble = config.ensemble_size > 1
+    if config.observables.pairs:
+        run.csv("timeseries.csv", TIMESERIES_COLUMNS, timeseries_rows(times, result.stats.mean, ensemble))
         if ensemble:
-            write_timeseries_csv(ts_path, result.times, result.stats.mean, True)
-            std_path = out / "timeseries_std.csv"
-            write_timeseries_csv(std_path, result.times, result.stats.std, True)
-            files.append(std_path)
-        else:
-            single = {
-                p: {m: result.pair_series[p][m][0] for m in result.pair_series[p]}
-                for p in result.pair_series
-            }
-            write_timeseries_csv(ts_path, result.times, single, False)
-        files.append(ts_path)
-
-        for pair in sorted(result.pair_series):
-            source = result.stats.mean[pair] if ensemble else {
-                m: result.pair_series[pair][m][0] for m in result.pair_series[pair]
-            }
-            svg_path = out / f"pair_{pair[0]}_{pair[1]}.svg"
-            label = "ensemble mean" if ensemble else "trajectory"
-            write_svg(svg_path, result.times, source, f"pair ({pair[0]}, {pair[1]}) {label}")
-            files.append(svg_path)
+            run.csv("timeseries_std.csv", TIMESERIES_COLUMNS, timeseries_rows(times, result.stats.std, True))
+        label = "ensemble mean" if ensemble else "trajectory"
+        for i, j in sorted(result.pair_series):
+            run.text(f"pair_{i}_{j}.svg", svg_chart(times, result.stats.mean[(i, j)], f"pair ({i}, {j}) {label}"))
 
     if result.block_series:
-        blocks_path = out / "blocks.csv"
-        mean_blocks = {b: result.block_series[b].mean(axis=0) for b in result.block_series}
-        write_blocks_csv(blocks_path, result.times, mean_blocks)
-        files.append(blocks_path)
+        mean_blocks = {b: series.mean(axis=0) for b, series in result.block_series.items()}
+        rows = keyed_rows(times, mean_blocks, label=lambda block: "+".join(map(str, block)))
+        run.csv("blocks.csv", ("time", "block_a", "block_b", "e_n"), rows)
 
     if result.frozen_axes_series is not None:
-        fa_path = out / "frozen_axes.csv"
-        write_frozen_axes_csv(fa_path, result.times, result.frozen_axes_series)
-        files.append(fa_path)
+        columns = ("time", "pair_i", "pair_j", "c2_frozen")
+        run.csv("frozen_axes.csv", columns, keyed_rows(times, result.frozen_axes_series))
 
-    stats = {
-        "first_maximum": {
-            f"{p[0]},{p[1]}": {
-                "mean_value": result.stats.first_max_mean(p),
-                "mean_time": result.stats.first_max_mean_time(p),
-                "relative_fluctuation": result.stats.relative_fluctuation(p),
-                "values": [None if math.isnan(v) else v for v in result.stats.first_max_values[p]],
-            }
-            for p in result.config.observables.pairs
+    stats = result.stats
+    run.json(
+        "stats.json",
+        {
+            "first_maximum": {
+                f"{p[0]},{p[1]}": {
+                    "mean_value": stats.first_max_mean(p),
+                    "mean_time": stats.first_max_mean_time(p),
+                    "relative_fluctuation": stats.relative_fluctuation(p),
+                    "values": [None if math.isnan(v) else v for v in stats.first_max_values[p]],
+                }
+                for p in config.observables.pairs
+            },
+            "frozen_axes": result.frozen_axes_info,
         },
-        "frozen_axes": result.frozen_axes_info,
-    }
-    stats_path = out / "stats.json"
-    stats_path.write_text(canonical_json(stats) + "\n")
-    files.append(stats_path)
+    )
 
-    manifest = {
-        "schema_version": config_dict["schema_version"],
-        "name": result.config.name,
-        "build": build_id,
-        "seed": result.config.seed,
-        "config_hash": config_hash(config_dict),
-        "ensemble_size": result.config.ensemble_size,
-        "noise": {
-            "gamma": result.config.noise.gamma,
-            "n_thermal": result.config.noise.n_thermal,
-            "temperature_mk": result.config.noise_temperature_mk,
-        },
-        "sample_times": {"count": len(result.times), "t_max": float(result.times[-1])},
-        "flags": sorted(set(result.flags)),
-        "files": {f.name: sha256_file(f) for f in files},
-    }
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(canonical_json(manifest) + "\n")
-    return manifest_path
+    return run.manifest(
+        schema_version=config_dict["schema_version"],
+        name=config.name,
+        build=build_id,
+        seed=config.seed,
+        config_hash=config_hash(config_dict),
+        ensemble_size=config.ensemble_size,
+        noise={**vars(config.noise), "temperature_mk": config.noise_temperature_mk},
+        sample_times={"count": len(times), "t_max": float(times[-1])},
+        flags=sorted(set(result.flags)),
+    )
 
 
 def emit_scan_outputs(scan_result, out_dir: str | Path, build_id: str) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     config_dict = scan_result.config.to_dict()
-    files = []
-
-    cfg_path = out / "config.json"
-    cfg_path.write_text(canonical_json(config_dict) + "\n")
-    files.append(cfg_path)
-
-    scan_path = out / "scan.csv"
-    write_scan_csv(scan_path, scan_result.points)
-    files.append(scan_path)
-
-    summary = {
-        "classifications": {repr(r): c for r, c in scan_result.classifications.items()},
-        "uncertified_points": [
-            {"coupling_ratio": p.coupling_ratio, "gamma": p.gamma, "residual": p.residual}
-            for p in scan_result.points
-            if p.applicable and not p.converged
-        ],
-    }
-    summary_path = out / "scan_summary.json"
-    summary_path.write_text(canonical_json(summary) + "\n")
-    files.append(summary_path)
-
-    manifest = {
-        "schema_version": config_dict["schema_version"],
-        "name": scan_result.config.name,
-        "build": build_id,
-        "config_hash": config_hash(config_dict),
-        "flags": [
-            f"uncertified steady state at ratio {p.coupling_ratio}, gamma {p.gamma}"
-            for p in scan_result.points
-            if p.applicable and not p.converged
-        ],
-        "files": {f.name: sha256_file(f) for f in files},
-    }
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(canonical_json(manifest) + "\n")
-    return manifest_path
+    uncertified = [p for p in scan_result.points if p.applicable and not p.converged]
+    run = RunDirectory(out_dir)
+    run.json("config.json", config_dict)
+    columns = ("coupling_ratio", "gamma", "steady_e_n", "converged", "residual", "first_max", "applicable")
+    run.csv("scan.csv", columns, scan_rows(scan_result.points))
+    run.json(
+        "scan_summary.json",
+        {
+            "classifications": {repr(r): c for r, c in scan_result.classifications.items()},
+            "uncertified_points": [
+                {"coupling_ratio": p.coupling_ratio, "gamma": p.gamma, "residual": p.residual} for p in uncertified
+            ],
+        },
+    )
+    return run.manifest(
+        schema_version=config_dict["schema_version"],
+        name=scan_result.config.name,
+        build=build_id,
+        config_hash=config_hash(config_dict),
+        flags=[f"uncertified steady state at ratio {p.coupling_ratio}, gamma {p.gamma}" for p in uncertified],
+    )
 
 
 def emit_bounds_outputs(matrices: dict, results: dict, out_dir: str | Path, build_id: str) -> Path:
     """Persist correlation-bound evaluations of externally measured data."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    files = []
-    path = out / "bounds.csv"
-    lines = ["i,j,c1,c2,c2_opt,asymmetry"]
-    for pair in sorted(results):
-        row = results[pair]
-        lines.append(
-            ",".join(
-                [
-                    str(pair[0]),
-                    str(pair[1]),
-                    _fmt(row["c1"]),
-                    _fmt(row["c2"]),
-                    _fmt(row["c2_opt"]),
-                    _fmt(matrices[pair].asymmetry),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
-    files.append(path)
-
-    manifest = {
-        "schema_version": 1,
-        "build": build_id,
-        "pairs": [list(p) for p in sorted(results)],
-        "flags": [flag for p in sorted(results) for flag in asymmetry_flags(p, matrices[p].asymmetry)],
-        "files": {f.name: sha256_file(f) for f in files},
-    }
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(canonical_json(manifest) + "\n")
-    return manifest_path
+    pairs = sorted(results)
+    run = RunDirectory(out_dir)
+    rows = (
+        [str(i), str(j), *(_fmt(results[(i, j)][m]) for m in ("c1", "c2", "c2_opt")), _fmt(matrices[(i, j)].asymmetry)]
+        for i, j in pairs
+    )
+    run.csv("bounds.csv", ("i", "j", "c1", "c2", "c2_opt", "asymmetry"), rows)
+    return run.manifest(
+        schema_version=1,
+        build=build_id,
+        pairs=[list(p) for p in pairs],
+        flags=[flag for p in pairs for flag in asymmetry_flags(p, matrices[p].asymmetry)],
+    )

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 import qubitchain as qc
 from conftest import unitary_propagate
+from qubitchain.cli import main as cli_main
 from qubitchain.harness import (
     ConfigError,
     ScanConfig,
@@ -108,6 +111,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="pair"):
             small_config(observables={"pairs": [[1, 9]], "measures": ["e_n"]})
 
+    @pytest.mark.parametrize("seed", [-3, 2**64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            small_config(seed=seed)
+        # the CLI --seed override goes through dataclasses.replace
+        with pytest.raises(ConfigError, match="seed"):
+            replace(small_config(), seed=seed)
+
     def test_overlapping_blocks_rejected(self):
         with pytest.raises(ConfigError, match="blocks"):
             small_config(observables={"pairs": [], "blocks": [[[1, 2], [2, 3]]], "measures": ["e_n"]})
@@ -190,6 +201,12 @@ class TestFirstMaximum:
     def test_monotone_series_has_no_maximum(self):
         times = np.linspace(0, 5, 20)
         assert first_maximum(times, times / 5) is None
+
+    def test_series_flat_up_to_roundoff_has_no_maximum(self):
+        # a stationary state: E_N constant up to its last bits
+        times = np.linspace(0, 20, 41)
+        series = 0.0224 * (1 + 1e-14 * np.random.default_rng(3).standard_normal(41))
+        assert first_maximum(times, series) is None
 
 
 class TestRunScenario:
@@ -527,6 +544,36 @@ class TestEmitOutputs:
         for name, digest in manifest["files"].items():
             assert sha256_file(tmp_path / "run" / name) == digest
 
+    def test_manifest_lists_exactly_the_files_written(self, tmp_path):
+        cfg = small_config(
+            noise={"gamma": 0.01, "n_thermal": 0.0},
+            disorder={"fraction": 0.05, "targets": ["delta"], "ensemble_size": 2},
+            observables={
+                "pairs": [[1, 2], [2, 3]],
+                "measures": ["e_n", "c1", "c2", "c2_opt"],
+                "blocks": [[[1, 2], [3, 4]]],
+                "frozen_axes": True,
+            },
+        )
+        result = run_scenario(cfg)
+        corr = tmp_path / "corr.csv"
+        corr.write_text("i,j,a,b,value\n" + "".join(f"1,2,{a},{b},{0.5 * (a == b)}\n" for a in "xyz" for b in "xyz"))
+        assert cli_main(["bounds", "--correlations", str(corr), "--out", str(tmp_path / "bounds")]) == 0
+        manifests = [
+            emit_outputs(result, tmp_path / "run", "build-test"),
+            emit_scan_outputs(steady_state_scan(ScanConfig.from_dict(SMALL_SCAN)), tmp_path / "scan", "build-test"),
+            tmp_path / "bounds" / "manifest.json",
+        ]
+        for manifest in manifests:
+            listed = set(json.loads(manifest.read_text())["files"])
+            assert listed == {p.name for p in manifest.parent.iterdir()} - {"manifest.json"}
+        assert {"blocks.csv", "frozen_axes.csv", "timeseries_std.csv"} <= {p.name for p in (tmp_path / "run").iterdir()}
+
+        lines = (tmp_path / "run" / "blocks.csv").read_text().splitlines()
+        mean = result.block_series[((1, 2), (3, 4))].mean(axis=0)
+        assert lines[0] == "time,block_a,block_b,e_n"
+        assert lines[1:] == [f"{float(t)!r},1+2,3+4,{float(v)!r}" for t, v in zip(result.times, mean)]
+
 
 class TestSteadyScan:
     def test_classification_rules(self):
@@ -568,10 +615,13 @@ class TestSteadyScan:
 
 class TestCli:
     def _run(self, *argv):
+        # the child imports the package this test imported, installed or not
+        env = dict(os.environ, PYTHONPATH=str(Path(qc.__file__).parents[1]))
         return subprocess.run(
             [sys.executable, "-m", "qubitchain.cli", *argv],
             capture_output=True,
             text=True,
+            env=env,
         )
 
     def test_run_command_end_to_end(self, tmp_path):
@@ -607,6 +657,17 @@ class TestCli:
         error = json.loads((out / "error.json").read_text())
         assert error["type"] == "ConfigError"
         assert re.search(r"exact solver .* estimated peak [\d.]+ GiB exceeds the [\d.]+ GiB", error["error"])
+
+    @pytest.mark.parametrize("threads", ["-2", "0"])
+    def test_nonpositive_threads_write_error(self, tmp_path, threads):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(t_max=5.0).to_dict()))
+        out = tmp_path / "out"
+        proc = self._run("run", "--config", str(cfg_path), "--out", str(out), "--threads", threads)
+        assert proc.returncode == 1
+        error = json.loads((out / "error.json").read_text())
+        assert "threads" in error["error"]
+        assert not (out / "manifest.json").exists()
 
     def test_bad_config_writes_error_manifest(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
