@@ -1,17 +1,22 @@
 """Matrix-product representation of density matrices and a TEBD evolver.
 
-A chain density matrix is expanded in the basis of per-site matrix units
+A chain density matrix is expanded in the orthonormal Hermitian basis of
+per-site Pauli matrices (Zwolak & Vidal, PRL 93, 207205 (2004))
 
-    e1 = |0><0|, e2 = |0><1|, e3 = |1><0|, e4 = |1><1|,
+    p1 = I/sqrt2, p2 = X/sqrt2, p3 = Y/sqrt2, p4 = Z/sqrt2,
 
 so each site carries a physical index s in {1..4} and
 
-    rho = sum_s  c(s_1..s_N)  e_{s_1} x ... x e_{s_N},
+    rho = sum_s  c(s_1..s_N)  p_{s_1} x ... x p_{s_N},
 
-with the coefficients c given by a matrix product of site tensors.  The
-tensors are stored with the bond weights absorbed to the right (the
-"B-form" of pure-state TEBD), so c(s_1..s_N) = T_1^{s_1} T_2^{s_2} ... and
-the stored bond-weight vectors act only as relative environment weights for
+with the coefficients c given by a matrix product of real site tensors.  A
+Hermitian rho has real coefficients, and every generator here preserves
+Hermiticity, so tensors, gates and bond SVDs are all float64.  The basis
+change is a local unitary on each physical index, so bond singular values
+and truncation match those of the matrix-unit expansion.  The tensors are
+stored with the bond weights absorbed to the right (the "B-form" of
+pure-state TEBD), so c(s_1..s_N) = T_1^{s_1} T_2^{s_2} ... and the stored
+bond-weight vectors act only as relative environment weights for
 truncation; for mixed states they are not Schmidt coefficients.
 
 Time evolution Trotterizes the master equation of :mod:`qubitchain.lindblad`
@@ -38,15 +43,22 @@ from scipy.linalg import expm
 from .chain import ChainSpec, mixing_angles
 from .lindblad import RateSet
 from .negativity import ReducedState
-from .pauli import ID2, SM, SP, SX, SZ
+from .pauli import ID2, SM, SP, SX, SY, SZ
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_TRUNCATION_CEILING = 1e-6
 _SV_FLOOR = 1e-14  # relative floor below which singular values are dropped
+_IMAG_LIMIT = 1e-12  # largest imaginary part a real-basis conversion may drop
 
-# Trace functional on the physical index: tr(e1) = tr(e4) = 1.
-_TRACE_VEC = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
+# Row k maps a row-major vectorized 2x2 matrix m to tr(P_k m)/sqrt2 for
+# P_k in (I, X, Y, Z); it is unitary, and its conjugate transpose maps the
+# Pauli coefficients back to the vectorized matrix.
+_TO_PAULI = np.array([p.T.reshape(4) for p in (ID2, SX, SY, SZ)]) / math.sqrt(2.0)
+_FROM_PAULI = _TO_PAULI.conj().T
+
+# Trace functional on the physical index: tr(I/sqrt2) = sqrt2, the rest are traceless.
+_TRACE_VEC = np.array([math.sqrt(2.0), 0.0, 0.0, 0.0])
 
 _YOSHIDA_C1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 
@@ -147,32 +159,51 @@ def validate_local_state(rho: np.ndarray) -> None:
         raise ValueError("local state is not positive")
 
 
+def _real(op: np.ndarray, what: str) -> np.ndarray:
+    """Real part of an operator in the Pauli basis, refusing a dropped imaginary part above `_IMAG_LIMIT`."""
+    imag = float(np.abs(op.imag).max())
+    if imag > _IMAG_LIMIT:
+        raise RuntimeError(f"{what} has imaginary part {imag:.3e} in the Pauli basis")
+    return np.ascontiguousarray(op.real)
+
+
+def _dense_from_coefficients(coeff: np.ndarray, m: int) -> np.ndarray:
+    """2^m x 2^m matrix of the real Pauli coefficients `coeff` (length 4^m, site-major) on m sites."""
+    units = coeff.reshape((4,) * m)
+    for _ in range(m):
+        # Back to matrix units on the last axis, moved to the front: after m passes the order is restored.
+        units = np.tensordot(_FROM_PAULI, units, axes=(1, m - 1))
+    units = units.reshape((2, 2) * m)
+    rows = tuple(range(0, 2 * m, 2))
+    cols = tuple(range(1, 2 * m, 2))
+    return units.transpose(rows + cols).reshape(2**m, 2**m)
+
+
 def mps_from_product(local_states: list[np.ndarray], bond_dim: int = 1) -> MpsMixedState:
     """Bond-dimension-1 representation of a product of single-site states.
 
-    The four matrix-unit coefficients of a 2x2 matrix are just its entries
-    in row-major order, so each site tensor is that flattened matrix.
+    Each site tensor holds the Pauli coefficients tr(P rho)/sqrt2 of its
+    state.  Their imaginary parts come only from the anti-Hermitian part of
+    rho, which `validate_local_state` bounds by 1e-12, and are dropped.
     """
     n = len(local_states)
     if n < 2:
         raise ValueError("at least two sites required")
     tensors = []
     for rho in local_states:
-        validate_local_state(np.asarray(rho, dtype=complex))
-        tensors.append(np.asarray(rho, dtype=complex).reshape(1, 4, 1))
+        rho = np.asarray(rho, dtype=complex)
+        validate_local_state(rho)
+        tensors.append((_TO_PAULI @ rho.reshape(4)).real.reshape(1, 4, 1))
     weights = [np.ones(1) for _ in range(n - 1)]
     return MpsMixedState(n, tensors, weights, max(bond_dim, 1))
 
 
 def mps_trace(state: MpsMixedState) -> float:
     """Full trace via the per-site trace functional."""
-    v = np.ones((1,), dtype=complex)
+    v = np.ones(1)
     for t in state.tensors:
         v = v @ np.tensordot(_TRACE_VEC, t, axes=(0, 1))
-    value = complex(v[0])
-    if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
-        logger.warning("mps_trace has imaginary part %.3e", value.imag)
-    return float(value.real)
+    return float(v[0])
 
 
 def _transfer_matrices(state: MpsMixedState) -> list[np.ndarray]:
@@ -182,8 +213,9 @@ def _transfer_matrices(state: MpsMixedState) -> list[np.ndarray]:
 def reduced_sites_dm(state: MpsMixedState, sites, drift_limit: float = 1e-4) -> ReducedState:
     """Reduced density matrix on 1 to 4 sites (1-based, strictly increasing).
 
-    All other sites are contracted against the trace functional; the result
-    is re-Hermitized and renormalized, and the correction applied is logged
+    All other sites are contracted against the trace functional and only
+    the retained sites are converted back to matrix units; the result is
+    re-Hermitized and renormalized, and the correction applied is logged
     (warned about above `drift_limit`).
     """
     kept = tuple(int(s) for s in sites)
@@ -196,18 +228,14 @@ def reduced_sites_dm(state: MpsMixedState, sites, drift_limit: float = 1e-4) -> 
     keep_set = set(kept)
     # acc[(s_i1..s_ik), D]: sweep left to right, keeping physical indices of
     # retained sites and tracing the rest.
-    acc = np.ones((1, 1), dtype=complex)
+    acc = np.ones((1, 1))
     for k in range(n):
         if (k + 1) in keep_set:
             nxt = np.tensordot(acc, state.tensors[k], axes=(1, 0))  # (phys, 4, Dr)
             acc = nxt.reshape(acc.shape[0] * 4, -1)
         else:
             acc = acc @ transfer[k]
-    coeff = acc[:, 0].reshape((2, 2) * len(kept))
-    m = len(kept)
-    rows = tuple(range(0, 2 * m, 2))
-    cols = tuple(range(1, 2 * m, 2))
-    mat = coeff.transpose(rows + cols).reshape(2**m, 2**m)
+    mat = _dense_from_coefficients(acc[:, 0], len(kept))
     herm = float(np.abs(mat - mat.conj().T).max())
     mat = 0.5 * (mat + mat.conj().T)
     tr = float(np.trace(mat).real)
@@ -231,13 +259,10 @@ def mps_to_dense(state: MpsMixedState) -> np.ndarray:
     n = state.n_sites
     if n > 8:
         raise ValueError("dense reconstruction refused above 8 sites")
-    coeff = np.ones((1, 1), dtype=complex)  # (flattened physical, bond)
+    coeff = np.ones((1, 1))  # (flattened physical, bond)
     for t in state.tensors:
         coeff = np.tensordot(coeff, t, axes=(1, 0)).reshape(coeff.shape[0] * 4, t.shape[2])
-    coeff = coeff[:, 0].reshape((2,) * (2 * n))
-    rows = tuple(range(0, 2 * n, 2))
-    cols = tuple(range(1, 2 * n, 2))
-    return coeff.transpose(rows + cols).reshape(2**n, 2**n)
+    return _dense_from_coefficients(coeff[:, 0], n)
 
 
 def _svd_safe(matrix: np.ndarray):
@@ -276,11 +301,12 @@ def bond_hamiltonians(spec: ChainSpec) -> list[np.ndarray]:
 
 
 def _coherent_gate(h_bond: np.ndarray, tau: float) -> np.ndarray:
-    """Superoperator of rho -> U rho U^dag on two sites, indexed site-major."""
+    """Real 16x16 superoperator of rho -> U rho U^dag on two sites, Pauli basis, indexed site-major."""
     u = expm(-1j * tau * h_bond)
     m = np.kron(u, u.conj())  # row-major vec: indices (a_i a_j b_i b_j)
-    g = m.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(4, 4, 4, 4)
-    return g
+    g = m.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)  # (s_i s_j), matrix units
+    basis = np.kron(_TO_PAULI, _TO_PAULI)
+    return _real(basis @ g @ basis.conj().T, "coherent gate")
 
 
 def _dissipative_superoperator(g_relax: float, g_excite: float, g_dephase: float) -> np.ndarray:
@@ -296,6 +322,12 @@ def _dissipative_superoperator(g_relax: float, g_excite: float, g_dephase: float
     l1 += g_excite * (2.0 * sandwich(SM, SP) - sandwich(ID2, p0) - sandwich(p0, ID2))
     l1 += g_dephase * (2.0 * sandwich(SZ, SZ) - 2.0 * eye4)
     return l1
+
+
+def _dissipative_gate(g_relax: float, g_excite: float, g_dephase: float, tau: float) -> np.ndarray:
+    """Real 4x4 propagator of one site's dissipator over `tau`, Pauli basis."""
+    e = expm(tau * _dissipative_superoperator(g_relax, g_excite, g_dephase))
+    return _real(_TO_PAULI @ e @ _FROM_PAULI, "dissipative gate")
 
 
 class MixedTebdEngine:
@@ -342,12 +374,7 @@ class MixedTebdEngine:
                 self._stage_ops.append(("bonds", gates))
             else:
                 locals_ = [
-                    expm(
-                        tau
-                        * _dissipative_superoperator(
-                            rates.g_relax[i], rates.g_excite[i], rates.g_dephase[i]
-                        )
-                    )
+                    _dissipative_gate(rates.g_relax[i], rates.g_excite[i], rates.g_dephase[i], tau)
                     for i in range(n)
                 ]
                 self._stage_ops.append(("sites", locals_))
@@ -361,7 +388,7 @@ class MixedTebdEngine:
         for kind, ops in self._stage_ops:
             if kind == "sites":
                 for i, e in enumerate(ops):
-                    work.tensors[i] = np.einsum("st,ltr->lsr", e, work.tensors[i])
+                    work.tensors[i] = np.matmul(e, work.tensors[i])
             else:
                 for b, gate in ops.items():
                     step_weight += self._apply_bond_gate(work, b, gate)
@@ -385,10 +412,9 @@ class MixedTebdEngine:
         dr = t_right.shape[2]
         lam_left = state.bond_weights[b - 1] if b > 0 else np.ones(1)
 
-        theta_bare = np.tensordot(t_left, t_right, axes=(2, 0))  # (dl, s, s', dr)
-        theta_bare = np.tensordot(gate, theta_bare, axes=([2, 3], [1, 2]))  # (s, s', dl, dr)
-        theta_bare = theta_bare.transpose(2, 0, 1, 3)
-        theta = lam_left[:, None, None, None] * theta_bare
+        pair = t_left.reshape(dl * 4, -1) @ t_right.reshape(-1, 4 * dr)
+        theta_bare = np.matmul(gate, pair.reshape(dl, 16, dr))  # (dl, s s', dr)
+        theta = lam_left[:, None, None] * theta_bare
 
         u, s, vh = _svd_safe(theta.reshape(dl * 4, 4 * dr))
         total = float((s**2).sum())
@@ -404,8 +430,5 @@ class MixedTebdEngine:
         state.tensors[b + 1] = vh.reshape(keep, 4, dr)
         # Hastings update: contract the un-weighted theta with the new right
         # tensor instead of dividing by lam_left.
-        t_new = np.tensordot(
-            theta_bare.reshape(dl, 4, 4 * dr), vh.conj().reshape(keep, 4 * dr), axes=(2, 1)
-        )
-        state.tensors[b] = t_new
+        state.tensors[b] = (theta_bare.reshape(dl * 4, 4 * dr) @ vh.T).reshape(dl, 4, keep)
         return discarded

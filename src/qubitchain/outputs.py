@@ -41,12 +41,27 @@ def sha256_file(path: Path) -> str:
 class RunDirectory:
     """One output directory: each file is checksummed from the bytes on disk,
     and `manifest` lists them all, so a complete manifest certifies a
-    complete run."""
+    complete run.
+
+    An earlier run into the same directory is removed first: its
+    `manifest.json`, the files that manifest lists and any `error.json`.
+    Files the package did not write stay.
+    """
 
     def __init__(self, out_dir: str | Path):
         self.path = Path(out_dir)
         self.path.mkdir(parents=True, exist_ok=True)
         self.files: dict[str, str] = {}
+        stale = ["error.json", "manifest.json"]
+        try:
+            stale += list(json.loads((self.path / "manifest.json").read_text())["files"])
+        except (OSError, ValueError, KeyError, TypeError):
+            pass  # no earlier manifest, or not one this package wrote
+        for name in stale:
+            # Only plain file names: a manifest is a file anyone can edit.
+            path = self.path / str(name)
+            if path.parent == self.path and path.is_file():
+                path.unlink()
 
     def text(self, name: str, text: str) -> None:
         path = self.path / name

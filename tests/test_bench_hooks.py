@@ -32,6 +32,28 @@ def test_traced_setup_only_launch_exits_cleanly(tmp_path):
     assert "entry_monotonic" in json.loads(report.read_text())
 
 
+def test_traced_mps_run_reports_step_and_svd_spans(tmp_path):
+    # The SVD span wraps np.linalg.svd only when qubitchain.mps calls it.
+    cfg = json.loads((ROOT / "configs" / "long_chain_mps.json").read_text())
+    cfg["chain"]["n_qubits"] = 6
+    cfg["t_max"] = 0.2
+    cfg["solver"]["dt"] = cfg["dt"] = 0.1
+    cfg["sample_every"] = 1
+    cfg["observables"]["pairs"] = [[1, 2]]
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    report = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "launch.py"), "--report", str(report), "--trace", "--",
+         "run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(report.read_text())["spans"]
+    for name in ("mps.step", "mps.svd"):
+        assert spans.get(name, {}).get("calls", 0) > 0, name
+
+
 def test_steady_result_keeps_the_field_the_tracer_reads():
     # Read by the tracer's callback once a traced steady_state returns, so a
     # setup-only launch does not reach it.

@@ -574,6 +574,43 @@ class TestEmitOutputs:
         assert lines[0] == "time,block_a,block_b,e_n"
         assert lines[1:] == [f"{float(t)!r},1+2,3+4,{float(v)!r}" for t, v in zip(result.times, mean)]
 
+    def test_rerun_into_same_directory_leaves_only_its_own_files(self, tmp_path):
+        wide = small_config(
+            t_max=5.0,
+            noise={"gamma": 0.01, "n_thermal": 0.0},
+            observables={
+                "pairs": [[1, 2], [2, 3]],
+                "measures": ["e_n", "c1", "c2", "c2_opt"],
+                "blocks": [[[1, 2], [3, 4]]],
+                "frozen_axes": True,
+            },
+        )
+        configs = {"wide": wide.to_dict(), "narrow": small_config(t_max=5.0).to_dict()}
+        for name, data in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        out = tmp_path / "out"
+        (out / "notes.txt").parent.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        run = ["run", "--out", str(out), "--config"]
+        assert cli_main([*run, str(tmp_path / "wide.json")]) == 0
+        assert {"blocks.csv", "frozen_axes.csv", "pair_2_3.svg"} <= {p.name for p in out.iterdir()}
+        assert cli_main([*run, str(tmp_path / "narrow.json"), "--threads", "0"]) == 1
+        assert (out / "error.json").exists()
+        assert cli_main([*run, str(tmp_path / "narrow.json")]) == 0
+        listed = set(json.loads((out / "manifest.json").read_text())["files"])
+        assert {p.name for p in out.iterdir()} == listed | {"manifest.json", "notes.txt"}
+        assert "pair_2_3.svg" not in listed
+
+    def test_rerun_keeps_files_outside_the_directory(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        outside = tmp_path / "outside.csv"
+        outside.write_text("kept\n")
+        files = {"../outside.csv": "x", str(outside): "x", "..": "x"}
+        (out / "manifest.json").write_text(json.dumps({"files": files}))
+        emit_outputs(run_scenario(small_config(t_max=1.0)), out, "build-test")
+        assert outside.read_text() == "kept\n"
+
 
 class TestSteadyScan:
     def test_classification_rules(self):

@@ -10,6 +10,7 @@ from qubitchain.mps import (
     mps_to_dense,
     mps_trace,
     reduced_pair_dm,
+    reduced_sites_dm,
 )
 
 GROUND = np.diag([1.0, 0.0]).astype(complex)
@@ -39,14 +40,15 @@ class TestTrotterPlan:
 
 class TestProductConstruction:
     def test_all_ground_tensor_coefficients(self):
+        # Pauli coefficients tr(P rho)/sqrt2 for P = I, X, Y, Z.
         state = product_state(4)
         for t in state.tensors:
-            assert np.allclose(t[0, :, 0], [1, 0, 0, 0])
+            assert np.allclose(t[0, :, 0], np.array([1, 0, 0, 1]) / np.sqrt(2))
 
     def test_maximally_mixed_coefficients(self):
         state = product_state(4, MIXED)
         for t in state.tensors:
-            assert np.allclose(t[0, :, 0], [0.5, 0, 0, 0.5])
+            assert np.allclose(t[0, :, 0], [1 / np.sqrt(2), 0, 0, 0])
 
     def test_dense_reconstruction_matches_tensor_product(self, rng):
         locals_ = []
@@ -76,6 +78,17 @@ class TestTrace:
 
 
 class TestReducedPair:
+    def test_reduction_is_exactly_hermitian(self):
+        spec = qc.ChainSpec.homogeneous(6)
+        rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.01, 0.05))
+        engine = MixedTebdEngine(spec, rates, TrotterPlan.build(0.1, 4), bond_dim=16)
+        state = product_state(6, bond_dim=16)
+        for _ in range(10):
+            state = engine.step(state)
+        for sites in ((1, 2), (3, 4), (2, 5), (1, 3, 6), (1, 2, 3, 4)):
+            mat = reduced_sites_dm(state, sites).matrix
+            assert np.array_equal(mat, mat.conj().T), sites
+
     def test_product_pair(self):
         state = product_state(5, MIXED)
         rs = reduced_pair_dm(state, 2, 4)
@@ -155,12 +168,23 @@ class TestTebd:
         for _ in range(100):
             state = engine.step(state)
         dense = mps_to_dense(state)
-        from qubitchain.mps import reduced_sites_dm
-
         for sites in ((1, 2, 3, 4), (1, 3, 5), (2, 4), (3,)):
             rs = reduced_sites_dm(state, sites)
             expected = qc.reduce(dense, sites).matrix
             assert np.abs(rs.matrix - expected).max() < 1e-10
+
+    def test_tensors_and_stage_ops_are_real(self):
+        spec = qc.ChainSpec.homogeneous(5)
+        rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.01, 0.1))
+        engine = MixedTebdEngine(spec, rates, TrotterPlan.build(0.1, 4), bond_dim=16)
+        for _, ops in engine._stage_ops:
+            for op in ops.values() if isinstance(ops, dict) else ops:
+                assert op.dtype == np.float64
+        state = product_state(5, bond_dim=16)
+        for _ in range(5):
+            state = engine.step(state)
+        assert max(state.bond_dims()) > 1
+        assert all(t.dtype == np.float64 for t in state.tensors)
 
     def test_truncation_weight_flagged_when_bond_starved(self):
         spec = qc.ChainSpec.homogeneous(6, 0.0, 0.1, 0.1)
