@@ -14,8 +14,10 @@ supported:
            - 1/2 sum_i K_i (c_i Z_i + s_i X_i)(c_{i+1} Z_{i+1} + s_{i+1} X_{i+1})
   with w_i = sqrt(eps_i^2 + del_i^2), c_i = cos(theta_i), s_i = sin(theta_i).
 
-Both builders produce the same spectrum; the eigenbasis frame is the one in
-which the dissipative rates of :mod:`qubitchain.lindblad` are defined.
+Both frames have the same spectrum; the eigenbasis frame is the one in
+which the dissipative rates of :mod:`qubitchain.lindblad` are defined.  The
+lab frame is built as a dense matrix, the eigenbasis frame as its diagonal
+blocks (:func:`build_hamiltonian_eigen`), the form the solvers take.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from .pauli import flip_map, z_pattern
 DENSE_SITE_LIMIT = 14
 
 DISORDER_TARGETS = ("epsilon", "delta", "coupling")
+
+# A Hamiltonian as its diagonal blocks: (basis indices, block) pairs.
+HamiltonianBlocks = list[tuple[np.ndarray, np.ndarray]]
 
 
 def _as_tuple(values: float | Sequence[float], n: int, name: str) -> tuple[float, ...]:
@@ -156,76 +161,62 @@ def _check_dense_size(n: int) -> None:
         )
 
 
-def _new_dense(n: int) -> np.ndarray:
-    # Every term of both frames is real.
-    return np.zeros((2**n, 2**n))
-
-
-def _add_diagonal(h: np.ndarray, diag: np.ndarray) -> None:
-    h[np.diag_indices_from(h)] += diag
-
-
-def _add_flip(h: np.ndarray, col_map: np.ndarray, values: np.ndarray | float) -> None:
-    # Adds value[j] at (j, col_map[j]); for involutive maps this fills both
-    # triangles symmetrically in one pass.
-    h[np.arange(h.shape[0]), col_map] += values
-
-
 def build_hamiltonian_lab(spec: ChainSpec) -> np.ndarray:
     """Dense real lab-frame chain Hamiltonian (site 1 most significant)."""
     n = spec.n_qubits
     _check_dense_size(n)
-    h = _new_dense(n)
+    index = np.arange(2**n)
+    h = np.zeros((2**n, 2**n))
     diag = np.zeros(2**n)
     for i in range(1, n + 1):
         diag += -0.5 * spec.epsilon[i - 1] * z_pattern(i, n)
-        _add_flip(h, flip_map(i, n), -0.5 * spec.delta[i - 1])
+        h[index, flip_map(i, n)] += -0.5 * spec.delta[i - 1]
     for i in range(1, n):
         diag += -0.5 * spec.coupling[i - 1] * z_pattern(i, n) * z_pattern(i + 1, n)
-    _add_diagonal(h, diag)
+    h[index, index] += diag
     return h
 
 
-def build_hamiltonian_eigen(spec: ChainSpec) -> np.ndarray:
-    """Dense real eigenbasis-frame chain Hamiltonian (same spectrum as the lab frame)."""
+def build_hamiltonian_eigen(spec: ChainSpec) -> HamiltonianBlocks:
+    """Real eigenbasis-frame chain Hamiltonian as (basis indices b, block H'[b, b]) pairs.
+
+    With every epsilon_i = 0 (theta_i = pi/2) the couplings flip sites in
+    pairs, so H' commutes with the parity prod_i Z_i: the blocks are the
+    even and then the odd popcount sector.  The one-site flips that would
+    couple them, K c_i s_j / 2 with c_i = cos(pi/2) = 6e-17 (1.5e-18), are
+    not built.  Otherwise one block holds every index.  Terms are summed in
+    the order of the full matrix, so each block equals its part bitwise.
+    """
     n = spec.n_qubits
     _check_dense_size(n)
     angles = mixing_angles(spec)
     c = np.cos(angles.theta)
     s = np.sin(angles.theta)
-    h = _new_dense(n)
+    parity = not any(spec.epsilon)
     diag = np.zeros(2**n)
+    flips = []  # (flipped bits, value of each row), in summation order
     for i in range(1, n + 1):
         diag += -0.5 * angles.omega[i - 1] * z_pattern(i, n)
     for i in range(1, n):
         k = -0.5 * spec.coupling[i - 1]
         zi, zj = z_pattern(i, n), z_pattern(i + 1, n)
-        fi, fj = flip_map(i, n), flip_map(i + 1, n)
+        bi, bj = 1 << (n - i), 1 << (n - i - 1)
         ci, si, cj, sj = c[i - 1], s[i - 1], c[i], s[i]
         diag += k * ci * cj * zi * zj
-        _add_flip(h, fj, k * ci * sj * zi)
-        _add_flip(h, fi, k * si * cj * zj)
-        _add_flip(h, fi[fj], k * si * sj)
-    _add_diagonal(h, diag)
-    return h
-
-
-def parity_blocks(spec: ChainSpec) -> list[np.ndarray]:
-    """Basis indices of the diagonal blocks of the eigenbasis-frame Hamiltonian.
-
-    With every epsilon_i = 0 (theta_i = pi/2) the couplings flip sites in
-    pairs, so H' commutes with the parity prod_i Z_i and splits into the
-    even and odd popcount sectors; otherwise one block holds every index.
-    The split is read from the spec, not from H': its parity-odd entries
-    are K c_i s_j / 2 with c_i = cos(pi/2) = 6e-17, about 1.5e-18, and are
-    dropped by the split.
-    """
-    n = spec.n_qubits
+        if not parity:
+            flips += [(bj, k * ci * sj * zi), (bi, k * si * cj * zj)]
+        flips.append((bi | bj, np.full(2**n, k * si * sj)))
     index = np.arange(2**n)
-    if any(e != 0.0 for e in spec.epsilon):
-        return [index]
     odd = np.prod([z_pattern(i, n) for i in range(1, n + 1)], axis=0) < 0
-    return [index[~odd], index[odd]]
+    out = []
+    for b in [index[~odd], index[odd]] if parity else [index]:
+        rows = np.arange(len(b))
+        h = np.zeros((len(b), len(b)))
+        for bits, values in flips:
+            h[rows, np.searchsorted(b, b ^ bits)] += values[b]
+        h[rows, rows] += diag[b]
+        out.append((b, h))
+    return out
 
 
 def sample_disorder(spec: ChainSpec, dis: DisorderSpec) -> ChainSpec:

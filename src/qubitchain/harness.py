@@ -62,10 +62,10 @@ import numpy as np
 from .chain import (
     ChainSpec,
     DisorderSpec,
+    HamiltonianBlocks,
     QuenchSpec,
     build_hamiltonian_eigen,
     mixing_angles,
-    parity_blocks,
     sample_disorder,
 )
 from .lindblad import (
@@ -73,6 +73,7 @@ from .lindblad import (
     RateSet,
     block_stack,
     couples_blocks,
+    block_matrix,
     nbar_from_temperature,
     rates_from_angles,
     steady_state,
@@ -118,7 +119,8 @@ class ConfigError(ValueError):
 # (1, 2) and (1, N) (real H, half-size block eigh, the chunk of amplitudes
 # and its reduction); 5.1/5.0/4.6 for a thermal state (its preparation, the
 # eigenbasis blocks and one sample).  Each count below leaves about one
-# spare; with noise 1.7 at N = 11 and about 0.6 at N = 14.
+# spare; with noise 1.7 at N = 11 and about 0.6 at N = 14.  All were taken
+# with H built whole and then copied per block, so they now err high.
 _NOISY_ARRAYS, _PURE_ARRAYS, _MIXED_ARRAYS = 15, 5, 6
 # Interpreter, numpy and scipy, counted once per process.
 _PROCESS_BYTES = 128 * 2**20
@@ -136,7 +138,7 @@ def exact_member_bytes(n_qubits: int, noisy: bool, pure: bool = True, sectors: i
 
 def _parity_sectors(chain: ChainSpec, disorder_targets=()) -> int:
     """Number of parity blocks of every member: 2 when each epsilon_i = 0 and
-    stays so (no epsilon disorder), else 1 (see :func:`qubitchain.chain.parity_blocks`)."""
+    stays so (no epsilon disorder), else 1 (see :func:`qubitchain.chain.build_hamiltonian_eigen`)."""
     return 1 if any(chain.epsilon) or "epsilon" in disorder_targets else 2
 
 
@@ -442,13 +444,11 @@ def _prepare_initial(config: ScenarioConfig, chain_fin: ChainSpec) -> np.ndarray
         return eigenbasis_product(n)
     if kind == "bell_head_eigen":
         return eigenbasis_bell_head(n)
-    chain_ini = _initial_coupling_chain(config, chain_fin)
-    h_ini = build_hamiltonian_eigen(chain_ini)
     # Per parity block: the state has exactly no weight in the other sector.
-    blocks = parity_blocks(chain_ini)
+    h_ini = build_hamiltonian_eigen(_initial_coupling_chain(config, chain_fin))
     if kind == "ground_of_k_ini":
-        return ground_state(h_ini, blocks=blocks).vector
-    return thermal_state(h_ini, config.initial_temperature_mk * 1e-3, config.chain.energy_unit_kelvin, blocks)
+        return ground_state(h_ini).vector
+    return thermal_state(h_ini, config.initial_temperature_mk * 1e-3, config.chain.energy_unit_kelvin)
 
 
 def _measure_pair(pair_state: ReducedState, xs: list[CorrelationMatrix] | None, measures) -> dict:
@@ -477,13 +477,12 @@ Accessor = Callable[[tuple[int, ...]], ReducedState]
 
 def propagate(
     state0: np.ndarray | MpsMixedState,
-    h: np.ndarray | None,
+    h: HamiltonianBlocks | None,
     rates: RateSet,
     t_max: float,
     dt: float,
     sample_every: int = 1,
     engine: MixedTebdEngine | None = None,
-    blocks: list[np.ndarray] | None = None,
 ) -> Iterator[tuple[np.ndarray, Accessor]]:
     """Propagate one state and yield (times, accessor) blocks that cover :func:`sample_grid` in order.
 
@@ -491,11 +490,11 @@ def propagate(
     matrices at `times`, stacked as (len(times), 2^m, 2^m), and stays valid
     after later blocks are drawn.  With `engine`, `state0` is an
     MpsMixedState advanced by TEBD steps of `dt` and `h` is unused.
-    Otherwise `state0` is a state vector or density matrix under the dense
-    real Hamiltonian `h`, and `blocks` lists the basis indices of the
-    diagonal blocks of `h` (default one block of every index;
-    :func:`qubitchain.chain.parity_blocks` gives the parity sectors).
-    TEBD and RK4 yield one sample per block.
+    Otherwise `state0` is a state vector or density matrix under the
+    Hamiltonian `h`, given as its diagonal blocks
+    (:func:`qubitchain.chain.build_hamiltonian_eigen`; a dense d x d matrix
+    is one block, ``[(np.arange(d), h)]``).  TEBD and RK4 yield one sample
+    per block.
 
     With noise, RK4 (:func:`qubitchain.lindblad.stream`) integrates the
     diagonal blocks rho[b, b] of the density matrix, and the accessor reads
@@ -518,22 +517,23 @@ def propagate(
                 done += 1
             yield times[k : k + 1], partial(_mps_sample, state)
     elif rates.is_zero():
-        yield from _propagate_unitary(state0, h, times, blocks or [np.arange(len(h))])
+        yield from _propagate_unitary(state0, h, times)
     else:
-        rho0, blocks = _sector_start(state0, blocks or [np.arange(len(h))])
-        samples = stream(rho0, h, rates, t_max, dt, sample_every, blocks)
+        rho0, h = _sector_start(state0, h)
+        samples = stream(rho0, h, rates, t_max, dt, sample_every)
         del state0, rho0  # the stream keeps its own copy of the blocks
         for t, rho, _, _ in samples:
-            yield np.array([t]), partial(reduce_blocks, rho[None], blocks)
+            yield np.array([t]), partial(reduce_blocks, rho[None], [b for b, _ in h])
 
 
-def _sector_start(state0: np.ndarray, blocks: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Stacked diagonal blocks of the initial density matrix, and the blocks:
-    one block of every index if the state has a nonzero entry between two."""
+def _sector_start(state0: np.ndarray, h: HamiltonianBlocks) -> tuple[np.ndarray, HamiltonianBlocks]:
+    """Stacked diagonal blocks of the initial density matrix, and `h`: its
+    blocks merged into one if the state has a nonzero entry between two."""
     rho0 = density_from_pure(state0) if state0.ndim == 1 else state0
+    blocks, parts = zip(*h)
     if couples_blocks(rho0, blocks):
-        blocks = [np.arange(len(rho0))]
-    return block_stack(rho0, blocks), blocks
+        h = [(np.arange(len(rho0)), block_matrix(parts, blocks))]
+    return block_stack(rho0, [b for b, _ in h]), h
 
 
 def _mps_sample(state: MpsMixedState, sites) -> ReducedState:
@@ -543,16 +543,17 @@ def _mps_sample(state: MpsMixedState, sites) -> ReducedState:
 
 
 def _propagate_unitary(
-    state0: np.ndarray, h: np.ndarray, times: np.ndarray, blocks: list[np.ndarray]
+    state0: np.ndarray, h: HamiltonianBlocks, times: np.ndarray
 ) -> Iterator[tuple[np.ndarray, Accessor]]:
     """The noiseless branch of :func:`propagate`: exact phases in each block's real eigenbasis."""
-    d = len(h)
+    d = len(state0)
     mixed = state0.ndim == 2
     if mixed:
-        state0, blocks = _sector_start(state0, blocks)
+        state0, h = _sector_start(state0, h)
+    blocks = [b for b, _ in h]
     parts = state0 if mixed else [state0[b] for b in blocks]
     # A block that state0 does not reach (no nonzero entry) is never diagonalized.
-    eig = [(k, *np.linalg.eigh(h[np.ix_(b, b)])) for k, b in enumerate(blocks) if parts[k].any()]
+    eig = [(k, *np.linalg.eigh(part)) for k, (_, part) in enumerate(h) if parts[k].any()]
     if not mixed:
         coeffs = [(blocks[k], e, v, v.T @ parts[k]) for k, e, v in eig]
         # At most d samples at once: the amplitudes never outgrow one d x d array.
@@ -580,7 +581,7 @@ def _run_member(config: ScenarioConfig, member: int, pair_series, block_series, 
     """
     chain_fin = _member_chain(config, member)
     rates = rates_from_angles(mixing_angles(chain_fin), config.noise)
-    engine = h = blocks = None
+    engine = h = None
     if config.solver.kind == "mps":
         plan = TrotterPlan.build(config.solver.dt, order=4)
         engine = MixedTebdEngine(chain_fin, rates, plan, config.solver.bond_dim)
@@ -588,9 +589,8 @@ def _run_member(config: ScenarioConfig, member: int, pair_series, block_series, 
         state0 = mps_from_product([ground] * config.chain.n_qubits, bond_dim=config.solver.bond_dim)
     else:
         h = build_hamiltonian_eigen(chain_fin)
-        blocks = parity_blocks(chain_fin)
         state0 = _prepare_initial(config, chain_fin)
-    samples = propagate(state0, h, rates, config.t_max, config.step, config.sample_every, engine, blocks)
+    samples = propagate(state0, h, rates, config.t_max, config.step, config.sample_every, engine)
     del state0  # with noise, propagate lets go of a full initial density matrix
 
     measures = config.observables.measures
@@ -817,13 +817,12 @@ def steady_state_scan(config: ScanConfig) -> ScanResult:
     for ratio in config.coupling_ratios:
         chain = config.chain.with_coupling(ratio * config.chain.delta[0])
         h = build_hamiltonian_eigen(chain)
-        blocks = parity_blocks(chain)
         angles = mixing_angles(chain)
         row_values = []
         for gamma in config.gammas:
             noise = NoiseSpec(gamma, config.n_thermal)
             rates = rates_from_angles(angles, noise)
-            samples = propagate(rho0_vec, h, rates, config.transient_t_max, config.transient_dt, sample, blocks=blocks)
+            samples = propagate(rho0_vec, h, rates, config.transient_t_max, config.transient_dt, sample)
             measured = [(ts, log_negativity(acc(config.pair), part)) for ts, acc in samples]
             times, series = (np.concatenate(column) for column in zip(*measured))
             fm = first_maximum(times, series)
@@ -831,7 +830,7 @@ def steady_state_scan(config: ScanConfig) -> ScanResult:
             if gamma == 0.0 or rates.is_zero():
                 points.append(ScanPoint(ratio, gamma, math.nan, False, math.nan, fm, False))
                 continue
-            res = steady_state(h, rates, config.tol, blocks)
+            res = steady_state(h, rates, config.tol)
             en = log_negativity(reduce(res.state, config.pair), part)
             points.append(ScanPoint(ratio, gamma, en, res.converged, res.residual, fm, True))
             row_values.append(en)

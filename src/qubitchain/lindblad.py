@@ -22,11 +22,11 @@ epsilon_i = 0 the chain has the weak parity symmetry rho -> P rho P with
 P = prod_i Z_i (Buca & Prosen, New J. Phys. 14, 073007 (2012)): H keeps
 each parity sector, every jump s+/-_i flips it and sz_i keeps it, so a
 state without coherence between the even and odd sectors never gains any.
-The sector rho_ee + rho_oo (:func:`qubitchain.chain.parity_blocks`) then
-holds half the entries of rho.  Otherwise one block holds every index and
-the sector is all of rho.  The commutator is taken per block with the
-block's own real sparse H, which drops the 1.5e-18 parity-odd entries of
-H as the noiseless path does.  The rest of the generator is one
+The blocks of rho are those of H as
+:func:`qubitchain.chain.build_hamiltonian_eigen` returns it: the parity
+sectors, whose rho_ee + rho_oo holds half the entries of rho, or one block
+of every index, whose sector is all of rho.  The commutator is taken per
+block with that block of H, made sparse.  The rest of the generator is one
 precomputed sparse matrix on the vectorized sector: the damping on its
 diagonal, and the jumps as the indexed entries that carry rho[i, j] of
 one block into rho[i', j'] of the other (of the same, with one block).
@@ -47,12 +47,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
-import scipy.sparse as sparse
 
-from .chain import MixingAngles, require_hermitian
+from .chain import HamiltonianBlocks, MixingAngles, require_hermitian
 from .pauli import site_bit, z_pattern
 
 # dt must satisfy dt * max(||H||, Gamma) <= this factor (RK4 accuracy guard).
@@ -69,6 +68,10 @@ _POSITIVITY_ABORT = 1e-6
 # which covers the 40 points of steady_scan.json), 1.1e3 on one block
 # (dephasing-only chains with epsilon = 0.05 or in the lab frame).
 _GROWTH_LIMIT = 1e10
+
+# scipy is imported where sparse matrices are built: a noiseless run never loads it.
+if TYPE_CHECKING:
+    import scipy.sparse as sparse
 
 
 @dataclass(frozen=True)
@@ -176,6 +179,8 @@ def _dissipator(rates: RateSet, stacked: np.ndarray) -> sparse.csr_matrix:
     filled row by row in place: this build sets the generator's peak
     memory, and coordinate lists would take more than twice the matrix.
     """
+    import scipy.sparse as sparse
+
     n = rates.n_sites
     n_blocks, m = stacked.shape
     size = n_blocks * m * m
@@ -228,32 +233,36 @@ def _as_pairs(x: np.ndarray) -> np.ndarray:
 class LindbladGenerator:
     """The master-equation right-hand side on the sector of equal-size index blocks.
 
-    `blocks` (default: one block of every index) lists the basis indices of
-    the diagonal blocks of rho that are kept; entries of `h` between two
-    blocks are dropped.  A state is the stack of its diagonal blocks,
-    shaped `shape` = (len(blocks), m, m); with one block a d x d matrix is
-    accepted too.
+    `h` is the Hamiltonian as its diagonal blocks
+    (:func:`qubitchain.chain.build_hamiltonian_eigen`; a dense d x d matrix
+    is one block, ``[(np.arange(d), h)]``), and the diagonal blocks of rho
+    over the same indices are kept.  A state is the stack of its diagonal
+    blocks, shaped `shape` = (len(h), m, m); with one block a d x d matrix
+    is accepted too.
     """
 
-    def __init__(self, h: np.ndarray, rates: RateSet, blocks: list[np.ndarray] | None = None):
-        require_hermitian(h, what="hamiltonian")
-        d = h.shape[0]
+    def __init__(self, h: HamiltonianBlocks, rates: RateSet):
+        import scipy.sparse as sparse
+
+        self.rates = rates
+        self.blocks = [b for b, _ in h]
+        stacked = np.stack(self.blocks)
+        n_blocks, m = stacked.shape
+        d = n_blocks * m
         n = int(round(np.log2(d)))
         if 2**n != d:
             raise ValueError("Hamiltonian dimension must be a power of two")
         if rates.n_sites != n:
             raise ValueError(f"rate set has {rates.n_sites} sites, Hamiltonian has {n}")
-        self.rates = rates
-        self.blocks = [np.arange(d)] if blocks is None else [np.asarray(b) for b in blocks]
-        stacked = np.stack(self.blocks)
         if np.sort(stacked, axis=None).tolist() != list(range(d)):
             raise ValueError("blocks must be equal-size and partition the basis indices")
-        n_blocks, m = stacked.shape
+        for _, part in h:
+            require_hermitian(part, what="hamiltonian")
         self.shape = (n_blocks, m, m)
 
-        # Each block's own H, sparse; real H multiplies complex rho through a
-        # float64 view, so scipy never converts either operand.
-        self._h_parts = [sparse.csr_matrix(h[np.ix_(b, b)]) for b in self.blocks]
+        # Real H multiplies complex rho through a float64 view, so scipy
+        # never converts either operand.
+        self._h_parts = [sparse.csr_matrix(part) for _, part in h]
         self._h = sparse.block_diag(self._h_parts, format="csr")
         self._h_t = self._h.T.tocsr()
         self._real = not np.iscomplexobj(self._h.data)
@@ -295,6 +304,8 @@ class LindbladGenerator:
         commutator -i (H_b kron I - I kron H_b^T) of each block, plus the
         dissipator matrix that `apply` uses.
         """
+        import scipy.sparse as sparse
+
         eye = sparse.identity(self.shape[-1], format="csr")
         commutator = sparse.block_diag([sparse.kron(hb, eye) - sparse.kron(eye, hb.T) for hb in self._h_parts])
         return (-1j * commutator + self._dissipator).tocsr()
@@ -305,10 +316,10 @@ def block_stack(rho: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     return np.stack([rho[np.ix_(b, b)] for b in blocks])
 
 
-def block_matrix(parts: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
-    """The d x d matrix with diagonal blocks `parts` (stacked) and zeros between them."""
+def block_matrix(parts, blocks: list[np.ndarray]) -> np.ndarray:
+    """The d x d matrix with diagonal blocks `parts` (a stack or a sequence) and zeros between them."""
     d = sum(len(b) for b in blocks)
-    out = np.zeros((d, d), dtype=parts.dtype)
+    out = np.zeros((d, d), dtype=parts[0].dtype)
     for part, b in zip(parts, blocks):
         out[np.ix_(b, b)] = part
     return out
@@ -344,29 +355,28 @@ def _rk4_step(gen: LindbladGenerator, rho: np.ndarray, dt: float) -> np.ndarray:
 
 def stream(
     rho0: np.ndarray,
-    h: np.ndarray,
+    h: HamiltonianBlocks,
     rates: RateSet,
     t_max: float,
     dt: float = DEFAULT_DT,
     sample_every: int = 10,
-    blocks: list[np.ndarray] | None = None,
 ) -> Iterator[tuple[float, np.ndarray, float, float]]:
-    """Integrate the master equation on the sector of `blocks`, yielding a
-    snapshot every `sample_every` steps.
+    """Integrate the master equation on the sector of the blocks of `h`,
+    yielding a snapshot every `sample_every` steps.
 
     `rho0` and every snapshot are stacks of diagonal blocks
-    (:func:`block_stack`; with `blocks` None, one block of every index: the
-    d x d matrix under a leading axis of one).  Yields (t, rho, trace
-    drift, Hermiticity drift) at t = 0, every `sample_every` steps and the
-    last step; only the current state and the RK4 stages are held, and a
-    yielded array is never written to again.  Snapshots are re-Hermitized
-    ((rho + rho^dagger)/2 per block) and trace-renormalized; the drift
-    corrected at each snapshot is yielded with it.  Cumulative trace drift
-    beyond 1e-6 or a snapshot eigenvalue below -1e-6 (one stacked eigvalsh
-    over the blocks) aborts with a diagnostic, since either indicates a
-    broken integration rather than roundoff.
+    (:func:`block_stack`; with one block of every index, the d x d matrix
+    under a leading axis of one).  Yields (t, rho, trace drift, Hermiticity
+    drift) at t = 0, every `sample_every` steps and the last step; only the
+    current state and the RK4 stages are held, and a yielded array is never
+    written to again.  Snapshots are re-Hermitized ((rho + rho^dagger)/2 per
+    block) and trace-renormalized; the drift corrected at each snapshot is
+    yielded with it.  Cumulative trace drift beyond 1e-6 or a snapshot
+    eigenvalue below -1e-6 (one stacked eigvalsh over the blocks) aborts
+    with a diagnostic, since either indicates a broken integration rather
+    than roundoff.
     """
-    gen = LindbladGenerator(h, rates, blocks)
+    gen = LindbladGenerator(h, rates)
     if rho0.shape != gen.shape:
         raise ValueError(f"initial state has shape {rho0.shape}, the sector {gen.shape}")
     _check_step(dt, gen)
@@ -411,16 +421,17 @@ def _trace(rho: np.ndarray) -> float:
 
 def evolve(
     rho0: np.ndarray,
-    h: np.ndarray,
+    h: HamiltonianBlocks,
     rates: RateSet,
     t_max: float,
     dt: float = DEFAULT_DT,
     sample_every: int = 10,
 ) -> Trajectory:
-    """Every snapshot of :func:`stream` from the d x d matrix `rho0` (one block), collected."""
-    if rho0.shape != h.shape:
-        raise ValueError("initial state and Hamiltonian dimensions differ")
-    samples = stream(rho0[None], h, rates, t_max, dt, sample_every)
+    """Every snapshot of :func:`stream` from the d x d matrix `rho0`, collected;
+    the blocks of `h` are merged and run as one block of every index."""
+    indices, parts = zip(*h)
+    whole = block_matrix(parts, indices)
+    samples = stream(rho0[None], [(np.arange(len(whole)), whole)], rates, t_max, dt, sample_every)
     times, states, trace_drift, herm_drift = zip(*((t, rho[0], a, b) for t, rho, a, b in samples))
     return Trajectory(np.asarray(times), list(states), np.asarray(trace_drift), np.asarray(herm_drift))
 
@@ -429,18 +440,15 @@ def _certify(gen: LindbladGenerator, rho: np.ndarray) -> float:
     return float(np.linalg.norm(gen.apply(rho))) / max(float(np.linalg.norm(rho)), 1e-300)
 
 
-def steady_state(
-    h: np.ndarray, rates: RateSet, tol: float = 1e-8, blocks: list[np.ndarray] | None = None
-) -> SteadyStateResult:
-    """Null vector of the sparse Liouvillian on the sector of `blocks`, certified by its residual.
+def steady_state(h: HamiltonianBlocks, rates: RateSet, tol: float = 1e-8) -> SteadyStateResult:
+    """Null vector of the sparse Liouvillian on the sector of the blocks of `h`, certified by its residual.
 
-    Solves L vec(rho) = 0 on the stacked diagonal blocks of rho (default
-    one block of every index; the parity blocks of an epsilon_i = 0 chain
-    halve the unknowns) with the first row of L (the equation for the
-    first diagonal entry) replaced by the trace condition tr rho = 1, by
-    one sparse LU factorization; the result is re-Hermitized and
-    trace-normalized, returned as the d x d matrix, and certified
-    (converged=True) when ||drho/dt||_F / ||rho||_F < tol.
+    Solves L vec(rho) = 0 on the stacked diagonal blocks of rho (the parity
+    blocks of an epsilon_i = 0 chain halve the unknowns) with the first row
+    of L (the equation for the first diagonal entry) replaced by the trace
+    condition tr rho = 1, by one sparse LU factorization; the result is
+    re-Hermitized and trace-normalized, returned as the d x d matrix, and
+    certified (converged=True) when ||drho/dt||_F / ||rho||_F < tol.
 
     Requires a unique steady state.  `rates_from_angles` with Gamma > 0
     gives every site a relaxation channel (the mixing angles have
@@ -455,12 +463,12 @@ def steady_state(
     for N = 2 on the sector), so rates below about 1e-10 of the energy
     scale are refused as well.
     """
-    # Imported here: scipy.sparse.linalg adds 2 MB to every process that loads it.
+    import scipy.sparse as sparse
     from scipy.sparse.linalg import splu
 
     if rates.is_zero():
         raise ValueError("steady_state requires a dissipative channel (all rates are zero)")
-    gen = LindbladGenerator(h, rates, blocks)
+    gen = LindbladGenerator(h, rates)
     n_blocks, m, _ = gen.shape
     size = n_blocks * m * m
     diagonal = (np.arange(n_blocks)[:, None] * m * m + np.arange(m) * (m + 1)).ravel()

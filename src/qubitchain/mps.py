@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .chain import ChainSpec, mixing_angles
 from .lindblad import RateSet
@@ -302,6 +301,8 @@ def bond_hamiltonians(spec: ChainSpec) -> list[np.ndarray]:
 
 def _coherent_gate(h_bond: np.ndarray, tau: float) -> np.ndarray:
     """Real 16x16 superoperator of rho -> U rho U^dag on two sites, Pauli basis, indexed site-major."""
+    from scipy.linalg import expm
+
     u = expm(-1j * tau * h_bond)
     m = np.kron(u, u.conj())  # row-major vec: indices (a_i a_j b_i b_j)
     g = m.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)  # (s_i s_j), matrix units
@@ -326,6 +327,8 @@ def _dissipative_superoperator(g_relax: float, g_excite: float, g_dephase: float
 
 def _dissipative_gate(g_relax: float, g_excite: float, g_dephase: float, tau: float) -> np.ndarray:
     """Real 4x4 propagator of one site's dissipator over `tau`, Pauli basis."""
+    from scipy.linalg import expm
+
     e = expm(tau * _dissipative_superoperator(g_relax, g_excite, g_dephase))
     return _real(_TO_PAULI @ e @ _FROM_PAULI, "dissipative gate")
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import require_hermitian
+from .chain import HamiltonianBlocks, require_hermitian
+from .lindblad import block_matrix
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -64,37 +65,35 @@ class GroundState:
     degenerate: bool
 
 
-def _block_eigh(h: np.ndarray, blocks: list[np.ndarray] | None):
-    """(indices, energies, vectors) of each diagonal block of `h` (default one block)."""
-    require_hermitian(h, what="hamiltonian")
-    if blocks is None:
-        return [(np.arange(len(h)), *np.linalg.eigh(h))]
-    return [(b, *np.linalg.eigh(h[np.ix_(b, b)])) for b in blocks]
+def _block_eigh(h: HamiltonianBlocks):
+    """(indices, energies, vectors) of each diagonal block of `h`."""
+    for _, part in h:
+        require_hermitian(part, what="hamiltonian")
+    return [(b, *np.linalg.eigh(part)) for b, part in h]
 
 
-def ground_state(h: np.ndarray, degeneracy_tol: float = 1e-10, blocks: list[np.ndarray] | None = None) -> GroundState:
-    """Ground state of a dense Hermitian operator.
+def ground_state(h: HamiltonianBlocks, degeneracy_tol: float = 1e-10) -> GroundState:
+    """Ground state of a Hermitian operator given as its diagonal blocks
+    (:func:`qubitchain.chain.build_hamiltonian_eigen`; a dense d x d matrix
+    is one block, ``[(np.arange(d), h)]``).
 
-    With `blocks` (the index blocks of a block-diagonal `h`, such as
-    :func:`qubitchain.chain.parity_blocks`) each block is diagonalized on
-    its own and the state lies in one block exactly.  For (numerically)
-    degenerate ground spaces one minimal eigenvector is returned and the
-    `degenerate` flag is set; callers that care must check it.
+    Each block is diagonalized on its own and the state lies in one block
+    exactly.  For (numerically) degenerate ground spaces one minimal
+    eigenvector is returned and the `degenerate` flag is set; callers that
+    care must check it.
     """
-    parts = _block_eigh(h, blocks)
+    parts = _block_eigh(h)
     energies = np.sort(np.concatenate([e for _, e, _ in parts]))
     b, e, v = min(parts, key=lambda part: part[1][0])
-    vec = np.zeros(len(h), dtype=v.dtype)
+    vec = np.zeros(len(energies), dtype=v.dtype)
     vec[b] = v[:, 0]
     gap = float(energies[1] - energies[0]) if len(energies) > 1 else np.inf
     scale = max(1.0, abs(float(energies[0])))
     return GroundState(vec, float(energies[0]), gap, gap < degeneracy_tol * scale)
 
 
-def thermal_state(
-    h: np.ndarray, temperature_kelvin: float, energy_unit_kelvin: float = 1.0, blocks: list[np.ndarray] | None = None
-) -> np.ndarray:
-    """Gibbs state exp(-H/T)/Z by eigendecomposition (of each of `blocks`, see :func:`ground_state`).
+def thermal_state(h: HamiltonianBlocks, temperature_kelvin: float, energy_unit_kelvin: float = 1.0) -> np.ndarray:
+    """Gibbs state exp(-H/T)/Z by eigendecomposition of each block of `h` (see :func:`ground_state`).
 
     `h` is in units of E_C; the temperature is given in Kelvin and converted
     with E_C = `energy_unit_kelvin` (hbar = k_B = 1).
@@ -102,15 +101,12 @@ def thermal_state(
     if temperature_kelvin <= 0:
         raise ValueError("temperature must be > 0")
     t_ec = temperature_kelvin / energy_unit_kelvin
-    parts = _block_eigh(h, blocks)
+    parts = _block_eigh(h)
     # Shift by the ground energy before exponentiating to avoid overflow.
     ground = min(e[0] for _, e, _ in parts)
     weights = [np.exp(-(e - ground) / t_ec) for _, e, _ in parts]
     z = sum(w.sum() for w in weights)
-    rho = np.zeros(h.shape, dtype=np.result_type(h.dtype, float))
-    for (b, _, v), w in zip(parts, weights):
-        rho[np.ix_(b, b)] = (v * (w / z)) @ v.conj().T
-    return rho
+    return block_matrix([(v * (w / z)) @ v.conj().T for (_, _, v), w in zip(parts, weights)], [b for b, _, _ in parts])
 
 
 def fidelity(state: np.ndarray, rho: np.ndarray) -> float:

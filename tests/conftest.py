@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 import qubitchain as qc
+from qubitchain.lindblad import block_matrix
 
 
 def pytest_collection_modifyitems(config, items):
@@ -39,7 +40,18 @@ def random_pure_state(rng, dim):
     return psi / np.linalg.norm(psi)
 
 
+def dense(h):
+    """The d x d matrix of a Hamiltonian given as its (indices, block) pairs."""
+    indices, parts = zip(*h)
+    return block_matrix(parts, indices)
+
+
+def whole(matrix):
+    """A dense d x d matrix as the one block the solvers take."""
+    return [(np.arange(len(matrix)), matrix)]
+
+
 def unitary_propagate(rho0, h, t):
-    """exp(-iHt) rho0 exp(+iHt) by the dense matrix exponential (noiseless oracle)."""
-    u = expm(-1j * t * h)
+    """exp(-iHt) rho0 exp(+iHt) by the dense matrix exponential of H's blocks (noiseless oracle)."""
+    u = expm(-1j * t * dense(h))
     return u @ rho0 @ u.conj().T

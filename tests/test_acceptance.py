@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qubitchain as qc
-from conftest import random_density_matrix
+from conftest import dense, random_density_matrix, whole
 from qubitchain.harness import (
     ScanConfig,
     ScenarioConfig,
@@ -205,7 +205,7 @@ def test_criterion_5_thermal_fidelity_curve():
     are not recorded, so the test keeps N = 8 and E_C = 1 K and stays red.
     """
     spec = qc.ChainSpec.homogeneous(8, 0.0, 0.1, 0.025)  # K_ini = delta/4
-    h = qc.build_hamiltonian_lab(spec)
+    h = whole(qc.build_hamiltonian_lab(spec))
     g = qc.ground_state(h)
     fid = {t: qc.fidelity(g.vector, qc.thermal_state(h, t * 1e-3, 1.0)) for t in (1, 5, 10, 15, 25)}
     plateau_ok = all(fid[t] >= 0.99 for t in (1, 5, 10, 15))
@@ -238,7 +238,7 @@ def free_fermion_ground_fidelity(n: int, delta: float, k: float, temperature: fl
 def test_thermal_fidelity_free_fermion_oracle():
     """The dense Gibbs-state fidelity of criterion 5 equals the exact free-fermion value."""
     n, delta, k = 8, 0.1, 0.025
-    h = qc.build_hamiltonian_lab(qc.ChainSpec.homogeneous(n, 0.0, delta, k))
+    h = whole(qc.build_hamiltonian_lab(qc.ChainSpec.homogeneous(n, 0.0, delta, k)))
     g = qc.ground_state(h)
     for t in (1, 5, 10, 15, 25):
         fid = qc.fidelity(g.vector, qc.thermal_state(h, t * 1e-3, 1.0))
@@ -319,7 +319,7 @@ def test_criterion_7_quench_deviation_bounds(ideal_generation_series):
 
     spec = qc.ChainSpec.homogeneous(8)
     h_fin = qc.build_hamiltonian_eigen(spec)
-    energies, vectors = np.linalg.eigh(h_fin)
+    energies, vectors = np.linalg.eigh(dense(h_fin))
     tgrid = np.arange(0.0, 40.0 + 1e-9, 0.25)
 
     def quench_run(k_ini):

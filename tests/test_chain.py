@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import qubitchain as qc
+from conftest import dense
 from qubitchain.chain import DENSE_SITE_LIMIT
-from qubitchain.pauli import SX, SZ, kron_all, site_operator
+from qubitchain.pauli import SX, SZ, kron_all, site_operator, z_pattern
 
 
 def kron_hamiltonian_lab(spec):
@@ -15,6 +16,23 @@ def kron_hamiltonian_lab(spec):
         h += -0.5 * spec.delta[i - 1] * site_operator(SX, i, n)
     for i in range(1, n):
         h += -0.5 * spec.coupling[i - 1] * site_operator(SZ, i, n) @ site_operator(SZ, i + 1, n)
+    return h
+
+
+def kron_hamiltonian_eigen(spec):
+    """Independent oracle: eigenbasis-frame Hamiltonian from explicit Kronecker
+    products, the cos(theta_i) terms included."""
+    n = spec.n_qubits
+    angles = qc.mixing_angles(spec)
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    rotated = [
+        np.cos(t) * site_operator(SZ, i, n) + np.sin(t) * site_operator(SX, i, n)
+        for i, t in enumerate(angles.theta, start=1)
+    ]
+    for i in range(1, n + 1):
+        h += -0.5 * angles.omega[i - 1] * site_operator(SZ, i, n)
+    for i in range(1, n):
+        h += -0.5 * spec.coupling[i - 1] * rotated[i - 1] @ rotated[i]
     return h
 
 
@@ -86,33 +104,34 @@ class TestHamiltonianEigen:
         # At eps=0 the rotated coupling is purely transverse: H' has no
         # sigma_z sigma_z part, so its diagonal is the field term alone.
         spec = qc.ChainSpec.homogeneous(4)
-        h = qc.build_hamiltonian_eigen(spec)
         angles = qc.mixing_angles(spec)
-        field = np.zeros(16)
-        for i in range(1, 5):
-            from qubitchain.pauli import z_pattern
-
-            field += -0.5 * angles.omega[i - 1] * z_pattern(i, 4)
-        assert np.abs(np.diag(h).real - field).max() < 1e-14
+        field = sum(-0.5 * angles.omega[i - 1] * z_pattern(i, 4) for i in range(1, 5))
         xx = sum(
             -0.5 * spec.coupling[b] * site_operator(SX, b + 1, 4) @ site_operator(SX, b + 2, 4)
             for b in range(3)
         )
-        assert np.abs(h - (np.diag(field) + xx)).max() < 1e-13
+        full = kron_hamiltonian_eigen(spec)
+        assert np.abs(full - (np.diag(field) + xx)).max() < 1e-13
+        for b, block in qc.build_hamiltonian_eigen(spec):
+            assert np.abs(np.diag(block) - field[b]).max() < 1e-14
+            assert np.abs(block - full[np.ix_(b, b)]).max() < 1e-13
 
     def test_real_and_parity_block_diagonal_at_degeneracy(self):
         spec = qc.ChainSpec(5, 0.0, (0.1, 0.12, 0.09, 0.1, 0.11), (0.02, 0.03, 0.025, 0.02))
-        h = qc.build_hamiltonian_eigen(spec)
-        assert h.dtype == np.float64 and qc.build_hamiltonian_lab(spec).dtype == np.float64
-        even, odd = qc.chain.parity_blocks(spec)
+        (even, h_even), (odd, h_odd) = qc.build_hamiltonian_eigen(spec)
+        assert h_even.dtype == h_odd.dtype == qc.build_hamiltonian_lab(spec).dtype == np.float64
         popcount = np.array([bin(j).count("1") for j in range(32)])
         assert np.array_equal(even, np.flatnonzero(popcount % 2 == 0))
         assert np.array_equal(odd, np.flatnonzero(popcount % 2 == 1))
-        # Only the cos(pi/2) = 6e-17 terms couple the sectors.
-        assert 0 < np.abs(h[np.ix_(even, odd)]).max() < 1e-17
+        full = kron_hamiltonian_eigen(spec)
+        for b, block in ((even, h_even), (odd, h_odd)):
+            assert np.abs(block - full[np.ix_(b, b)]).max() < 1e-13
+        # Only the cos(pi/2) = 6e-17 terms couple the sectors; no block holds them.
+        assert 0 < np.abs(full[np.ix_(even, odd)]).max() < 1e-17
         biased = qc.ChainSpec(5, (0.0, 0.0, 1e-3, 0.0, 0.0), 0.1, 0.025)
-        (whole,) = qc.chain.parity_blocks(biased)
+        ((whole, block),) = qc.build_hamiltonian_eigen(biased)
         assert np.array_equal(whole, np.arange(32))
+        assert np.abs(block - kron_hamiltonian_eigen(biased)).max() < 1e-13
 
     def test_spectra_agree_between_frames(self, rng):
         for _ in range(3):
@@ -123,13 +142,13 @@ class TestHamiltonianEigen:
                 tuple(rng.uniform(-0.1, 0.1, 3)),
             )
             lab = np.linalg.eigvalsh(qc.build_hamiltonian_lab(spec))
-            eig = np.linalg.eigvalsh(qc.build_hamiltonian_eigen(spec))
+            eig = np.linalg.eigvalsh(dense(qc.build_hamiltonian_eigen(spec)))
             assert np.abs(lab - eig).max() < 1e-10 * max(1.0, np.abs(lab).max())
 
     def test_uncoupled_spectrum_is_field_combinations(self):
         spec = qc.ChainSpec(3, (0.1, 0.0, -0.2), (0.1, 0.3, 0.2), (0.0, 0.0))
         angles = qc.mixing_angles(spec)
-        h = qc.build_hamiltonian_eigen(spec)
+        h = dense(qc.build_hamiltonian_eigen(spec))
         expected = sorted(
             -0.5 * (s0 * angles.omega[0] + s1 * angles.omega[1] + s2 * angles.omega[2])
             for s0 in (1, -1)
@@ -152,7 +171,7 @@ class TestFrameRotation:
         spec = qc.ChainSpec.homogeneous(4)
         u = frame_rotation(qc.mixing_angles(spec))
         h_lab = qc.build_hamiltonian_lab(spec)
-        h_eig = qc.build_hamiltonian_eigen(spec)
+        h_eig = dense(qc.build_hamiltonian_eigen(spec))
         assert np.abs(u @ h_eig @ u.conj().T - h_lab).max() < 1e-13
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qubitchain as qc
-from conftest import unitary_propagate
+from conftest import dense, unitary_propagate, whole
 from qubitchain.cli import main as cli_main
 from qubitchain.harness import (
     ConfigError,
@@ -93,6 +93,19 @@ class TestConfig:
         biased = small_config(noise=noise, chain={"n_qubits": 4, "epsilon": 0.01, "delta": 0.1, "coupling": 0.025})
         disordered = small_config(noise=noise, disorder={"fraction": 0.05, "targets": ["epsilon"], "ensemble_size": 2})
         assert biased.member_bytes == disordered.member_bytes == 2 * two
+        # The estimate and the Hamiltonian builder read the epsilon rule each
+        # on its own: they must agree on every shipped exact config.
+        for path in sorted(CONFIG_DIR.glob("*.json")):
+            cfg = load_config(json.loads(path.read_text()))
+            if isinstance(cfg, ScanConfig):
+                chain = cfg.chain.with_coupling(cfg.coupling_ratios[0] * cfg.chain.delta[0])
+                sectors = qc.harness._parity_sectors(cfg.chain)
+            elif cfg.solver.kind == "exact":
+                chain = qc.harness._member_chain(cfg, 0)
+                sectors = qc.harness._parity_sectors(cfg.chain, cfg.disorder.targets if cfg.disorder else ())
+            else:
+                continue
+            assert len(qc.build_hamiltonian_eigen(chain)) == sectors, path.name
 
     def test_uncoupled_chain_without_quench_is_a_config_error(self):
         data = {key: value for key, value in small_config().to_dict().items() if key != "quench"}
@@ -364,11 +377,11 @@ class TestNoiselessBlocks:
             "thermal_of_k_ini": qc.thermal_state(h_ini, 0.03),
         }
 
-    def series(self, state0, h, blocks):
-        n = int(np.log2(len(h)))
+    def series(self, state0, h):
+        n = int(np.log2(len(state0)))
         out = {p: [] for p in self.PAIRS}
         times = []
-        for ts, acc in propagate(state0, h, qc.RateSet.zero(n), self.T_MAX, self.DT, self.EVERY, blocks=blocks):
+        for ts, acc in propagate(state0, h, qc.RateSet.zero(n), self.T_MAX, self.DT, self.EVERY):
             times.extend(ts)
             for p in self.PAIRS:
                 out[p].extend(acc(p).matrix)
@@ -384,11 +397,10 @@ class TestNoiselessBlocks:
     def test_two_blocks_match_one_block_and_expm(self, n):
         chain = qc.ChainSpec(n, 0.0, 0.1, tuple(np.linspace(0.02, 0.03, n - 1)))
         h = qc.build_hamiltonian_eigen(chain)
-        blocks = qc.chain.parity_blocks(chain)
-        assert len(blocks) == 2
+        assert len(h) == 2
         for name, state0 in self.initial_states(chain).items():
-            two = self.series(state0, h, blocks)
-            one = self.series(state0, h, None)
+            two = self.series(state0, h)
+            one = self.series(state0, whole(dense(h)))
             want = self.oracle(state0, h)
             for p in self.PAIRS:
                 assert np.abs(two[p] - want[p]).max() < 1e-12, (name, p)
@@ -397,7 +409,6 @@ class TestNoiselessBlocks:
     def test_blocks_without_weight_are_skipped(self, monkeypatch):
         chain = qc.ChainSpec.homogeneous(5)
         h = qc.build_hamiltonian_eigen(chain)
-        blocks = qc.chain.parity_blocks(chain)
         grazed = qc.eigenbasis_product(5)
         grazed[1] = 1e-20  # odd-sector roundoff, as in a full-eigh ground state
         coherent = np.zeros(32, dtype=complex)
@@ -413,17 +424,16 @@ class TestNoiselessBlocks:
             (qc.density_from_pure(coherent), [32]),
         ]:
             sizes.clear()
-            for ts, acc in propagate(state0, h, qc.RateSet.zero(5), 5.0, 0.5, blocks=blocks):
+            for ts, acc in propagate(state0, h, qc.RateSet.zero(5), 5.0, 0.5):
                 assert acc((1, 2)).matrix.shape == (len(ts), 4, 4)
             assert sizes == expected
 
     def test_biased_chain_is_one_block_and_matches_expm(self):
         chain = qc.ChainSpec(5, (0.02, -0.01, 0.0, 0.03, 0.01), 0.1, 0.025)
-        blocks = qc.chain.parity_blocks(chain)
-        assert len(blocks) == 1 and np.array_equal(blocks[0], np.arange(32))
         h = qc.build_hamiltonian_eigen(chain)
+        assert len(h) == 1 and np.array_equal(h[0][0], np.arange(32))
         for name, state0 in self.initial_states(chain).items():
-            got = self.series(state0, h, blocks)
+            got = self.series(state0, h)
             want = self.oracle(state0, h)
             for p in self.PAIRS:
                 assert np.abs(got[p] - want[p]).max() < 1e-12, (name, p)
@@ -451,9 +461,9 @@ class TestNoisyBlocks:
 
     PAIRS = ((1, 2), (2, 4))
 
-    def series(self, state0, h, rates, blocks):
+    def series(self, state0, h, rates):
         out = {p: [] for p in self.PAIRS}
-        for ts, acc in propagate(state0, h, rates, 5.0, 0.05, 10, blocks=blocks):
+        for ts, acc in propagate(state0, h, rates, 5.0, 0.05, 10):
             for p in self.PAIRS:
                 out[p].extend(acc(p).matrix)
         return {p: np.array(v) for p, v in out.items()}
@@ -467,7 +477,7 @@ class TestNoisyBlocks:
         coherent = np.zeros(16, dtype=complex)
         coherent[[0, 8]] = 2**-0.5  # |0000> + |1000>: even and odd
         counts, stream = [], harness.stream
-        monkeypatch.setattr(harness, "stream", lambda *a: counts.append(len(a[-1])) or stream(*a))
+        monkeypatch.setattr(harness, "stream", lambda *a: counts.append(len(a[1])) or stream(*a))
         for state0, expected in [
             (qc.eigenbasis_product(4), 2),
             (qc.density_from_pure(qc.eigenbasis_bell_head(4)), 2),
@@ -475,9 +485,9 @@ class TestNoisyBlocks:
             (qc.density_from_pure(coherent), 1),
         ]:
             counts.clear()
-            two = self.series(state0, h, rates, qc.chain.parity_blocks(chain))
+            two = self.series(state0, h, rates)
             assert counts == [expected]
-            one = self.series(state0, h, rates, None)
+            one = self.series(state0, whole(dense(h)), rates)
             for p in self.PAIRS:
                 assert np.abs(two[p] - one[p]).max() < 1e-12
 
@@ -490,7 +500,7 @@ class TestNoisyBlocks:
             chain = qc.harness._member_chain(cfg, 0)
             state0 = _prepare_initial(cfg, chain)
             rho0 = qc.density_from_pure(state0) if state0.ndim == 1 else state0
-            assert not couples_blocks(rho0, qc.chain.parity_blocks(chain)), kind
+            assert not couples_blocks(rho0, [b for b, _ in qc.build_hamiltonian_eigen(chain)]), kind
 
 
 class TestEmitOutputs:
@@ -714,6 +724,20 @@ class TestCli:
         assert proc.returncode == 1
         error = json.loads((out / "error.json").read_text())
         assert error["type"] == "ConfigError"
+
+    def test_noiseless_run_never_imports_scipy(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(t_max=5.0).to_dict()))
+        run = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        script = (
+            "import sys; from qubitchain.cli import main; "
+            f"code = main({run!r}); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(qc.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     def test_scan_command(self, tmp_path):
         scan_cfg = {

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import qubitchain as qc
-from conftest import random_density_matrix, unitary_propagate
-from qubitchain.chain import parity_blocks
+from conftest import dense, random_density_matrix, unitary_propagate, whole
 from qubitchain.lindblad import LindbladGenerator, block_matrix, block_stack, stream
 
 
@@ -119,7 +118,7 @@ class TestRhs:
         h = qc.build_hamiltonian_eigen(spec)
         rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.015, 0.2))
         rho = random_density_matrix(rng, 8)
-        expected = -1j * (h @ rho - rho @ h)
+        expected = -1j * (dense(h) @ rho - rho @ dense(h))
         for i in range(1, 4):
             sp = site_operator(SP, i, 3)
             sm = site_operator(SM, i, 3)
@@ -151,18 +150,18 @@ class TestRhs:
         rho = random_density_matrix(rng, 8)
         assert np.abs(gen.superoperator() @ rho.ravel() - gen.apply(rho).ravel()).max() < 1e-14
         # The two-block generator of an epsilon = 0 chain, on its sector.
-        chain = parity_chain(3)
-        blocks = parity_blocks(chain)
-        gen = LindbladGenerator(qc.build_hamiltonian_eigen(chain), sector_rates(3), blocks)
+        h = qc.build_hamiltonian_eigen(parity_chain(3))
+        blocks = [b for b, _ in h]
+        gen = LindbladGenerator(h, sector_rates(3))
         assert gen.shape == (2, 4, 4)
         rho = block_stack(random_density_matrix(rng, 8), blocks)
         assert np.abs(gen.superoperator() @ rho.ravel() - gen.apply(rho).ravel()).max() < 1e-14
 
     def test_zero_rates_reduce_to_commutator(self, rng):
         spec = qc.ChainSpec.homogeneous(3)
-        h = qc.build_hamiltonian_eigen(spec)
+        h = dense(qc.build_hamiltonian_eigen(spec))
         rho = random_density_matrix(rng, 8)
-        out = LindbladGenerator(h, qc.RateSet.zero(3)).apply(rho)
+        out = LindbladGenerator(whole(h), qc.RateSet.zero(3)).apply(rho)
         assert np.abs(out - (-1j) * (h @ rho - rho @ h)).max() < 1e-14
 
 
@@ -257,7 +256,7 @@ class TestSteadyState:
         exact = qc.steady_state(h, rates, tol=1e-9)
         from qubitchain import lindblad as lb
 
-        gen = LindbladGenerator(h, rates)
+        gen = LindbladGenerator(whole(dense(h)), rates)
         rho = rho0.copy()
         for _ in range(4000):
             rho = lb._rk4_step(gen, rho, 0.1)
@@ -282,9 +281,9 @@ class TestSteadyState:
             spec = qc.ChainSpec.homogeneous(n)
             h = qc.build_hamiltonian_eigen(spec)
             rates = qc.RateSet((0.0,) * n, (0.0,) * n, (g,) * n)
-            for blocks in (None, parity_blocks(spec)):
+            for blocks in (whole(dense(h)), h):
                 with pytest.raises(ValueError, match="not unique"):
-                    qc.steady_state(h, rates, blocks=blocks)
+                    qc.steady_state(blocks, rates)
 
     def test_uncertified_result_is_flagged(self):
         spec = qc.ChainSpec.homogeneous(3)
@@ -304,16 +303,16 @@ class TestSectors:
             chain = parity_chain(n)
             h = qc.build_hamiltonian_eigen(chain)
             rates = sector_rates(n)
-            blocks = parity_blocks(chain)
-            gen = LindbladGenerator(h, rates, blocks)
-            full = kronecker_liouvillian(h, rates)
+            blocks = [b for b, _ in h]
+            gen = LindbladGenerator(h, rates)
+            full = kronecker_liouvillian(dense(h), rates)
             sector = sector_positions(blocks, 2**n)
             assert np.abs(gen.superoperator().toarray() - full[np.ix_(sector, sector)]).max() < 1e-14
             rho = random_block_diagonal(rng, blocks)
             want = full @ rho.ravel()
             assert np.abs(gen.apply(block_stack(rho, blocks)).ravel() - want[sector]).max() < 1e-14
-            # Weak parity symmetry: nothing leaks out of the sector beyond the
-            # 1e-18 parity-odd entries of H that the blocks drop.
+            # Weak parity symmetry: nothing leaks out of the sector (the
+            # 1e-18 parity-odd entries of H are not built).
             outside = np.setdiff1d(np.arange(4**n), sector)
             assert np.abs(want[outside]).max() < 1e-16
 
@@ -321,7 +320,7 @@ class TestSectors:
         g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         h = 0.01 * (g + g.conj().T)
         rates = sector_rates(3)
-        gen = LindbladGenerator(h, rates)
+        gen = LindbladGenerator(whole(h), rates)
         full = kronecker_liouvillian(h, rates)
         rho = random_density_matrix(rng, 8)
         assert np.abs(gen.superoperator().toarray() - full).max() < 1e-14
@@ -333,16 +332,16 @@ class TestSectors:
         chain = parity_chain(n)
         h = qc.build_hamiltonian_eigen(chain)
         rates = qc.rates_from_angles(qc.mixing_angles(chain), qc.NoiseSpec(0.02, 0.2))
-        blocks = parity_blocks(chain)
+        blocks = [b for b, _ in h]
         if start == "thermal_of_k_ini":
-            rho0 = qc.thermal_state(qc.build_hamiltonian_eigen(chain.with_coupling(0.01)), 0.05, blocks=blocks)
+            rho0 = qc.thermal_state(qc.build_hamiltonian_eigen(chain.with_coupling(0.01)), 0.05)
         else:
             psi = qc.eigenbasis_product(n) if start == "product_eigen" else qc.eigenbasis_bell_head(n)
             rho0 = qc.density_from_pure(psi)
         odd = blocks[1]
         assert (start == "bell_head_eigen") == (np.trace(rho0[np.ix_(odd, odd)]).real > 0.5)
-        two = list(stream(block_stack(rho0, blocks), h, rates, t_max=6.0, dt=0.05, sample_every=10, blocks=blocks))
-        one = list(stream(rho0[None], h, rates, t_max=6.0, dt=0.05, sample_every=10))
+        two = list(stream(block_stack(rho0, blocks), h, rates, t_max=6.0, dt=0.05, sample_every=10))
+        one = list(stream(rho0[None], whole(dense(h)), rates, t_max=6.0, dt=0.05, sample_every=10))
         assert len(two) == 13  # 120 steps
         for (_, a, drift_a, _), (_, b, drift_b, _) in zip(two, one):
             assert np.abs(block_matrix(a, blocks) - b[0]).max() < 1e-12
@@ -353,7 +352,7 @@ class TestSectors:
             chain = parity_chain(n)
             h = qc.build_hamiltonian_eigen(chain)
             for rates in (sector_rates(n), qc.rates_from_angles(qc.mixing_angles(chain), qc.NoiseSpec(0.01, 0.1))):
-                sector = qc.steady_state(h, rates, tol=1e-9, blocks=parity_blocks(chain))
-                one = qc.steady_state(h, rates, tol=1e-9)
+                sector = qc.steady_state(h, rates, tol=1e-9)
+                one = qc.steady_state(whole(dense(h)), rates, tol=1e-9)
                 assert sector.converged and one.converged
                 assert np.abs(sector.state - one.state).max() < 1e-12

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qubitchain as qc
+from conftest import dense
 from qubitchain.mps import (
     MixedTebdEngine,
     TrotterPlan,
@@ -206,4 +207,4 @@ class TestTebd:
             dim_left = 2**b
             dim_right = 2 ** (5 - b - 2)
             total += np.kron(np.kron(np.eye(dim_left), h), np.eye(dim_right))
-        assert np.abs(total - qc.build_hamiltonian_eigen(spec)).max() < 1e-13
+        assert np.abs(total - dense(qc.build_hamiltonian_eigen(spec))).max() < 1e-13

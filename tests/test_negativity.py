@@ -56,7 +56,7 @@ class TestReduce:
         from qubitchain.lindblad import block_matrix, block_stack
 
         spec = qc.ChainSpec.homogeneous(5)
-        for blocks in (qc.chain.parity_blocks(spec), [np.arange(32)]):
+        for blocks in ([b for b, _ in qc.build_hamiltonian_eigen(spec)], [np.arange(32)]):
             parts = np.array([block_stack(random_density_matrix(rng, 32), blocks) for _ in range(2)])
             for sites in ((3,), (2, 5), (1, 3, 4), (1, 2, 4, 5)):
                 stacked = qc.negativity.reduce_blocks(parts, blocks, sites)

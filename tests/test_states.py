@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qubitchain as qc
-from conftest import random_density_matrix
+from conftest import dense, random_density_matrix, whole
 
 
 class TestProductStates:
@@ -52,7 +52,7 @@ class TestBellHead:
 class TestGroundState:
     def test_uncoupled_lab_ground_is_plus_product(self):
         spec = qc.ChainSpec.homogeneous(4, 0.0, 0.1, 0.0)
-        g = qc.ground_state(qc.build_hamiltonian_lab(spec))
+        g = qc.ground_state(whole(qc.build_hamiltonian_lab(spec)))
         assert abs(np.vdot(qc.plus_product(4), g.vector)) == pytest.approx(1.0, abs=1e-10)
         assert not g.degenerate
 
@@ -64,25 +64,25 @@ class TestGroundState:
     def test_matches_full_diagonalization_oracle(self):
         spec = qc.ChainSpec.homogeneous(2)  # K = delta/4
         h = qc.build_hamiltonian_lab(spec)
-        g = qc.ground_state(h)
+        g = qc.ground_state(whole(h))
         energies, vectors = np.linalg.eigh(h)
         assert g.energy == pytest.approx(energies[0])
         assert abs(np.vdot(vectors[:, 0], g.vector)) > 1 - 1e-10
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            qc.ground_state(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            qc.ground_state(whole(np.array([[0.0, 1.0], [0.0, 0.0]])))
 
     def test_degeneracy_reported(self):
-        g = qc.ground_state(np.zeros((4, 4), dtype=complex))
+        g = qc.ground_state(whole(np.zeros((4, 4), dtype=complex)))
         assert g.degenerate
 
     def test_parity_blocks_give_a_parity_pure_ground_state(self):
         spec = qc.ChainSpec.homogeneous(6, coupling=0.001)
         h = qc.build_hamiltonian_eigen(spec)
-        even, odd = qc.chain.parity_blocks(spec)
-        full = qc.ground_state(h)
-        split = qc.ground_state(h, blocks=[even, odd])
+        (even, _), (odd, _) = h
+        full = qc.ground_state(whole(dense(h)))
+        split = qc.ground_state(h)
         assert split.energy == pytest.approx(full.energy, abs=1e-14)
         assert split.gap == pytest.approx(full.gap, abs=1e-14)
         assert abs(np.vdot(full.vector, split.vector)) == pytest.approx(1.0, abs=1e-12)
@@ -92,14 +92,14 @@ class TestGroundState:
 class TestThermalState:
     def test_low_temperature_limit_is_ground_state(self):
         spec = qc.ChainSpec.homogeneous(4)
-        h = qc.build_hamiltonian_lab(spec)
+        h = whole(qc.build_hamiltonian_lab(spec))
         rho = qc.thermal_state(h, 1e-6)
         g = qc.ground_state(h)
         assert qc.fidelity(g.vector, rho) > 1 - 1e-6
 
     def test_high_temperature_limit_is_maximally_mixed(self):
         spec = qc.ChainSpec.homogeneous(3)
-        h = qc.build_hamiltonian_lab(spec)
+        h = whole(qc.build_hamiltonian_lab(spec))
         rho = qc.thermal_state(h, 1e6)
         assert np.abs(rho - np.eye(8) / 8).max() < 1e-6
 
@@ -112,7 +112,7 @@ class TestThermalState:
 
     def test_fidelity_with_ground_monotone_in_temperature(self):
         spec = qc.ChainSpec.homogeneous(6)
-        h = qc.build_hamiltonian_lab(spec)
+        h = whole(qc.build_hamiltonian_lab(spec))
         g = qc.ground_state(h)
         fids = [qc.fidelity(g.vector, qc.thermal_state(h, t)) for t in (0.005, 0.01, 0.02, 0.04, 0.08)]
         assert all(a >= b - 1e-12 for a, b in zip(fids, fids[1:]))
@@ -120,17 +120,17 @@ class TestThermalState:
     def test_parity_blocks_match_full_and_leave_no_coherence(self):
         spec = qc.ChainSpec.homogeneous(6, coupling=0.01)
         h = qc.build_hamiltonian_eigen(spec)
-        even, odd = qc.chain.parity_blocks(spec)
+        (even, _), (odd, _) = h
         for temperature in (0.01, 0.05, 1.0):
-            full = qc.thermal_state(h, temperature)
-            split = qc.thermal_state(h, temperature, blocks=[even, odd])
+            full = qc.thermal_state(whole(dense(h)), temperature)
+            split = qc.thermal_state(h, temperature)
             assert np.abs(split - full).max() < 1e-14
             assert not split[np.ix_(even, odd)].any() and not split[np.ix_(odd, even)].any()
 
     def test_rejects_nonpositive_temperature(self):
         spec = qc.ChainSpec.homogeneous(2)
         with pytest.raises(ValueError):
-            qc.thermal_state(qc.build_hamiltonian_lab(spec), 0.0)
+            qc.thermal_state(whole(qc.build_hamiltonian_lab(spec)), 0.0)
 
 
 class TestFidelity:
@@ -151,9 +151,9 @@ class TestFidelity:
     def test_ground_energy_is_variational_lower_bound(self, rng):
         spec = qc.ChainSpec.homogeneous(4)
         h = qc.build_hamiltonian_lab(spec)
-        g = qc.ground_state(h)
+        g = qc.ground_state(whole(h))
         for _ in range(5):
             rho = random_density_matrix(rng, 16)
             assert g.energy <= np.trace(h @ rho).real + 1e-12
-        rho_t = qc.thermal_state(h, 0.03)
+        rho_t = qc.thermal_state(whole(h), 0.03)
         assert g.energy <= np.trace(h @ rho_t).real + 1e-12
