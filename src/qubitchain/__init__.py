@@ -29,7 +29,6 @@ from .lindblad import (
 from .mps import (
     MixedTebdEngine,
     MpsMixedState,
-    TrotterPlan,
     mps_from_product,
     mps_to_dense,
     mps_trace,

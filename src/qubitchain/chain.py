@@ -246,14 +246,19 @@ def sample_disorder(spec: ChainSpec, dis: DisorderSpec) -> ChainSpec:
     return replace(spec, epsilon=epsilon, delta=delta, coupling=coupling)
 
 
-def is_hermitian(matrix: np.ndarray, rtol: float = 1e-12) -> bool:
-    """Check M = M^dagger within `rtol` relative to the largest element."""
-    scale = max(np.abs(matrix).max(), 1e-300)
-    return bool(np.abs(matrix - matrix.conj().T).max() <= rtol * scale)
+def require_real_symmetric(block: np.ndarray) -> np.ndarray:
+    """The real part of a square Hamiltonian block, refusing a nonzero
+    imaginary part or an asymmetry above 1e-12 of its largest entry.
 
-
-def require_hermitian(matrix: np.ndarray, rtol: float = 1e-12, what: str = "operator") -> None:
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"{what} must be a square matrix")
-    if not is_hermitian(matrix, rtol):
-        raise ValueError(f"{what} is not Hermitian within tolerance {rtol}")
+    The dense solvers diagonalize and multiply every block as a real
+    symmetric matrix, which is what the Hamiltonian builders return.
+    """
+    if block.ndim != 2 or block.shape[0] != block.shape[1]:
+        raise ValueError("hamiltonian block must be a square matrix")
+    if np.iscomplexobj(block) and block.imag.any():
+        raise ValueError("hamiltonian block must be real")
+    real = block.real
+    scale = max(np.abs(real).max(), 1e-300)
+    if np.abs(real - real.T).max() > 1e-12 * scale:
+        raise ValueError("hamiltonian block is not symmetric within 1e-12")
+    return real

@@ -66,6 +66,7 @@ from .chain import (
     QuenchSpec,
     build_hamiltonian_eigen,
     mixing_angles,
+    require_real_symmetric,
     sample_disorder,
 )
 from .lindblad import (
@@ -79,7 +80,7 @@ from .lindblad import (
     steady_state,
     stream,
 )
-from .mps import MixedTebdEngine, MpsMixedState, TrotterPlan, mps_from_product, reduced_sites_dm
+from .mps import MixedTebdEngine, MpsMixedState, mps_from_product, reduced_sites_dm
 from .negativity import ReducedState, log_negativity, reduce, reduce_blocks, reduce_statevector
 from .states import density_from_pure, eigenbasis_bell_head, eigenbasis_product, ground_state, thermal_state
 from .witness import (
@@ -350,14 +351,14 @@ class FirstMaximum:
     time: float
 
 
-def first_maximum(times: np.ndarray, series: np.ndarray, floor: float = FIRST_MAX_FLOOR) -> FirstMaximum | None:
-    """First local maximum above `floor`, refined across three samples.
+def first_maximum(times: np.ndarray, series: np.ndarray) -> FirstMaximum | None:
+    """First local maximum above `FIRST_MAX_FLOOR`, refined across three samples.
 
     The drop after the maximum must exceed roundoff, so a series that is flat
     up to its last bits has none.
     """
     for k in range(1, len(series) - 1):
-        if series[k] > floor and series[k] >= series[k - 1] and series[k] - series[k + 1] > 1e-12 * series[k]:
+        if series[k] > FIRST_MAX_FLOOR and series[k] >= series[k - 1] and series[k] - series[k + 1] > 1e-12 * series[k]:
             y0, y1, y2 = series[k - 1], series[k], series[k + 1]
             denom = y0 - 2.0 * y1 + y2
             shift = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
@@ -491,7 +492,7 @@ def propagate(
     after later blocks are drawn.  With `engine`, `state0` is an
     MpsMixedState advanced by TEBD steps of `dt` and `h` is unused.
     Otherwise `state0` is a state vector or density matrix under the
-    Hamiltonian `h`, given as its diagonal blocks
+    Hamiltonian `h`, given as its real diagonal blocks
     (:func:`qubitchain.chain.build_hamiltonian_eigen`; a dense d x d matrix
     is one block, ``[(np.arange(d), h)]``).  TEBD and RK4 yield one sample
     per block.
@@ -551,9 +552,10 @@ def _propagate_unitary(
     if mixed:
         state0, h = _sector_start(state0, h)
     blocks = [b for b, _ in h]
+    h_parts = [require_real_symmetric(part) for _, part in h]
     parts = state0 if mixed else [state0[b] for b in blocks]
     # A block that state0 does not reach (no nonzero entry) is never diagonalized.
-    eig = [(k, *np.linalg.eigh(part)) for k, (_, part) in enumerate(h) if parts[k].any()]
+    eig = [(k, *np.linalg.eigh(part)) for k, part in enumerate(h_parts) if parts[k].any()]
     if not mixed:
         coeffs = [(blocks[k], e, v, v.T @ parts[k]) for k, e, v in eig]
         # At most d samples at once: the amplitudes never outgrow one d x d array.
@@ -583,10 +585,9 @@ def _run_member(config: ScenarioConfig, member: int, pair_series, block_series, 
     rates = rates_from_angles(mixing_angles(chain_fin), config.noise)
     engine = h = None
     if config.solver.kind == "mps":
-        plan = TrotterPlan.build(config.solver.dt, order=4)
-        engine = MixedTebdEngine(chain_fin, rates, plan, config.solver.bond_dim)
+        engine = MixedTebdEngine(chain_fin, rates, config.solver.dt, config.solver.bond_dim)
         ground = np.diag([1.0, 0.0]).astype(complex)
-        state0 = mps_from_product([ground] * config.chain.n_qubits, bond_dim=config.solver.bond_dim)
+        state0 = mps_from_product([ground] * config.chain.n_qubits)
     else:
         h = build_hamiltonian_eigen(chain_fin)
         state0 = _prepare_initial(config, chain_fin)
@@ -778,15 +779,15 @@ class ScanPoint:
 ZERO_CLASS_FLOOR = 1e-6
 
 
-def classify_row(values: list[float], floor: float = ZERO_CLASS_FLOOR) -> str:
+def classify_row(values: list[float]) -> str:
     """Classify steady E_N vs noise strength: zero, monotone, or non-monotone.
 
     Non-monotone means entanglement absent below some threshold but present
     above it, or any strict increase along the grid.
     """
-    if all(v < floor for v in values):
+    if all(v < ZERO_CLASS_FLOOR for v in values):
         return "zero"
-    rises = any(b > max(a, floor) + floor for a, b in zip(values, values[1:]))
+    rises = any(b > max(a, ZERO_CLASS_FLOOR) + ZERO_CLASS_FLOOR for a, b in zip(values, values[1:]))
     if rises:
         return "non_monotone"
     return "monotone_decreasing"

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .chain import HamiltonianBlocks, MixingAngles, require_hermitian
+from .chain import HamiltonianBlocks, MixingAngles, require_real_symmetric
 from .pauli import site_bit, z_pattern
 
 # dt must satisfy dt * max(||H||, Gamma) <= this factor (RK4 accuracy guard).
@@ -233,7 +233,7 @@ def _as_pairs(x: np.ndarray) -> np.ndarray:
 class LindbladGenerator:
     """The master-equation right-hand side on the sector of equal-size index blocks.
 
-    `h` is the Hamiltonian as its diagonal blocks
+    `h` is the Hamiltonian as its real diagonal blocks
     (:func:`qubitchain.chain.build_hamiltonian_eigen`; a dense d x d matrix
     is one block, ``[(np.arange(d), h)]``), and the diagonal blocks of rho
     over the same indices are kept.  A state is the stack of its diagonal
@@ -256,16 +256,13 @@ class LindbladGenerator:
             raise ValueError(f"rate set has {rates.n_sites} sites, Hamiltonian has {n}")
         if np.sort(stacked, axis=None).tolist() != list(range(d)):
             raise ValueError("blocks must be equal-size and partition the basis indices")
-        for _, part in h:
-            require_hermitian(part, what="hamiltonian")
         self.shape = (n_blocks, m, m)
 
         # Real H multiplies complex rho through a float64 view, so scipy
         # never converts either operand.
-        self._h_parts = [sparse.csr_matrix(part) for _, part in h]
+        self._h_parts = [sparse.csr_matrix(require_real_symmetric(part)) for _, part in h]
         self._h = sparse.block_diag(self._h_parts, format="csr")
         self._h_t = self._h.T.tocsr()
-        self._real = not np.iscomplexobj(self._h.data)
         # Row-sum norm: upper-bounds the spectral norm, cheap at any size.
         self._h_norm = float(abs(self._h).sum(axis=1).max())
 
@@ -282,9 +279,7 @@ class LindbladGenerator:
     def _times(self, h: sparse.csr_matrix, rho: np.ndarray) -> np.ndarray:
         """Each block of the stack `rho` multiplied by its block of `h` from the left."""
         rows = rho.reshape(-1, self.shape[-1])
-        if self._real:
-            return (h @ rows.view(np.float64)).view(complex).reshape(self.shape)
-        return (h @ rows).reshape(self.shape)
+        return (h @ rows.view(np.float64)).view(complex).reshape(self.shape)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """drho/dt of a (not necessarily normalized) state, in the shape given."""

@@ -23,12 +23,15 @@ Time evolution Trotterizes the master equation of :mod:`qubitchain.lindblad`
 into two-site coherent gates (bond Hamiltonians, single-site splittings
 split onto adjacent bonds) and single-site dissipative stages, each
 exponentiated exactly on its 16- or 4-dimensional local operator space.
-The default composition is the symmetric triple concatenation of
-second-order sweeps with a negative middle coefficient,
+Every step is the symmetric triple concatenation of second-order sweeps
+with a negative middle coefficient,
 
     S4(dt) = S2(c dt) S2((1 - 2c) dt) S2(c dt),   c = 1/(2 - 2**(1/3)),
 
-which is fourth order in dt.
+which is fourth order in dt; S2 is the sweep even, odd, dissipative, odd,
+even with half steps on the bonds.  Bonds keep at most `bond_dim` singular
+values, and a step that discards more than `TRUNCATION_CEILING` of the
+relative weight is counted as flagged.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ from .pauli import ID2, SM, SP, SX, SY, SZ
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_TRUNCATION_CEILING = 1e-6
+TRUNCATION_CEILING = 1e-6  # discarded weight above which a step is flagged
+_DRIFT_LIMIT = 1e-4  # Hermiticity or trace correction of a reduced state that is warned about
 _SV_FLOOR = 1e-14  # relative floor below which singular values are dropped
 _IMAG_LIMIT = 1e-12  # largest imaginary part a real-basis conversion may drop
 
@@ -69,7 +73,6 @@ class MpsMixedState:
     n_sites: int
     tensors: list[np.ndarray]
     bond_weights: list[np.ndarray]
-    bond_dim: int
 
     def __post_init__(self):
         if len(self.tensors) != self.n_sites:
@@ -90,61 +93,10 @@ class MpsMixedState:
             self.n_sites,
             [t.copy() for t in self.tensors],
             [w.copy() for w in self.bond_weights],
-            self.bond_dim,
         )
 
     def bond_dims(self) -> tuple[int, ...]:
         return tuple(t.shape[2] for t in self.tensors[:-1])
-
-
-@dataclass(frozen=True)
-class TrotterPlan:
-    """Stage sequence of one composite time step.
-
-    `stages` is a list of (family, coefficient) pairs with family one of
-    "even", "odd" (two-site coherent half-sweeps) or "dissipative"
-    (single-site stage); coefficients of each family sum to 1.
-    """
-
-    dt: float
-    order: int
-    stages: tuple[tuple[str, float], ...]
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-        for family in ("even", "odd", "dissipative"):
-            total = sum(c for f, c in self.stages if f == family)
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"{family} coefficients sum to {total}, expected 1")
-
-    @classmethod
-    def build(cls, dt: float, order: int = 4) -> "TrotterPlan":
-        """Symmetric order-2 sweep, or the order-4 triple concatenation."""
-        if order == 2:
-            coeffs = [1.0]
-        elif order == 4:
-            c1 = _YOSHIDA_C1
-            coeffs = [c1, 1.0 - 2.0 * c1, c1]
-        else:
-            raise ValueError("order must be 2 or 4")
-        stages: list[tuple[str, float]] = []
-        for c in coeffs:
-            stages += [
-                ("even", 0.5 * c),
-                ("odd", 0.5 * c),
-                ("dissipative", c),
-                ("odd", 0.5 * c),
-                ("even", 0.5 * c),
-            ]
-        # Merge adjacent stages of the same family (boundaries of the S2 blocks).
-        merged: list[tuple[str, float]] = []
-        for family, c in stages:
-            if merged and merged[-1][0] == family:
-                merged[-1] = (family, merged[-1][1] + c)
-            else:
-                merged.append((family, c))
-        return cls(dt, order, tuple(merged))
 
 
 def validate_local_state(rho: np.ndarray) -> None:
@@ -178,7 +130,7 @@ def _dense_from_coefficients(coeff: np.ndarray, m: int) -> np.ndarray:
     return units.transpose(rows + cols).reshape(2**m, 2**m)
 
 
-def mps_from_product(local_states: list[np.ndarray], bond_dim: int = 1) -> MpsMixedState:
+def mps_from_product(local_states: list[np.ndarray]) -> MpsMixedState:
     """Bond-dimension-1 representation of a product of single-site states.
 
     Each site tensor holds the Pauli coefficients tr(P rho)/sqrt2 of its
@@ -194,7 +146,7 @@ def mps_from_product(local_states: list[np.ndarray], bond_dim: int = 1) -> MpsMi
         validate_local_state(rho)
         tensors.append((_TO_PAULI @ rho.reshape(4)).real.reshape(1, 4, 1))
     weights = [np.ones(1) for _ in range(n - 1)]
-    return MpsMixedState(n, tensors, weights, max(bond_dim, 1))
+    return MpsMixedState(n, tensors, weights)
 
 
 def mps_trace(state: MpsMixedState) -> float:
@@ -209,13 +161,13 @@ def _transfer_matrices(state: MpsMixedState) -> list[np.ndarray]:
     return [np.tensordot(_TRACE_VEC, t, axes=(0, 1)) for t in state.tensors]
 
 
-def reduced_sites_dm(state: MpsMixedState, sites, drift_limit: float = 1e-4) -> ReducedState:
+def reduced_sites_dm(state: MpsMixedState, sites) -> ReducedState:
     """Reduced density matrix on 1 to 4 sites (1-based, strictly increasing).
 
     All other sites are contracted against the trace functional and only
     the retained sites are converted back to matrix units; the result is
     re-Hermitized and renormalized, and the correction applied is logged
-    (warned about above `drift_limit`).
+    (warned about above `_DRIFT_LIMIT`).
     """
     kept = tuple(int(s) for s in sites)
     n = state.n_sites
@@ -239,18 +191,18 @@ def reduced_sites_dm(state: MpsMixedState, sites, drift_limit: float = 1e-4) -> 
     mat = 0.5 * (mat + mat.conj().T)
     tr = float(np.trace(mat).real)
     drift = max(herm, abs(tr - 1.0))
-    if drift > drift_limit:
-        logger.warning("reduced sites %s drift %.3e exceeds %.1e", kept, drift, drift_limit)
+    if drift > _DRIFT_LIMIT:
+        logger.warning("reduced sites %s drift %.3e exceeds %.1e", kept, drift, _DRIFT_LIMIT)
     if tr <= 0:
         raise RuntimeError(f"reduced state on {kept} has non-positive trace {tr:.3e}")
     return ReducedState(kept, np.ascontiguousarray(mat / tr))
 
 
-def reduced_pair_dm(state: MpsMixedState, i: int, j: int, drift_limit: float = 1e-4) -> ReducedState:
+def reduced_pair_dm(state: MpsMixedState, i: int, j: int) -> ReducedState:
     """Reduced density matrix of the pair (i, j), i < j, both 1-based."""
     if not 1 <= i < j <= state.n_sites:
         raise ValueError(f"need 1 <= i < j <= {state.n_sites}")
-    return reduced_sites_dm(state, (i, j), drift_limit)
+    return reduced_sites_dm(state, (i, j))
 
 
 def mps_to_dense(state: MpsMixedState) -> np.ndarray:
@@ -333,31 +285,42 @@ def _dissipative_gate(g_relax: float, g_excite: float, g_dephase: float, tau: fl
     return _real(_TO_PAULI @ e @ _FROM_PAULI, "dissipative gate")
 
 
-class MixedTebdEngine:
-    """Applies composite Trotter steps to an MpsMixedState, truncating to bond_dim.
+def _fourth_order_stages(dt: float) -> list[tuple[str, float]]:
+    """(family, time step) of each stage of S4(dt), adjacent stages of one family merged.
 
-    Gates are exponentiated once at construction for every distinct stage
-    coefficient.  The engine accumulates the relative singular-value weight
-    discarded by truncation and the trace drift corrected at each step;
-    steps whose discarded weight exceeds `truncation_ceiling` are counted
-    in `flagged_steps` (the harness reports the count as one manifest flag).
+    The family is "even" or "odd" (a half-sweep of two-site coherent gates)
+    or "dissipative" (the single-site stage); the time steps of each family
+    sum to dt.
+    """
+    c1 = _YOSHIDA_C1
+    merged: list[list] = []
+    for c in (c1, 1.0 - 2.0 * c1, c1):
+        for family, share in (("even", 0.5), ("odd", 0.5), ("dissipative", 1.0), ("odd", 0.5), ("even", 0.5)):
+            if merged and merged[-1][0] == family:
+                merged[-1][1] += share * c
+            else:
+                merged.append([family, share * c])
+    return [(family, c * dt) for family, c in merged]
+
+
+class MixedTebdEngine:
+    """Applies fourth-order Trotter steps of `dt` to an MpsMixedState, truncating to `bond_dim`.
+
+    Gates are exponentiated once at construction for every stage.  The
+    engine accumulates the relative singular-value weight discarded by
+    truncation and the trace drift corrected at each step; steps whose
+    discarded weight exceeds `TRUNCATION_CEILING` are counted in
+    `flagged_steps` (the harness reports the count as one manifest flag).
     """
 
-    def __init__(
-        self,
-        spec: ChainSpec,
-        rates: RateSet,
-        plan: TrotterPlan,
-        bond_dim: int,
-        truncation_ceiling: float = DEFAULT_TRUNCATION_CEILING,
-    ):
+    def __init__(self, spec: ChainSpec, rates: RateSet, dt: float, bond_dim: int):
         n = spec.n_qubits
         if rates.n_sites != n:
             raise ValueError("rate set and chain size differ")
+        if dt <= 0:
+            raise ValueError("dt must be > 0")
         self.n_sites = n
-        self.plan = plan
         self.bond_dim = bond_dim
-        self.truncation_ceiling = truncation_ceiling
         self.truncation_weight = 0.0
         self.trace_drift_total = 0.0
         self.flagged_steps = 0
@@ -367,8 +330,7 @@ class MixedTebdEngine:
         even_bonds = list(range(0, n - 1, 2))
         odd_bonds = list(range(1, n - 1, 2))
         self._stage_ops: list[tuple[str, object]] = []
-        for family, c in plan.stages:
-            tau = c * plan.dt
+        for family, tau in _fourth_order_stages(dt):
             if family == "even":
                 gates = {b: _coherent_gate(h_bonds[b], tau) for b in even_bonds}
                 self._stage_ops.append(("bonds", gates))
@@ -403,7 +365,7 @@ class MixedTebdEngine:
         work.tensors[-1] = work.tensors[-1] / trace
         self.truncation_weight += step_weight
         self.step_count += 1
-        if step_weight > self.truncation_ceiling:
+        if step_weight > TRUNCATION_CEILING:
             self.flagged_steps += 1
         return work
 

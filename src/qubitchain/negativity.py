@@ -6,14 +6,13 @@ two-qubit Bell state.  Site indices are 1-based with site 1 the most
 significant qubit, matching :mod:`qubitchain.chain`.
 
 Reductions, partial transposes and E_N accept a leading batch axis: a
-stack of states (one per sample time) is reduced by one einsum or matrix
+stack of states (one per sample time) is reduced by one gather or matrix
 product and measured by one stacked eigvalsh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from string import ascii_letters
 
 import numpy as np
 
@@ -55,32 +54,12 @@ def _validate_sites(sites, n: int) -> tuple[int, ...]:
 
 
 def reduce(rho: np.ndarray, sites) -> ReducedState:
-    """Partial trace of a dense density matrix onto `sites` (ascending order).
+    """Partial trace of a dense density matrix onto `sites` (ascending order):
+    :func:`reduce_blocks` on the one block of every index.
 
     `rho` may carry leading batch axes; the result then stacks along them.
     """
-    dim = rho.shape[-1]
-    n = int(round(np.log2(dim)))
-    if rho.shape[-2:] != (dim, dim) or 2**n != dim:
-        raise ValueError("density matrix dimension must be a power of two")
-    kept = _validate_sites(sites, n)
-    keep_pos = [s - 1 for s in kept]
-    # einsum with repeated letters traces each unkept ket/bra axis pair
-    # without materializing a transposed copy.
-    row = list(ascii_letters[:n])
-    col = list(ascii_letters[n : 2 * n])
-    out = []
-    for p in range(n):
-        if p in keep_pos:
-            out.append(row[p])
-        else:
-            col[p] = row[p]
-    out += [col[p] for p in keep_pos]
-    spec = "..." + "".join(row) + "".join(col) + "->..." + "".join(out)
-    k = len(kept)
-    batch = rho.shape[:-2]
-    reduced = np.einsum(spec, rho.reshape(batch + (2,) * (2 * n))).reshape(batch + (2**k, 2**k))
-    return ReducedState(kept, np.ascontiguousarray(reduced))
+    return reduce_blocks(np.expand_dims(rho, -3), [np.arange(rho.shape[-1])], sites)
 
 
 def reduce_blocks(parts: np.ndarray, blocks: list[np.ndarray], sites) -> ReducedState:
@@ -94,6 +73,8 @@ def reduce_blocks(parts: np.ndarray, blocks: list[np.ndarray], sites) -> Reduced
     """
     d = sum(len(b) for b in blocks)
     n = int(round(np.log2(d)))
+    if 2**n != d or parts.shape[-2:] != (len(blocks[0]),) * 2:
+        raise ValueError("density matrix must be square blocks of a power-of-two total dimension")
     kept = _validate_sites(sites, n)
     k = len(kept)
     idx = np.arange(d)

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import HamiltonianBlocks, require_hermitian
+from .chain import HamiltonianBlocks, require_real_symmetric
 from .lindblad import block_matrix
 
 _SQRT2 = np.sqrt(2.0)
+_DEGENERACY_TOL = 1e-10  # ground-state gap, relative to max(1, |E_0|), reported as degenerate
 
 
 def plus_product(n: int) -> np.ndarray:
@@ -67,13 +68,11 @@ class GroundState:
 
 def _block_eigh(h: HamiltonianBlocks):
     """(indices, energies, vectors) of each diagonal block of `h`."""
-    for _, part in h:
-        require_hermitian(part, what="hamiltonian")
-    return [(b, *np.linalg.eigh(part)) for b, part in h]
+    return [(b, *np.linalg.eigh(require_real_symmetric(part))) for b, part in h]
 
 
-def ground_state(h: HamiltonianBlocks, degeneracy_tol: float = 1e-10) -> GroundState:
-    """Ground state of a Hermitian operator given as its diagonal blocks
+def ground_state(h: HamiltonianBlocks) -> GroundState:
+    """Ground state of a real symmetric operator given as its diagonal blocks
     (:func:`qubitchain.chain.build_hamiltonian_eigen`; a dense d x d matrix
     is one block, ``[(np.arange(d), h)]``).
 
@@ -89,7 +88,7 @@ def ground_state(h: HamiltonianBlocks, degeneracy_tol: float = 1e-10) -> GroundS
     vec[b] = v[:, 0]
     gap = float(energies[1] - energies[0]) if len(energies) > 1 else np.inf
     scale = max(1.0, abs(float(energies[0])))
-    return GroundState(vec, float(energies[0]), gap, gap < degeneracy_tol * scale)
+    return GroundState(vec, float(energies[0]), gap, gap < _DEGENERACY_TOL * scale)
 
 
 def thermal_state(h: HamiltonianBlocks, temperature_kelvin: float, energy_unit_kelvin: float = 1.0) -> np.ndarray:

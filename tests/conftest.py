@@ -1,4 +1,5 @@
 import os
+from string import ascii_letters
 
 import numpy as np
 import pytest
@@ -49,6 +50,26 @@ def dense(h):
 def whole(matrix):
     """A dense d x d matrix as the one block the solvers take."""
     return [(np.arange(len(matrix)), matrix)]
+
+
+def partial_trace(rho, sites):
+    """Independent oracle: the partial trace of a density matrix (or a stack
+    of them along leading axes) onto ascending 1-based `sites`, by einsum.
+
+    Repeated letters trace each unkept ket/bra axis pair.
+    """
+    n = int(round(np.log2(rho.shape[-1])))
+    keep = [s - 1 for s in sites]
+    row = list(ascii_letters[:n])
+    col = list(ascii_letters[n : 2 * n])
+    for p in range(n):
+        if p not in keep:
+            col[p] = row[p]
+    out = [row[p] for p in keep] + [col[p] for p in keep]
+    spec = "..." + "".join(row) + "".join(col) + "->..." + "".join(out)
+    batch = rho.shape[:-2]
+    k = len(sites)
+    return np.einsum(spec, rho.reshape(batch + (2,) * (2 * n))).reshape(batch + (2**k, 2**k))
 
 
 def unitary_propagate(rho0, h, t):

@@ -24,7 +24,6 @@ from qubitchain.harness import (
 )
 from qubitchain.mps import (
     MixedTebdEngine,
-    TrotterPlan,
     mps_from_product,
     mps_to_dense,
     reduced_pair_dm,
@@ -386,8 +385,8 @@ def test_criterion_9a_mps_oracle_equivalence():
     rho0 = qc.density_from_pure(qc.eigenbasis_product(6))
     dense = qc.evolve(rho0, h, rates, t_max=50.0, dt=0.025, sample_every=40)
 
-    engine = MixedTebdEngine(spec, rates, TrotterPlan.build(0.05, 4), bond_dim=64)
-    state = mps_from_product([GROUND_LOCAL] * 6, bond_dim=64)
+    engine = MixedTebdEngine(spec, rates, 0.05, bond_dim=64)
+    state = mps_from_product([GROUND_LOCAL] * 6)
     worst = 0.0
     steps_done = 0
     for t, rho_ref in zip(dense.times, dense.states):
@@ -412,8 +411,8 @@ def test_criterion_9b_mps_fourth_order_convergence():
     ref = qc.evolve(rho0, h, rates, t_max=4.0, dt=0.002, sample_every=2000).states[-1]
     errors = {}
     for dt in (0.4, 0.2):
-        engine = MixedTebdEngine(spec, rates, TrotterPlan.build(dt, 4), bond_dim=64)
-        state = mps_from_product([GROUND_LOCAL] * 4, bond_dim=64)
+        engine = MixedTebdEngine(spec, rates, dt, bond_dim=64)
+        state = mps_from_product([GROUND_LOCAL] * 4)
         for _ in range(int(round(4.0 / dt))):
             state = engine.step(state)
         errors[dt] = float(np.linalg.norm(mps_to_dense(state) - ref))
@@ -434,8 +433,8 @@ def test_criterion_9c_long_chain_qualitative():
     spec = qc.ChainSpec.homogeneous(n)
     rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.01, 0.0))
     dt = 0.1
-    engine = MixedTebdEngine(spec, rates, TrotterPlan.build(dt, 4), bond_dim=60)
-    state = mps_from_product([GROUND_LOCAL] * n, bond_dim=60)
+    engine = MixedTebdEngine(spec, rates, dt, bond_dim=60)
+    state = mps_from_product([GROUND_LOCAL] * n)
     check_times = (10.0, 15.0)
     locality_ok = True
     boundary_ok = True
@@ -523,8 +522,8 @@ def test_criterion_3_n40_reference_point():
     spec = qc.ChainSpec.homogeneous(40)
     rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.01, 0.0))
     dt = 0.05
-    engine = MixedTebdEngine(spec, rates, TrotterPlan.build(dt, 4), bond_dim=60)
-    state = mps_from_product([GROUND_LOCAL] * 40, bond_dim=60)
+    engine = MixedTebdEngine(spec, rates, dt, bond_dim=60)
+    state = mps_from_product([GROUND_LOCAL] * 40)
     best = None
     at_t10 = None
     for step in range(1, int(round(11.0 / dt)) + 1):
@@ -561,8 +560,8 @@ def test_criterion_9_n40_matches_short_chain():
     spec40 = qc.ChainSpec.homogeneous(40)
     rates40 = qc.rates_from_angles(qc.mixing_angles(spec40), qc.NoiseSpec(0.01, 0.0))
     dt = 0.05
-    engine = MixedTebdEngine(spec40, rates40, TrotterPlan.build(dt, 4), bond_dim=60)
-    state = mps_from_product([GROUND_LOCAL] * 40, bond_dim=60)
+    engine = MixedTebdEngine(spec40, rates40, dt, bond_dim=60)
+    state = mps_from_product([GROUND_LOCAL] * 40)
     times = []
     series_12 = []
     for step in range(1, int(round(25.0 / dt)) + 1):

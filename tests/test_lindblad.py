@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import qubitchain as qc
-from conftest import dense, random_density_matrix, unitary_propagate, whole
+from conftest import dense, random_density_matrix, random_pure_state, unitary_propagate, whole
+from qubitchain.harness import propagate
 from qubitchain.lindblad import LindbladGenerator, block_matrix, block_stack, stream
 
 
@@ -316,15 +317,28 @@ class TestSectors:
             outside = np.setdiff1d(np.arange(4**n), sector)
             assert np.abs(want[outside]).max() < 1e-16
 
-    def test_complex_hamiltonian_matches_kronecker_oracle(self, rng):
+    def test_complex_hamiltonian_refused(self, rng):
+        # Every dense entry point takes real symmetric blocks only: the
+        # noiseless propagation inverts each block's eigenvectors by v.T.
         g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        h = 0.01 * (g + g.conj().T)
+        h = whole(0.01 * (g + g.conj().T))
         rates = sector_rates(3)
-        gen = LindbladGenerator(whole(h), rates)
-        full = kronecker_liouvillian(h, rates)
-        rho = random_density_matrix(rng, 8)
-        assert np.abs(gen.superoperator().toarray() - full).max() < 1e-14
-        assert np.abs(gen.apply(rho).ravel() - full @ rho.ravel()).max() < 1e-14
+        psi = random_pure_state(rng, 8)
+        rho = qc.density_from_pure(psi)
+        entry_points = {
+            "generator": lambda: LindbladGenerator(h, rates),
+            "evolve": lambda: qc.evolve(rho, h, rates, t_max=0.1, dt=0.01),
+            "steady_state": lambda: qc.steady_state(h, rates),
+            "ground_state": lambda: qc.ground_state(h),
+            "thermal_state": lambda: qc.thermal_state(h, 0.05),
+            "propagate_noisy": lambda: next(propagate(psi, h, rates, 0.1, 0.01)),
+            "propagate_vector": lambda: next(propagate(psi, h, qc.RateSet.zero(3), 0.1, 0.01)),
+            "propagate_matrix": lambda: next(propagate(rho, h, qc.RateSet.zero(3), 0.1, 0.01)),
+        }
+        for name, call in entry_points.items():
+            with pytest.raises(ValueError, match="must be real"):
+                call()
+                pytest.fail(f"{name} accepted a complex block")
 
     @pytest.mark.parametrize("start", ["product_eigen", "bell_head_eigen", "thermal_of_k_ini"])
     def test_two_block_rk4_matches_one_block(self, start):

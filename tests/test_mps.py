@@ -5,7 +5,7 @@ import qubitchain as qc
 from conftest import dense
 from qubitchain.mps import (
     MixedTebdEngine,
-    TrotterPlan,
+    _fourth_order_stages,
     bond_hamiltonians,
     mps_from_product,
     mps_to_dense,
@@ -18,25 +18,36 @@ GROUND = np.diag([1.0, 0.0]).astype(complex)
 MIXED = np.eye(2, dtype=complex) / 2
 
 
-def product_state(n, local=GROUND, bond_dim=64):
-    return mps_from_product([local] * n, bond_dim=bond_dim)
+def product_state(n, local=GROUND):
+    return mps_from_product([local] * n)
 
 
-class TestTrotterPlan:
-    def test_fourth_order_coefficients_sum_to_one(self):
-        plan = TrotterPlan.build(0.05, 4)
-        for family in ("even", "odd", "dissipative"):
-            assert sum(c for f, c in plan.stages if f == family) == pytest.approx(1.0)
+class TestStages:
+    """The stage list of one fourth-order step, S2(c dt) S2((1 - 2c) dt) S2(c dt)."""
 
-    def test_middle_coefficient_is_negative(self):
-        plan = TrotterPlan.build(0.05, 4)
-        diss = [c for f, c in plan.stages if f == "dissipative"]
-        assert len(diss) == 3
-        assert diss[1] < 0
+    def test_family_time_steps_sum_to_dt(self):
+        for dt in (0.05, 0.1, 0.4):
+            stages = _fourth_order_stages(dt)
+            for family in ("even", "odd", "dissipative"):
+                assert abs(sum(tau for f, tau in stages if f == family) - dt) < 1e-12
 
-    def test_rejects_unknown_order(self):
-        with pytest.raises(ValueError):
-            TrotterPlan.build(0.05, 3)
+    def test_adjacent_stages_of_one_family_are_merged(self):
+        families = [f for f, _ in _fourth_order_stages(0.05)]
+        assert all(a != b for a, b in zip(families, families[1:]))
+        assert families == ["even", "odd", "dissipative", "odd"] * 3 + ["even"]
+
+    def test_time_steps_match_reference(self):
+        # Reference time steps of S4(0.05), compared bitwise so that MPS run
+        # outputs stay byte-identical.  The middle sweep runs backwards in time.
+        a, b = 0.03378017979899144, 0.06756035959798289
+        c, d, e = -0.008780179798991445, -0.04256035959798289, -0.08512071919596578
+        assert [tau for _, tau in _fourth_order_stages(0.05)] == [a, a, b, a, c, d, e, d, c, a, b, a, a]
+
+    def test_rejects_nonpositive_dt(self):
+        spec = qc.ChainSpec.homogeneous(4)
+        for dt in (0.0, -0.05):
+            with pytest.raises(ValueError):
+                MixedTebdEngine(spec, qc.RateSet.zero(4), dt, bond_dim=16)
 
 
 class TestProductConstruction:
@@ -82,8 +93,8 @@ class TestReducedPair:
     def test_reduction_is_exactly_hermitian(self):
         spec = qc.ChainSpec.homogeneous(6)
         rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.01, 0.05))
-        engine = MixedTebdEngine(spec, rates, TrotterPlan.build(0.1, 4), bond_dim=16)
-        state = product_state(6, bond_dim=16)
+        engine = MixedTebdEngine(spec, rates, 0.1, bond_dim=16)
+        state = product_state(6)
         for _ in range(10):
             state = engine.step(state)
         for sites in ((1, 2), (3, 4), (2, 5), (1, 3, 6), (1, 2, 3, 4)):
@@ -98,7 +109,7 @@ class TestReducedPair:
     def test_agrees_with_dense_partial_trace(self):
         spec = qc.ChainSpec.homogeneous(4)
         rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.01, 0.05))
-        engine = MixedTebdEngine(spec, rates, TrotterPlan.build(0.05, 4), bond_dim=64)
+        engine = MixedTebdEngine(spec, rates, 0.05, bond_dim=64)
         state = product_state(4)
         for _ in range(40):
             state = engine.step(state)
@@ -113,7 +124,7 @@ class TestReducedPair:
 class TestTebd:
     def test_uncoupled_noiseless_product_stays_bond_one(self):
         spec = qc.ChainSpec.homogeneous(4, 0.0, 0.1, 0.0)
-        engine = MixedTebdEngine(spec, qc.RateSet.zero(4), TrotterPlan.build(0.05, 4), bond_dim=16)
+        engine = MixedTebdEngine(spec, qc.RateSet.zero(4), 0.05, bond_dim=16)
         state = product_state(4, np.diag([0.7, 0.3]).astype(complex))
         for _ in range(30):
             state = engine.step(state)
@@ -126,7 +137,7 @@ class TestTebd:
         h = qc.build_hamiltonian_eigen(spec)
         rho0 = qc.density_from_pure(qc.eigenbasis_product(4))
         dense = qc.evolve(rho0, h, rates, t_max=10.0, dt=0.01, sample_every=1000).states[-1]
-        engine = MixedTebdEngine(spec, rates, TrotterPlan.build(0.05, 4), bond_dim=64)
+        engine = MixedTebdEngine(spec, rates, 0.05, bond_dim=64)
         state = product_state(4)
         for _ in range(200):
             state = engine.step(state)
@@ -140,7 +151,7 @@ class TestTebd:
         ref = qc.evolve(rho0, h, rates, t_max=4.0, dt=0.002, sample_every=2000).states[-1]
         errors = {}
         for dt in (0.4, 0.2):
-            engine = MixedTebdEngine(spec, rates, TrotterPlan.build(dt, 4), bond_dim=64)
+            engine = MixedTebdEngine(spec, rates, dt, bond_dim=64)
             state = product_state(4)
             for _ in range(int(round(4.0 / dt))):
                 state = engine.step(state)
@@ -153,8 +164,8 @@ class TestTebd:
         # monitored trace drift must stay below the flagging policy.
         spec = qc.ChainSpec.homogeneous(6)
         rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.01, 0.1))
-        engine = MixedTebdEngine(spec, rates, TrotterPlan.build(0.05, 4), bond_dim=32)
-        state = product_state(6, bond_dim=32)
+        engine = MixedTebdEngine(spec, rates, 0.05, bond_dim=32)
+        state = product_state(6)
         for _ in range(1000):
             state = engine.step(state)
         assert engine.truncation_weight > 0  # truncation actually happened
@@ -164,7 +175,7 @@ class TestTebd:
     def test_multi_site_reduction_matches_dense(self, rng):
         spec = qc.ChainSpec.homogeneous(5)
         rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.01, 0.1))
-        engine = MixedTebdEngine(spec, rates, TrotterPlan.build(0.05, 4), bond_dim=64)
+        engine = MixedTebdEngine(spec, rates, 0.05, bond_dim=64)
         state = product_state(5)
         for _ in range(100):
             state = engine.step(state)
@@ -177,11 +188,11 @@ class TestTebd:
     def test_tensors_and_stage_ops_are_real(self):
         spec = qc.ChainSpec.homogeneous(5)
         rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.01, 0.1))
-        engine = MixedTebdEngine(spec, rates, TrotterPlan.build(0.1, 4), bond_dim=16)
+        engine = MixedTebdEngine(spec, rates, 0.1, bond_dim=16)
         for _, ops in engine._stage_ops:
             for op in ops.values() if isinstance(ops, dict) else ops:
                 assert op.dtype == np.float64
-        state = product_state(5, bond_dim=16)
+        state = product_state(5)
         for _ in range(5):
             state = engine.step(state)
         assert max(state.bond_dims()) > 1
@@ -190,8 +201,8 @@ class TestTebd:
     def test_truncation_weight_flagged_when_bond_starved(self):
         spec = qc.ChainSpec.homogeneous(6, 0.0, 0.1, 0.1)
         rates = qc.RateSet.zero(6)
-        engine = MixedTebdEngine(spec, rates, TrotterPlan.build(0.1, 4), bond_dim=2, truncation_ceiling=1e-10)
-        state = product_state(6, bond_dim=2)
+        engine = MixedTebdEngine(spec, rates, 0.1, bond_dim=2)
+        state = product_state(6)
         for _ in range(60):
             state = engine.step(state)
         assert engine.flagged_steps > 0

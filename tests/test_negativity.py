@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qubitchain as qc
-from conftest import random_density_matrix, random_pure_state, unitary_propagate
+from conftest import partial_trace, random_density_matrix, random_pure_state, unitary_propagate
 from qubitchain.pauli import kron_all
 
 
@@ -32,12 +32,13 @@ class TestReduce:
         nested_rs = qc.reduce(rho, (1, 2, 3))
         nested = qc.reduce(nested_rs.matrix, (1, 2))
         assert np.abs(direct.matrix - nested.matrix).max() < 1e-13
+        assert np.abs(direct.matrix - partial_trace(rho, (1, 2))).max() < 1e-15
 
     def test_statevector_reduction_matches_dense(self, rng):
         psi = random_pure_state(rng, 2**5)
-        dense = qc.reduce(qc.density_from_pure(psi), (2, 5))
+        dense = partial_trace(qc.density_from_pure(psi), (2, 5))
         fast = qc.reduce_statevector(psi, (2, 5))
-        assert np.abs(dense.matrix - fast.matrix).max() < 1e-13
+        assert np.abs(dense - fast.matrix).max() < 1e-13
 
     def test_leading_batch_axis_matches_per_state_reduction(self, rng):
         rhos = np.array([random_density_matrix(rng, 2**5) for _ in range(3)])
@@ -47,10 +48,11 @@ class TestReduce:
             assert stacked.matrix.shape == (3, 2 ** len(sites), 2 ** len(sites))
             for rho, got in zip(rhos, stacked.matrix):
                 assert np.abs(got - qc.reduce(rho, sites).matrix).max() < 1e-15
+                assert np.abs(got - partial_trace(rho, sites)).max() < 1e-15
             stacked = qc.reduce_statevector(psis, sites)
             for psi, got in zip(psis, stacked.matrix):
                 assert np.abs(got - qc.reduce_statevector(psi, sites).matrix).max() < 1e-15
-                assert np.abs(got - qc.reduce(qc.density_from_pure(psi), sites).matrix).max() < 1e-13
+                assert np.abs(got - partial_trace(qc.density_from_pure(psi), sites)).max() < 1e-13
 
     def test_block_reduction_matches_dense(self, rng):
         from qubitchain.lindblad import block_matrix, block_stack
@@ -62,7 +64,7 @@ class TestReduce:
                 stacked = qc.negativity.reduce_blocks(parts, blocks, sites)
                 assert stacked.sites == sites
                 for part, got in zip(parts, stacked.matrix):
-                    want = qc.reduce(block_matrix(part, blocks), sites).matrix
+                    want = partial_trace(block_matrix(part, blocks), sites)
                     assert np.abs(got - want).max() < 1e-15
 
     def test_validates_sites(self):
@@ -73,6 +75,9 @@ class TestReduce:
             qc.reduce(rho, (0, 2))
         with pytest.raises(ValueError):
             qc.reduce(rho, (1, 2, 3, 4, 5))
+        for bad in (np.eye(6) / 6, np.ones((8, 4)) / 8, np.ones(8) / 8):
+            with pytest.raises(ValueError):
+                qc.reduce(bad, (1,))
 
 
 class TestPartialTranspose:
