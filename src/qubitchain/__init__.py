@@ -55,7 +55,6 @@ from .states import (
     thermal_state,
 )
 from .witness import (
-    CorrelationMatrix,
     OptimizedBound,
     bound_c1,
     bound_c2,

@@ -247,11 +247,11 @@ def sample_disorder(spec: ChainSpec, dis: DisorderSpec) -> ChainSpec:
 
 
 def require_real_symmetric(block: np.ndarray) -> np.ndarray:
-    """The real part of a square Hamiltonian block, refusing a nonzero
-    imaginary part or an asymmetry above 1e-12 of its largest entry.
+    """(B + B^T)/2 for the real part B of a square Hamiltonian block, refusing
+    a nonzero imaginary part or an asymmetry above 1e-12 of its largest entry.
 
-    The dense solvers diagonalize and multiply every block as a real
-    symmetric matrix, which is what the Hamiltonian builders return.
+    The dense solvers take every block as an exactly symmetric real matrix;
+    the blocks the Hamiltonian builders return are, and come back uncopied.
     """
     if block.ndim != 2 or block.shape[0] != block.shape[1]:
         raise ValueError("hamiltonian block must be a square matrix")
@@ -259,6 +259,7 @@ def require_real_symmetric(block: np.ndarray) -> np.ndarray:
         raise ValueError("hamiltonian block must be real")
     real = block.real
     scale = max(np.abs(real).max(), 1e-300)
-    if np.abs(real - real.T).max() > 1e-12 * scale:
+    asymmetry = np.abs(real - real.T).max()
+    if asymmetry > 1e-12 * scale:
         raise ValueError("hamiltonian block is not symmetric within 1e-12")
-    return real
+    return real if asymmetry == 0 else 0.5 * (real + real.T)

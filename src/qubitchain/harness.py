@@ -29,13 +29,14 @@ Config schema (schema_version 1); "= x" marks an optional key and its default::
       "seed": 7
     }
 
-The chain's coupling is replaced by quench.k_fin: it only sets the default
-of k_fin.  Scan schema (schema_version 1), for :func:`steady_state_scan`::
+The chain's coupling is replaced by quench.k_fin on every bond: it must be
+one value, and only sets the default of k_fin.  Scan schema
+(schema_version 1), for :func:`steady_state_scan`::
 
     {
       "schema_version": 1, "name": "steady-scan",   # schema_version = 1
-      "chain": {"n_qubits": 4, "epsilon": 0.0, "delta": 0.1},  # coupling optional:
-      "coupling_ratios": [0.25, 1.5],        # each sets it to ratio x delta_1
+      "chain": {"n_qubits": 4, "epsilon": 0.0, "delta": 0.1},  # coupling optional
+      "coupling_ratios": [0.25, 1.5],        # and replaced: each sets every bond to ratio x delta_1
       "gammas": [0.0, 0.001, 0.01, 0.1], "n_thermal": 0.1,
       "pair": [1, 2], "tol": 1e-8,           # = [1, 2] and 1e-8 (certified residual)
       "transient_t_max": 40.0, "transient_dt": 0.05   # = 40.0 and 0.05
@@ -84,7 +85,7 @@ from .mps import MixedTebdEngine, MpsMixedState, mps_from_product, reduced_sites
 from .negativity import ReducedState, log_negativity, reduce, reduce_blocks, reduce_statevector
 from .states import density_from_pure, eigenbasis_bell_head, eigenbasis_product, ground_state, thermal_state
 from .witness import (
-    CorrelationMatrix,
+    asymmetry,
     asymmetry_flags,
     bound_c1,
     bound_c2,
@@ -141,6 +142,13 @@ def _parity_sectors(chain: ChainSpec, disorder_targets=()) -> int:
     """Number of parity blocks of every member: 2 when each epsilon_i = 0 and
     stays so (no epsilon disorder), else 1 (see :func:`qubitchain.chain.build_hamiltonian_eigen`)."""
     return 1 if any(chain.epsilon) or "epsilon" in disorder_targets else 2
+
+
+def _check_one_coupling(chain: ChainSpec, replaced_by: str) -> None:
+    """Refuse per-bond couplings, which the run would replace by `replaced_by` on every bond."""
+    if len(set(chain.coupling)) > 1:
+        got = list(chain.coupling)
+        raise ConfigError(f"chain.coupling must be one value, got {got}: every bond runs at {replaced_by}")
 
 
 def _check_exact_memory(n_qubits: int, member_bytes: int, members_at_once: int = 1) -> None:
@@ -286,6 +294,7 @@ class ScenarioConfig:
             if not self.chain.coupling:
                 raise ConfigError("a chain without couplings needs an explicit quench section")
             object.__setattr__(self, "quench", QuenchSpec(0.0, self.chain.coupling[0]))
+        _check_one_coupling(self.chain, "quench.k_fin")
         if self.initial_state not in INITIAL_STATES:
             raise ConfigError(f"initial_state must be one of {INITIAL_STATES}")
         if self.t_max <= 0 or self.dt <= 0 or self.sample_every < 1:
@@ -452,21 +461,6 @@ def _prepare_initial(config: ScenarioConfig, chain_fin: ChainSpec) -> np.ndarray
     return thermal_state(h_ini, config.initial_temperature_mk * 1e-3, config.chain.energy_unit_kelvin)
 
 
-def _measure_pair(pair_state: ReducedState, xs: list[CorrelationMatrix] | None, measures) -> dict:
-    """Each of `measures` at every sample of the stacked `pair_state`; `xs`
-    holds its correlation matrices, one per sample."""
-    out = {}
-    if "e_n" in measures:
-        out["e_n"] = log_negativity(pair_state, pair_state.sites[:1])
-    if "c1" in measures:
-        out["c1"] = [bound_c1(x) for x in xs]
-    if "c2" in measures:
-        out["c2"] = [bound_c2(x) for x in xs]
-    if "c2_opt" in measures:
-        out["c2_opt"] = [c2_opt_value(x) for x in xs]
-    return out
-
-
 def sample_grid(t_max: float, dt: float, sample_every: int) -> np.ndarray:
     """Sample times of every propagation path: every sample_every steps of dt, and the last step."""
     n_steps = int(round(t_max / dt))
@@ -575,11 +569,12 @@ def _propagate_unitary(
             yield times[i : i + 1], partial(reduce_blocks, rho[None], blocks)
 
 
-def _run_member(config: ScenarioConfig, member: int, pair_series, block_series, asymmetry, flags, keep_correlations):
+def _run_member(config: ScenarioConfig, member: int, pair_series, block_series, asymmetries, correlations, flags):
     """Measure one ensemble member into row `member` of the (members, times) series,
-    including the pairs' correlation asymmetries where `asymmetry` has a series.
+    and the pairs' correlation asymmetries where `asymmetries` has a series.
 
-    Returns {pair: [CorrelationMatrix per sample]} with `keep_correlations`, else {}.
+    Writes each pair's correlation matrices at every sample into
+    `correlations`, where it has a (times, 3, 3) array for the pair.
     """
     chain_fin = _member_chain(config, member)
     rates = rates_from_angles(mixing_angles(chain_fin), config.noise)
@@ -595,21 +590,23 @@ def _run_member(config: ScenarioConfig, member: int, pair_series, block_series, 
     del state0  # with noise, propagate lets go of a full initial density matrix
 
     measures = config.observables.measures
-    need_x = keep_correlations or any(m in measures for m in ("c1", "c2", "c2_opt"))
-    correlations = {p: [] for p in config.observables.pairs} if keep_correlations else {}
+    bounds = {m: f for m, f in (("c1", bound_c1), ("c2", bound_c2), ("c2_opt", c2_opt_value)) if m in measures}
     done = 0
     for ts, acc in samples:
         rows = slice(done, done + len(ts))
         done += len(ts)
         for p in config.observables.pairs:
             rs = acc(p)
-            xs = [correlation_matrix_from_pair(ReducedState(p, matrix)) for matrix in rs.matrix] if need_x else None
-            for m, values in _measure_pair(rs, xs, measures).items():
-                pair_series[p][m][member, rows] = values
-            if p in asymmetry:
-                asymmetry[p][member, rows] = [x.asymmetry for x in xs]
-            if keep_correlations:
-                correlations[p].extend(xs)
+            if "e_n" in measures:
+                pair_series[p]["e_n"][member, rows] = log_negativity(rs, p[:1])
+            if bounds or p in correlations:
+                x = correlation_matrix_from_pair(rs)
+                for m, bound in bounds.items():
+                    pair_series[p][m][member, rows] = bound(x)
+                if p in asymmetries:
+                    asymmetries[p][member, rows] = asymmetry(x)
+                if p in correlations:
+                    correlations[p][rows] = x
         for a, b in config.observables.blocks:
             block_series[(a, b)][member, rows] = log_negativity(acc(tuple(sorted(a + b))), a)
     if engine is not None:
@@ -619,7 +616,6 @@ def _run_member(config: ScenarioConfig, member: int, pair_series, block_series, 
                 f"(total discarded weight {engine.truncation_weight:.3e})"
             )
         flags.append(f"mps total truncation weight {engine.truncation_weight:.3e}")
-    return correlations
 
 
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> ResultSet:
@@ -637,24 +633,28 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ResultSet:
     measures = config.observables.measures
     pair_series = {p: {m: np.empty((members, len(times))) for m in measures} for p in pairs}
     block_series = {b: np.empty((members, len(times))) for b in config.observables.blocks}
-    asymmetry = {p: np.empty((members, len(times))) for p in pairs} if "c2_opt" in measures else {}
+    asymmetries = {p: np.empty((members, len(times))) for p in pairs} if "c2_opt" in measures else {}
     flags: list[str] = []
     member_flags: list[list[str]] = [[] for _ in range(members)]
     frozen = config.observables.frozen_axes
+    # Axes freezing is a single-run protocol: it reads the first member only.
+    correlations = {p: np.empty((len(times), 3, 3)) for p in pairs} if frozen else {}
 
     def one(m: int):
-        return _run_member(config, m, pair_series, block_series, asymmetry, member_flags[m], frozen and m == 0)
+        kept = correlations if m == 0 else {}
+        _run_member(config, m, pair_series, block_series, asymmetries, kept, member_flags[m])
 
     if threads > 1 and members > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            correlations = list(pool.map(one, range(members)))[0]
+            list(pool.map(one, range(members)))
     else:
-        correlations = [one(m) for m in range(members)][0]
+        for m in range(members):
+            one(m)
     for mf in member_flags:
         flags.extend(mf)
-    for p, a in asymmetry.items():
+    for p, a in asymmetries.items():
         flags.extend(asymmetry_flags(p, a))
 
     # nanmean over a column with no evaluable member is NaN by design
@@ -687,22 +687,20 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ResultSet:
 def _frozen_axes(times, pair_series, correlations, flags: list[str]):
     """Plain bound along axes frozen at each pair's E_N peak: (series, info).
 
-    Reads the first ensemble member's per-sample correlation matrices (axes
-    freezing is a single-run measurement protocol, not an ensemble statistic).
+    Reads the first ensemble member's correlation matrices, stacked as
+    (times, 3, 3).
     """
     series: dict[tuple[int, int], np.ndarray] = {}
     info: dict = {}
     for p, xs in correlations.items():
         ref_idx = int(np.nanargmax(pair_series[p]["e_n"][0]))
-        x_ref = xs[ref_idx]
-        if not c2_opt_defined(x_ref.asymmetry):
-            flags.append(
-                f"frozen axes unavailable for pair {p}: reference asymmetry {x_ref.asymmetry:.2e}"
-            )
+        ref_asymmetry = asymmetry(xs[ref_idx])
+        if not c2_opt_defined(ref_asymmetry):
+            flags.append(f"frozen axes unavailable for pair {p}: reference asymmetry {ref_asymmetry:.2e}")
             series[p] = np.full(len(xs), math.nan)
             continue
-        axes = bound_c2_optimized(x_ref).axes
-        series[p] = np.array([frozen_axes_bound(x, axes) for x in xs])
+        axes = bound_c2_optimized(xs[ref_idx]).axes
+        series[p] = frozen_axes_bound(xs, axes)
         info[str(list(p))] = {
             "reference_time": float(times[ref_idx]),
             "axes": [[float(v) for v in axis] for axis in axes],
@@ -746,6 +744,7 @@ class ScanConfig:
     def __post_init__(self):
         if not self.gammas or not self.coupling_ratios:
             raise ConfigError("scan grids must be non-empty")
+        _check_one_coupling(self.chain, "coupling_ratios x delta_1")
         n = self.chain.n_qubits
         i, j = self.pair
         if not 1 <= i < j <= n:
@@ -797,10 +796,15 @@ def classify_row(values: list[float]) -> str:
 class ScanResult:
     config: ScanConfig
     points: list[ScanPoint]
-    classifications: dict[float, str]  # coupling_ratio -> class
 
     def row(self, ratio: float) -> list[ScanPoint]:
         return [p for p in self.points if p.coupling_ratio == ratio]
+
+    @property
+    def classifications(self) -> dict[float, str]:
+        """Class of each coupling ratio's row (:func:`classify_row`), in scan order."""
+        rows = {r: [p.steady_e_n for p in self.row(r) if p.applicable] for r in self.config.coupling_ratios}
+        return {ratio: classify_row(values) if values else "not_applicable" for ratio, values in rows.items()}
 
 
 def steady_state_scan(config: ScanConfig) -> ScanResult:
@@ -811,7 +815,6 @@ def steady_state_scan(config: ScanConfig) -> ScanResult:
     the short-time monotonicity can be checked alongside.
     """
     points: list[ScanPoint] = []
-    classifications: dict[float, str] = {}
     rho0_vec = eigenbasis_product(config.chain.n_qubits)
     sample = max(1, int(round(0.5 / config.transient_dt)))
     part = (config.pair[0],)
@@ -819,7 +822,6 @@ def steady_state_scan(config: ScanConfig) -> ScanResult:
         chain = config.chain.with_coupling(ratio * config.chain.delta[0])
         h = build_hamiltonian_eigen(chain)
         angles = mixing_angles(chain)
-        row_values = []
         for gamma in config.gammas:
             noise = NoiseSpec(gamma, config.n_thermal)
             rates = rates_from_angles(angles, noise)
@@ -834,6 +836,4 @@ def steady_state_scan(config: ScanConfig) -> ScanResult:
             res = steady_state(h, rates, config.tol)
             en = log_negativity(reduce(res.state, config.pair), part)
             points.append(ScanPoint(ratio, gamma, en, res.converged, res.residual, fm, True))
-            row_values.append(en)
-        classifications[ratio] = classify_row(row_values) if row_values else "not_applicable"
-    return ScanResult(config, points, classifications)
+    return ScanResult(config, points)

@@ -262,7 +262,6 @@ class LindbladGenerator:
         # never converts either operand.
         self._h_parts = [sparse.csr_matrix(require_real_symmetric(part)) for _, part in h]
         self._h = sparse.block_diag(self._h_parts, format="csr")
-        self._h_t = self._h.T.tocsr()
         # Row-sum norm: upper-bounds the spectral norm, cheap at any size.
         self._h_norm = float(abs(self._h).sum(axis=1).max())
 
@@ -285,9 +284,9 @@ class LindbladGenerator:
         """drho/dt of a (not necessarily normalized) state, in the shape given."""
         r = np.ascontiguousarray(rho, dtype=complex).reshape(self.shape)
         out = self._times(self._h, r)
-        # rho H = (H^T rho^T)^T: scipy's dense @ sparse dispatch costs more
-        # than the product itself.
-        out -= self._times(self._h_t, np.ascontiguousarray(r.transpose(0, 2, 1))).transpose(0, 2, 1)
+        # rho H = (H rho^T)^T for the exactly symmetric H: scipy's dense @
+        # sparse dispatch costs more than the product itself.
+        out -= self._times(self._h, np.ascontiguousarray(r.transpose(0, 2, 1))).transpose(0, 2, 1)
         out *= -1j
         _as_pairs(out)[...] += self._dissipator @ _as_pairs(r)
         return out.reshape(rho.shape)

@@ -70,13 +70,10 @@ _YOSHIDA_C1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 class MpsMixedState:
     """Matrix-product density matrix: site tensors (Dl, 4, Dr) plus bond weights."""
 
-    n_sites: int
     tensors: list[np.ndarray]
     bond_weights: list[np.ndarray]
 
     def __post_init__(self):
-        if len(self.tensors) != self.n_sites:
-            raise ValueError("one tensor per site required")
         if len(self.bond_weights) != max(self.n_sites - 1, 0):
             raise ValueError("one bond-weight vector per bond required")
         if self.tensors[0].shape[0] != 1 or self.tensors[-1].shape[2] != 1:
@@ -89,11 +86,11 @@ class MpsMixedState:
                 raise ValueError(f"bond weights {j} must be non-negative and descending")
 
     def copy(self) -> "MpsMixedState":
-        return MpsMixedState(
-            self.n_sites,
-            [t.copy() for t in self.tensors],
-            [w.copy() for w in self.bond_weights],
-        )
+        return MpsMixedState([t.copy() for t in self.tensors], [w.copy() for w in self.bond_weights])
+
+    @property
+    def n_sites(self) -> int:
+        return len(self.tensors)
 
     def bond_dims(self) -> tuple[int, ...]:
         return tuple(t.shape[2] for t in self.tensors[:-1])
@@ -146,7 +143,7 @@ def mps_from_product(local_states: list[np.ndarray]) -> MpsMixedState:
         validate_local_state(rho)
         tensors.append((_TO_PAULI @ rho.reshape(4)).real.reshape(1, 4, 1))
     weights = [np.ones(1) for _ in range(n - 1)]
-    return MpsMixedState(n, tensors, weights)
+    return MpsMixedState(tensors, weights)
 
 
 def mps_trace(state: MpsMixedState) -> float:

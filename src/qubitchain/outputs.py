@@ -14,7 +14,7 @@ import json
 import math
 from pathlib import Path
 
-from .witness import asymmetry_flags
+from .witness import asymmetry, asymmetry_flags
 
 TIMESERIES_COLUMNS = ("time", "pair_i", "pair_j", "e_n", "c1", "c2", "c2_opt", "ensemble_mean_flag")
 
@@ -241,7 +241,7 @@ def emit_bounds_outputs(matrices: dict, results: dict, out_dir: str | Path, buil
     pairs = sorted(results)
     run = RunDirectory(out_dir)
     rows = (
-        [str(i), str(j), *(_fmt(results[(i, j)][m]) for m in ("c1", "c2", "c2_opt")), _fmt(matrices[(i, j)].asymmetry)]
+        [str(i), str(j), *(_fmt(results[(i, j)][m]) for m in ("c1", "c2", "c2_opt")), _fmt(asymmetry(matrices[(i, j)]))]
         for i, j in pairs
     )
     run.csv("bounds.csv", ("i", "j", "c1", "c2", "c2_opt", "asymmetry"), rows)
@@ -249,5 +249,5 @@ def emit_bounds_outputs(matrices: dict, results: dict, out_dir: str | Path, buil
         schema_version=1,
         build=build_id,
         pairs=[list(p) for p in pairs],
-        flags=[flag for p in pairs for flag in asymmetry_flags(p, matrices[p].asymmetry)],
+        flags=[flag for p in pairs for flag in asymmetry_flags(p, asymmetry(matrices[p]))],
     )

@@ -14,6 +14,13 @@ eigenvalues of X gives the tightest bound of this family:
     C2' = max[0, log2(1 + |l1| + |l2| + |l3|) - 1]
 
 together with the optimal axes (the eigenvectors).
+
+A correlation matrix is a float array: one 3x3 matrix with rows and columns
+ordered (x, y, z), or a stack of them shaped (..., 3, 3), as the stacked
+pair states of :func:`qubitchain.harness.propagate` give.  Each bound maps
+one matrix to a float and a stack to one value per matrix; only
+:func:`bound_c2_optimized`, which also returns the optimal axes, takes one
+matrix.  The asymmetry of X is always computed from its entries.
 """
 
 from __future__ import annotations
@@ -37,36 +44,8 @@ SYMMETRY_WARN_LIMIT = 1e-4
 
 _IMAG_TOL = 1e-10
 
-_PAIR_PAULI = {
-    (a, b): np.kron(PAULI_BY_AXIS[a], PAULI_BY_AXIS[b]) for a in AXES for b in AXES
-}
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """3x3 matrix of two-site correlations, axes ordered (x, y, z)."""
-
-    entries: np.ndarray
-    sites: tuple[int, int]
-    asymmetry: float
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.shape != (3, 3):
-            raise ValueError("correlation matrix must be 3x3")
-        if not np.isfinite(entries).all():
-            raise ValueError("correlations must be finite")
-        if np.abs(entries).max() > 1.0 + 1e-9:
-            raise ValueError("correlations must lie in [-1, 1]")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "sites", (int(self.sites[0]), int(self.sites[1])))
-        object.__setattr__(self, "asymmetry", float(self.asymmetry))
-
-    @classmethod
-    def from_entries(cls, entries: np.ndarray, sites: tuple[int, int] = (1, 2)) -> "CorrelationMatrix":
-        entries = np.asarray(entries, dtype=float)
-        asymmetry = float(np.abs(entries - entries.T).max())
-        return cls(entries, sites, asymmetry)
+# sigma^a kron sigma^b at [row a, column b], axes ordered as AXES.
+_PAIR_PAULI = np.array([[np.kron(PAULI_BY_AXIS[a], PAULI_BY_AXIS[b]) for b in AXES] for a in AXES])
 
 
 @dataclass(frozen=True)
@@ -82,42 +61,54 @@ class OptimizedBound:
     eigenvalues: np.ndarray
 
 
-def _pair_correlation(pair: ReducedState, a: str, b: str) -> float:
-    value = complex(np.trace(_PAIR_PAULI[(a, b)] @ pair.matrix))
-    if abs(value.imag) > _IMAG_TOL:
-        raise ValueError(
-            f"correlation C^{a}{b} has imaginary part {value.imag:.3e}; state is corrupted"
-        )
-    return float(value.real)
+def _checked(x: np.ndarray) -> np.ndarray:
+    """`x`, refused unless every correlation is finite and lies in [-1, 1]."""
+    if not np.isfinite(x).all():
+        raise ValueError("correlations must be finite")
+    if (np.abs(x) > 1.0 + 1e-9).any():
+        raise ValueError("correlations must lie in [-1, 1]")
+    return x
 
 
-def correlation_matrix(rho: np.ndarray, i: int, j: int) -> CorrelationMatrix:
-    """All nine correlations of the pair (i, j) as a CorrelationMatrix."""
-    pair = reduce(rho, (i, j))
-    return correlation_matrix_from_pair(pair)
+def correlation_matrix(rho: np.ndarray, i: int, j: int) -> np.ndarray:
+    """All nine correlations of the pair (i, j) of the density matrix `rho`."""
+    return correlation_matrix_from_pair(reduce(rho, (i, j)))
 
 
-def correlation_matrix_from_pair(pair: ReducedState) -> CorrelationMatrix:
-    """Correlation matrix of a two-site ReducedState."""
+def correlation_matrix_from_pair(pair: ReducedState) -> np.ndarray:
+    """Correlation matrix of a two-site ReducedState: 3x3, or (..., 3, 3) for a stacked state."""
     if len(pair.sites) != 2:
         raise ValueError("a two-site reduced state is required")
-    entries = np.empty((3, 3))
-    for r, a in enumerate(AXES):
-        for c, b in enumerate(AXES):
-            entries[r, c] = _pair_correlation(pair, a, b)
-    return CorrelationMatrix.from_entries(entries, pair.sites)
+    # Trace of each full product, not a contraction: a stack rounds as its matrices one at a time.
+    values = np.trace(_PAIR_PAULI @ pair.matrix[..., None, None, :, :], axis1=-2, axis2=-1)
+    imag = np.abs(values.imag)
+    if (imag > _IMAG_TOL).any():
+        r, c = np.unravel_index(imag.argmax(), imag.shape)[-2:]
+        raise ValueError(f"correlation C^{AXES[r]}{AXES[c]} has imaginary part {imag.max():.3e}; state is corrupted")
+    return _checked(np.ascontiguousarray(values.real))
 
 
-def bound_c1(x: CorrelationMatrix) -> float:
+def asymmetry(x) -> float | np.ndarray:
+    """Largest |X_ab - X_ba| of each correlation matrix."""
+    x = np.asarray(x, dtype=float)
+    return np.abs(x - np.swapaxes(x, -1, -2)).max(axis=(-2, -1))
+
+
+def _excess(s) -> float | np.ndarray:
+    """max[0, log2(s) - 1] of each entry of `s`."""
+    return np.log2(np.maximum(s, 2.0)) - 1.0
+
+
+def bound_c1(x) -> float | np.ndarray:
     """max[0, log2(|Cxx| + |Czz|)]: usable when only xx and zz are measured."""
-    s = abs(x.entries[0, 0]) + abs(x.entries[2, 2])
-    return max(0.0, float(np.log2(s))) if s > 0 else 0.0
+    x = np.asarray(x, dtype=float)
+    return np.log2(np.maximum(np.abs(x[..., 0, 0]) + np.abs(x[..., 2, 2]), 1.0))
 
 
-def bound_c2(x: CorrelationMatrix) -> float:
+def bound_c2(x) -> float | np.ndarray:
     """max[0, log2(1 + |Cxx| + |Cyy| + |Czz|) - 1]: tighter, needs yy as well."""
-    s = 1.0 + abs(x.entries[0, 0]) + abs(x.entries[1, 1]) + abs(x.entries[2, 2])
-    return max(0.0, float(np.log2(s)) - 1.0)
+    x = np.asarray(x, dtype=float)
+    return _excess(1.0 + np.abs(x[..., 0, 0]) + np.abs(x[..., 1, 1]) + np.abs(x[..., 2, 2]))
 
 
 def c2_opt_defined(asymmetry):
@@ -129,32 +120,42 @@ def c2_opt_defined(asymmetry):
     return asymmetry < SYMMETRY_WARN_LIMIT
 
 
-def bound_c2_optimized(x: CorrelationMatrix) -> OptimizedBound:
-    """Rotation-optimized bound from the eigenvalues of the symmetrized X.
+def _symmetric_eigh(x: np.ndarray):
+    """Eigenvalues and eigenvectors of each symmetrized X."""
+    return np.linalg.eigh(0.5 * (x + np.swapaxes(x, -1, -2)))
+
+
+def bound_c2_optimized(x) -> OptimizedBound:
+    """Rotation-optimized bound of one 3x3 X, from the eigenvalues of X symmetrized.
 
     Valid only for (near-)symmetric correlation matrices: X is symmetrized
-    where :func:`c2_opt_defined` holds and refused otherwise.  Callers
-    report asymmetry of SYMMETRY_TOL or more through :func:`asymmetry_flags`.
+    where :func:`c2_opt_defined` holds for its :func:`asymmetry` and refused
+    otherwise.  Callers report asymmetry of SYMMETRY_TOL or more through
+    :func:`asymmetry_flags`.
     """
-    if not c2_opt_defined(x.asymmetry):
+    x = np.asarray(x, dtype=float)
+    if x.shape != (3, 3):
+        raise ValueError(f"the optimized bound takes one 3x3 matrix, got shape {x.shape}")
+    a = asymmetry(x)
+    if not c2_opt_defined(a):
         raise ValueError(
-            f"correlation matrix asymmetry {x.asymmetry:.3e} exceeds "
+            f"correlation matrix asymmetry {a:.3e} exceeds "
             f"{SYMMETRY_WARN_LIMIT}; the optimized bound requires a symmetric X"
         )
-    sym = 0.5 * (x.entries + x.entries.T)
-    eigenvalues, eigenvectors = np.linalg.eigh(sym)
-    s = 1.0 + float(np.abs(eigenvalues).sum())
-    value = max(0.0, float(np.log2(s)) - 1.0)
+    eigenvalues, eigenvectors = _symmetric_eigh(x)
     # An axis and its negative measure the same; each is signed so that its
     # largest component is positive, not as eigh happens to return it.
     axes = eigenvectors.T.copy()
     axes *= np.sign(axes[np.arange(3), np.abs(axes).argmax(axis=1)])[:, None]
-    return OptimizedBound(value, axes, eigenvalues)
+    return OptimizedBound(_excess(1.0 + np.abs(eigenvalues).sum()), axes, eigenvalues)
 
 
-def c2_opt_value(x: CorrelationMatrix) -> float:
-    """C2' of X, or NaN where it is not defined."""
-    return bound_c2_optimized(x).value if c2_opt_defined(x.asymmetry) else math.nan
+def c2_opt_value(x) -> float | np.ndarray:
+    """C2' of each X, or NaN where it is not defined."""
+    x = np.asarray(x, dtype=float)
+    value = _excess(1.0 + np.abs(_symmetric_eigh(x)[0]).sum(axis=-1))
+    # [()] makes the 0-d result for one matrix a scalar.
+    return np.where(c2_opt_defined(asymmetry(x)), value, math.nan)[()]
 
 
 def asymmetry_flags(pair: tuple[int, int], asymmetries) -> list[str]:
@@ -176,8 +177,8 @@ def asymmetry_flags(pair: tuple[int, int], asymmetries) -> list[str]:
     return flags
 
 
-def frozen_axes_bound(x: CorrelationMatrix, axes: np.ndarray) -> float:
-    """C2 evaluated along a fixed rotated axes triple (rows of `axes`).
+def frozen_axes_bound(x, axes: np.ndarray) -> float | np.ndarray:
+    """C2 of each X measured along a fixed rotated axes triple (rows of `axes`).
 
     Lets an experiment keep one measurement basis over a time window instead
     of re-optimizing at every instant.
@@ -187,16 +188,15 @@ def frozen_axes_bound(x: CorrelationMatrix, axes: np.ndarray) -> float:
         raise ValueError("axes must be a 3x3 rotation matrix (rows are axes)")
     if np.abs(axes @ axes.T - np.eye(3)).max() > 1e-8:
         raise ValueError("axes rows must be orthonormal")
-    rotated = axes @ x.entries @ axes.T
-    s = 1.0 + abs(rotated[0, 0]) + abs(rotated[1, 1]) + abs(rotated[2, 2])
-    return max(0.0, float(np.log2(s)) - 1.0)
+    return bound_c2(axes @ np.asarray(x, dtype=float) @ axes.T)
 
 
-def load_correlations_csv(path: str | Path) -> dict[tuple[int, int], CorrelationMatrix]:
+def load_correlations_csv(path: str | Path) -> dict[tuple[int, int], np.ndarray]:
     """Read measured correlations from a CSV with columns i, j, a, b, value.
 
-    Returns one CorrelationMatrix per (i, j) pair with 1 <= i < j; every
-    pair must come with all nine axis combinations, each exactly once.
+    Returns one 3x3 correlation matrix per (i, j) pair with 1 <= i < j;
+    every pair must come with all nine axis combinations, each exactly once,
+    and every value must be finite and lie in [-1, 1].
     """
     cells: dict[tuple[int, int], dict[tuple[str, str], float]] = {}
     with open(path, newline="") as fh:
@@ -220,6 +220,5 @@ def load_correlations_csv(path: str | Path) -> dict[tuple[int, int], Correlation
         if len(values) != 9:
             missing = [f"{a}{b}" for a in AXES for b in AXES if (a, b) not in values]
             raise ValueError(f"pair {pair} is missing correlations: {missing}")
-        entries = np.array([[values[(a, b)] for b in AXES] for a in AXES])
-        out[pair] = CorrelationMatrix.from_entries(entries, pair)
+        out[pair] = _checked(np.array([[values[(a, b)] for b in AXES] for a in AXES]))
     return out

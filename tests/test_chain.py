@@ -3,7 +3,7 @@ import pytest
 
 import qubitchain as qc
 from conftest import dense
-from qubitchain.chain import DENSE_SITE_LIMIT
+from qubitchain.chain import DENSE_SITE_LIMIT, require_real_symmetric
 from qubitchain.pauli import SX, SZ, kron_all, site_operator, z_pattern
 
 
@@ -100,6 +100,22 @@ class TestHamiltonianLab:
 
 
 class TestHamiltonianEigen:
+    def test_blocks_are_exactly_symmetric(self):
+        # The generator multiplies rho H as (H rho^T)^T with H itself, which
+        # needs every block exactly symmetric: the builders' blocks are, and
+        # pass uncopied; roundoff asymmetry is symmetrized, more is refused.
+        spec = qc.sample_disorder(qc.ChainSpec.homogeneous(6), qc.DisorderSpec(0.05, ("delta", "coupling"), 3))
+        for spec in (spec, qc.ChainSpec.homogeneous(5, epsilon=0.05)):
+            for _, block in qc.build_hamiltonian_eigen(spec):
+                assert require_real_symmetric(block) is block
+        skewed = block.copy()
+        skewed[0, 1] += 1e-14 * np.abs(block).max()
+        sym = require_real_symmetric(skewed)
+        assert np.array_equal(sym, sym.T) and np.abs(sym - block).max() <= 1e-14 * np.abs(block).max()
+        skewed[0, 1] += 1e-9
+        with pytest.raises(ValueError, match="not symmetric"):
+            require_real_symmetric(skewed)
+
     def test_degeneracy_point_structure(self):
         # At eps=0 the rotated coupling is purely transverse: H' has no
         # sigma_z sigma_z part, so its diagonal is the field term alone.

@@ -116,6 +116,17 @@ class TestConfig:
         data["quench"] = {"k_ini": 0.0, "k_fin": 0.0}
         assert ScenarioConfig.from_dict(data).chain.n_qubits == 1
 
+    def test_per_bond_couplings_refused(self):
+        # Every bond runs at quench.k_fin (a scan: ratio x delta_1), so
+        # per-bond values would be dropped without a word.
+        per_bond = {"n_qubits": 4, "epsilon": 0.0, "delta": 0.1, "coupling": [0.02, 0.03, 0.04]}
+        with pytest.raises(ConfigError, match=r"chain\.coupling .*quench\.k_fin"):
+            small_config(chain=per_bond)
+        with pytest.raises(ConfigError, match=r"chain\.coupling .*coupling_ratios"):
+            ScanConfig.from_dict({**SMALL_SCAN, "chain": {**SMALL_SCAN["chain"], "coupling": [0.02, 0.03]}})
+        # One value given per bond is still one coupling.
+        assert small_config(chain={**per_bond, "coupling": [0.025] * 3}).chain.coupling == (0.025,) * 3
+
     def test_frozen_axes_needs_negativity(self):
         with pytest.raises(ConfigError, match="frozen_axes mode requires the e_n measure"):
             small_config(observables={"pairs": [[1, 2]], "measures": ["c2"], "frozen_axes": True})

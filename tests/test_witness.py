@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import qubitchain as qc
 from conftest import random_density_matrix
 from qubitchain.negativity import ReducedState, log_negativity
-from qubitchain.witness import asymmetry_flags, correlation_matrix_from_pair
+from qubitchain.witness import asymmetry, asymmetry_flags, c2_opt_value, correlation_matrix_from_pair
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -33,19 +35,19 @@ def write_csv(tmp_path, rows, pair=None):
 
 class TestCorrelation:
     def test_zero_product_state(self):
-        x = qc.correlation_matrix(qc.density_from_pure(qc.eigenbasis_product(2)), 1, 2).entries
+        x = qc.correlation_matrix(qc.density_from_pure(qc.eigenbasis_product(2)), 1, 2)
         assert x[2, 2] == pytest.approx(1.0)
         assert x[0, 0] == pytest.approx(0.0, abs=1e-14)
         assert x[1, 1] == pytest.approx(0.0, abs=1e-14)
 
     def test_bell_prime_diagonal(self):
-        x = qc.correlation_matrix(qc.density_from_pure(BELL_PRIME), 1, 2).entries
+        x = qc.correlation_matrix(qc.density_from_pure(BELL_PRIME), 1, 2)
         assert x[0, 0] == pytest.approx(1.0)
         assert x[1, 1] == pytest.approx(1.0)
         assert x[2, 2] == pytest.approx(-1.0)
 
     def test_maximally_mixed_vanishes(self):
-        x = qc.correlation_matrix(np.eye(4, dtype=complex) / 4, 1, 2).entries
+        x = qc.correlation_matrix(np.eye(4, dtype=complex) / 4, 1, 2)
         assert np.abs(x).max() == pytest.approx(0.0, abs=1e-14)
 
     def test_axis_validation(self, tmp_path):
@@ -57,8 +59,8 @@ class TestCorrelation:
     def test_matrix_from_larger_chain(self):
         rho = qc.density_from_pure(qc.eigenbasis_bell_head(4))
         x = qc.correlation_matrix(rho, 1, 2)
-        assert np.allclose(np.diag(x.entries), [1.0, 1.0, -1.0])
-        assert x.asymmetry < 1e-14
+        assert np.allclose(np.diag(x), [1.0, 1.0, -1.0])
+        assert asymmetry(x) < 1e-14
 
 
 class TestBounds:
@@ -89,7 +91,7 @@ class TestBounds:
         for _ in range(300):
             rho = swap_symmetrize(random_density_matrix(rng, 4, rank=int(rng.integers(1, 5))))
             x = correlation_matrix_from_pair(pair_state(rho))
-            assert x.asymmetry < 1e-12
+            assert asymmetry(x) < 1e-12
             en = log_negativity(pair_state(rho), (1,))
             c2 = qc.bound_c2(x)
             opt = qc.bound_c2_optimized(x)
@@ -97,7 +99,7 @@ class TestBounds:
             assert opt.value <= en + 1e-9
 
     def test_optimized_equals_plain_for_diagonal_x(self):
-        x = qc.CorrelationMatrix.from_entries(np.diag([0.4, -0.3, 0.2]))
+        x = np.diag([0.4, -0.3, 0.2])
         assert qc.bound_c2_optimized(x).value == pytest.approx(qc.bound_c2(x), abs=1e-14)
 
     def test_optimized_invariant_under_axis_rotation(self, rng):
@@ -107,7 +109,7 @@ class TestBounds:
         for _ in range(5):
             a = rng.standard_normal((3, 3))
             q, _ = np.linalg.qr(a)
-            rotated = qc.CorrelationMatrix.from_entries(q @ x.entries @ q.T)
+            rotated = q @ x @ q.T
             assert qc.bound_c2_optimized(rotated).value == pytest.approx(base.value, abs=1e-12)
 
     def test_optimal_axes_reproduce_bound_when_frozen(self, rng):
@@ -122,23 +124,53 @@ class TestBounds:
             assert qc.frozen_axes_bound(x, q) <= opt.value + 1e-12
 
     def test_asymmetric_matrix_refused(self):
+        # The asymmetry is read from the entries themselves: nothing stored
+        # beside them can let an asymmetric X through.
         entries = np.zeros((3, 3))
         entries[0, 1] = 0.3
-        x = qc.CorrelationMatrix.from_entries(entries)
-        with pytest.raises(ValueError, match="asymmetry"):
-            qc.bound_c2_optimized(x)
+        with pytest.raises(ValueError, match="asymmetry 3.000e-01"):
+            qc.bound_c2_optimized(entries)
+        assert math.isnan(c2_opt_value(entries))
+        diagonal = np.diag([0.5, 0.4, -0.3])
+        values = c2_opt_value(np.stack([entries, diagonal]))
+        assert math.isnan(values[0])
+        assert values[1] == pytest.approx(qc.bound_c2(diagonal), abs=1e-14)
 
     def test_mild_asymmetry_symmetrized_with_warning(self):
         entries = np.diag([0.5, 0.2, -0.4]).astype(float)
         entries[0, 1] = 1e-5
-        x = qc.CorrelationMatrix.from_entries(entries)
-        assert qc.bound_c2_optimized(x).value >= 0.0
+        assert qc.bound_c2_optimized(entries).value >= 0.0
         # The warning is one flag per pair and kind, however many samples.
-        flags = asymmetry_flags((1, 2), [x.asymmetry, 0.0, x.asymmetry, 3e-4])
+        flags = asymmetry_flags((1, 2), [asymmetry(entries), 0.0, asymmetry(entries), 3e-4])
         assert flags == [
             "c2_opt symmetrized for pair (1, 2) at 2 of 4 samples (max asymmetry 1.00e-05)",
             "c2_opt skipped for pair (1, 2) at 1 of 4 samples (max asymmetry 3.00e-04)",
         ]
+
+
+class TestStacks:
+    def test_stack_gives_each_matrix_value_bitwise(self, rng):
+        rhos = [random_density_matrix(rng, 4, rank=int(rng.integers(1, 5))) for _ in range(40)]
+        rhos[::2] = [swap_symmetrize(rho) for rho in rhos[::2]]
+        xs = correlation_matrix_from_pair(pair_state(np.stack(rhos)))
+        assert xs.shape == (40, 3, 3)
+        singles = [correlation_matrix_from_pair(pair_state(rho)) for rho in rhos]
+        np.testing.assert_array_equal(xs, np.stack(singles))
+        axes = qc.bound_c2_optimized(singles[0]).axes
+        bounds = {
+            "c1": qc.bound_c1,
+            "c2": qc.bound_c2,
+            "c2_opt": c2_opt_value,
+            "frozen": lambda x: qc.frozen_axes_bound(x, axes),
+            "asymmetry": asymmetry,
+        }
+        for name, bound in bounds.items():
+            per_matrix = [bound(x) for x in singles]
+            assert all(isinstance(v, float) for v in per_matrix), name
+            np.testing.assert_array_equal(bound(xs), per_matrix, err_msg=name)
+        # C2' is defined on the symmetrized half and equals the one-matrix bound there.
+        assert not np.isnan(c2_opt_value(xs[::2])).any()
+        assert [qc.bound_c2_optimized(x).value for x in singles[::2]] == list(c2_opt_value(xs[::2]))
 
 
 class TestCorrelationsCsv:
@@ -149,11 +181,11 @@ class TestCorrelationsCsv:
         lines = ["i,j,a,b,value"]
         for r, a in enumerate("xyz"):
             for c, b in enumerate("xyz"):
-                lines.append(f"3,7,{a},{b},{float(x.entries[r, c])!r}")
+                lines.append(f"3,7,{a},{b},{float(x[r, c])!r}")
         path.write_text("\n".join(lines) + "\n")
         loaded = qc.load_correlations_csv(path)
         assert set(loaded) == {(3, 7)}
-        assert np.abs(loaded[(3, 7)].entries - x.entries).max() < 1e-15
+        assert np.abs(loaded[(3, 7)] - x).max() < 1e-15
         assert qc.bound_c2(loaded[(3, 7)]) == pytest.approx(qc.bound_c2(x))
 
     def test_missing_entries_rejected(self, tmp_path):
@@ -168,9 +200,10 @@ class TestCorrelationsCsv:
         with pytest.raises(ValueError, match="columns"):
             qc.load_correlations_csv(path)
 
-    def test_nan_entry_rejected(self, tmp_path):
-        rows = [f"1,2,{a},{b},{'nan' if a + b == 'xx' else 0.1}" for a in "xyz" for b in "xyz"]
-        with pytest.raises(ValueError, match="finite"):
+    @pytest.mark.parametrize("value, match", [("nan", "finite"), ("1.5", r"lie in \[-1, 1\]")], ids=["nan", "1.5"])
+    def test_invalid_entry_rejected(self, tmp_path, value, match):
+        rows = [f"1,2,{a},{b},{value if a + b == 'xx' else 0.1}" for a in "xyz" for b in "xyz"]
+        with pytest.raises(ValueError, match=match):
             qc.load_correlations_csv(write_csv(tmp_path, rows))
 
     def test_repeated_row_rejected(self, tmp_path):
