@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="run directory to create")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--threads", type=int, default=1, help="ensemble worker threads")
-    p_run.add_argument("--solver", choices=("exact", "mps"), default=None, help="override the solver")
+    p_run.add_argument("--solver", choices=("exact", "mps"), default=None, help="override the solver; dt and grid stay")
     p_run.set_defaults(func=cmd_run)
 
     p_scan = sub.add_parser("scan", help="steady-state scan over a noise-strength grid")

@@ -12,31 +12,30 @@ Config schema (schema_version 1); "= x" marks an optional key and its default::
     {
       "schema_version": 1,                   # = 1
       "name": "generation-ideal",
-      "chain": {"n_qubits": 8, "epsilon": 0.0, "delta": 0.1,   # scalars or
-                "coupling": 0.025, "energy_unit_kelvin": 1.0},  # per site; = 1.0
+      "chain": {"n_qubits": 8, "epsilon": 0.0, "delta": 0.1,   # scalars or per site
+                "energy_unit_kelvin": 1.0},                     # = 1.0
       "initial_state": "product_eigen",      # or bell_head_eigen |
                                              #    ground_of_k_ini | thermal_of_k_ini
-      "quench": {"k_ini": 0.0, "k_fin": 0.025},     # = 0.0 and the chain's coupling
+      "quench": {"k_ini": 0.0, "k_fin": 0.025},     # every bond runs at k_fin
       "noise": {"gamma": 0.01, "n_thermal": 0.0},   # = 0.0; or temperature_mk
       "initial_temperature_mk": null,        # thermal_of_k_ini only
       "disorder": {"fraction": 0.05, "targets": ["delta", "coupling"],
                    "ensemble_size": 1000},   # optional; ensemble_size = 1
-      "solver": {"kind": "exact"},           # = exact; mps: "bond_dim" = 60, "dt" = 0.05
-      "t_max": 50.0, "dt": 0.01, "sample_every": 25,
+      "solver": {"kind": "exact"},           # = exact; mps: "bond_dim" = 60
+      "t_max": 50.0, "dt": 0.01, "sample_every": 25,   # every solver steps at dt
       "observables": {"pairs": [[1, 2], [1, 8]], "blocks": [],   # = []
                       "measures": ["e_n", "c2", "c2_opt"],       # = ["e_n"]
                       "frozen_axes": false},                     # = false
       "seed": 7
     }
 
-The chain's coupling is replaced by quench.k_fin on every bond: it must be
-one value, and only sets the default of k_fin.  Scan schema
-(schema_version 1), for :func:`steady_state_scan`::
+The chain has no coupling key, and the solver no time step of its own.
+Scan schema (schema_version 1), for :func:`steady_state_scan`::
 
     {
       "schema_version": 1, "name": "steady-scan",   # schema_version = 1
-      "chain": {"n_qubits": 4, "epsilon": 0.0, "delta": 0.1},  # coupling optional
-      "coupling_ratios": [0.25, 1.5],        # and replaced: each sets every bond to ratio x delta_1
+      "chain": {"n_qubits": 4, "epsilon": 0.0, "delta": 0.1},
+      "coupling_ratios": [0.25, 1.5],        # each sets every bond to ratio x delta_1
       "gammas": [0.0, 0.001, 0.01, 0.1], "n_thermal": 0.1,
       "pair": [1, 2], "tol": 1e-8,           # = [1, 2] and 1e-8 (certified residual)
       "transient_t_max": 40.0, "transient_dt": 0.05   # = 40.0 and 0.05
@@ -144,11 +143,10 @@ def _parity_sectors(chain: ChainSpec, disorder_targets=()) -> int:
     return 1 if any(chain.epsilon) or "epsilon" in disorder_targets else 2
 
 
-def _check_one_coupling(chain: ChainSpec, replaced_by: str) -> None:
-    """Refuse per-bond couplings, which the run would replace by `replaced_by` on every bond."""
-    if len(set(chain.coupling)) > 1:
-        got = list(chain.coupling)
-        raise ConfigError(f"chain.coupling must be one value, got {got}: every bond runs at {replaced_by}")
+def _check_pair(pair: tuple[int, int], n: int) -> None:
+    i, j = pair
+    if not 1 <= i < j <= n:
+        raise ConfigError(f"pair ({i}, {j}) must be ordered i < j within the chain of {n} sites")
 
 
 def _check_exact_memory(n_qubits: int, member_bytes: int, members_at_once: int = 1) -> None:
@@ -165,15 +163,12 @@ def _check_exact_memory(n_qubits: int, member_bytes: int, members_at_once: int =
 class SolverConfig:
     kind: str
     bond_dim: int = 60
-    dt: float = 0.05
 
     def __post_init__(self):
         if self.kind not in ("exact", "mps"):
             raise ConfigError(f"solver kind must be 'exact' or 'mps', got {self.kind!r}")
         if self.bond_dim < 1:
             raise ConfigError("bond_dim must be >= 1")
-        if self.dt <= 0:
-            raise ConfigError("solver dt must be > 0")
 
 
 @dataclass(frozen=True)
@@ -187,9 +182,6 @@ class ObservablesConfig:
         for m in self.measures:
             if m not in MEASURES:
                 raise ConfigError(f"unknown measure {m!r}; choose from {MEASURES}")
-        for i, j in self.pairs:
-            if i >= j:
-                raise ConfigError(f"pair ({i}, {j}) must be ordered i < j")
         if self.frozen_axes and "e_n" not in self.measures:
             raise ConfigError("frozen_axes mode requires the e_n measure")
 
@@ -243,7 +235,14 @@ def _pair(values) -> tuple[int, int]:
 
 
 # Scalars broadcast per site; ChainSpec converts them.
-_CHAIN = {"n_qubits": int, "epsilon": _as_given, "delta": _as_given, "coupling": _as_given, "energy_unit_kelvin": float}
+_CHAIN = {"n_qubits": int, "epsilon": _as_given, "delta": _as_given, "energy_unit_kelvin": float}
+
+
+def _chain(data: dict, coupling: float) -> ChainSpec:
+    """The chain section with every bond at `coupling`, which the quench or a scan ratio sets."""
+    return ChainSpec(**_section(data, _CHAIN, "chain", ChainSpec), coupling=coupling)
+
+
 _OBSERVABLES = {
     "pairs": lambda pairs: tuple(map(_pair, pairs)),
     "blocks": lambda blocks: tuple((_pair(a), _pair(b)) for a, b in blocks),
@@ -255,14 +254,14 @@ _disorder = _build(DisorderConfig, {"fraction": float, "targets": tuple, "ensemb
 _SCENARIO = {
     "schema_version": _schema_version,
     "name": str,
-    "chain": _build(ChainSpec, _CHAIN, "chain"),
+    "chain": _as_given,  # built by from_dict, once the quench is known
     "initial_state": str,
     "quench": _build(QuenchSpec, {"k_ini": float, "k_fin": float}, "quench"),
     # The noise section stays a dict: temperature_mk needs the chain.
     "noise": lambda data: _section(data, {"gamma": float, "n_thermal": float, "temperature_mk": float}, "noise"),
     "initial_temperature_mk": _as_given,
     "disorder": lambda data: _disorder(data) if data else None,
-    "solver": _build(SolverConfig, {"kind": str, "bond_dim": int, "dt": float}, "solver"),
+    "solver": _build(SolverConfig, {"kind": str, "bond_dim": int}, "solver"),
     "t_max": float,
     "dt": float,
     "sample_every": int,
@@ -274,14 +273,14 @@ _SCENARIO = {
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str
-    chain: ChainSpec
+    chain: ChainSpec  # every bond at quench.k_fin
     initial_state: str
+    quench: QuenchSpec
     t_max: float
-    dt: float
+    dt: float  # the step of every solver, and the unit of the sample grid
     sample_every: int
     observables: ObservablesConfig
     seed: int
-    quench: QuenchSpec | None = None  # None: from 0 to the chain's first coupling
     noise: NoiseSpec = NoiseSpec()
     solver: SolverConfig = SolverConfig("exact")
     disorder: DisorderConfig | None = None
@@ -290,11 +289,6 @@ class ScenarioConfig:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        if self.quench is None:
-            if not self.chain.coupling:
-                raise ConfigError("a chain without couplings needs an explicit quench section")
-            object.__setattr__(self, "quench", QuenchSpec(0.0, self.chain.coupling[0]))
-        _check_one_coupling(self.chain, "quench.k_fin")
         if self.initial_state not in INITIAL_STATES:
             raise ConfigError(f"initial_state must be one of {INITIAL_STATES}")
         if self.t_max <= 0 or self.dt <= 0 or self.sample_every < 1:
@@ -308,9 +302,8 @@ class ScenarioConfig:
             raise ConfigError("the mps solver supports product_eigen initial states only")
         if self.initial_state == "thermal_of_k_ini" and not self.initial_temperature_mk:
             raise ConfigError("thermal_of_k_ini requires initial_temperature_mk")
-        for i, j in self.observables.pairs:
-            if not (1 <= i < j <= n):
-                raise ConfigError(f"pair ({i}, {j}) outside chain of {n} sites")
+        for pair in self.observables.pairs:
+            _check_pair(pair, n)
         for block_a, block_b in self.observables.blocks:
             sites = tuple(block_a) + tuple(block_b)
             if len(set(sites)) != 4 or any(not 1 <= s <= n for s in sites):
@@ -326,13 +319,9 @@ class ScenarioConfig:
         sectors = _parity_sectors(self.chain, self.disorder.targets if self.disorder else ())
         return exact_member_bytes(self.chain.n_qubits, self.noise.gamma > 0, not mixed, sectors)
 
-    @property
-    def step(self) -> float:
-        """Time step of the configured solver; the sample grid is spaced in it."""
-        return self.dt if self.solver.kind == "exact" else self.solver.dt
-
     def to_dict(self) -> dict:
         out = asdict(self)
+        del out["chain"]["coupling"]
         temperature = out.pop("noise_temperature_mk")
         if temperature is not None:
             out["noise"] = {"gamma": self.noise.gamma, "temperature_mk": temperature}
@@ -341,12 +330,12 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         kwargs = _section(data, _SCENARIO, "config", cls)
+        chain = kwargs["chain"] = _chain(kwargs["chain"], kwargs["quench"].k_fin)
         noise = kwargs.pop("noise", {})
         temperature = noise.pop("temperature_mk", None)
         if temperature is not None:
             if "n_thermal" in noise:
                 raise ConfigError("noise takes n_thermal or temperature_mk, not both")
-            chain = kwargs["chain"]
             omega1, kelvin = mixing_angles(chain).omega[0], chain.energy_unit_kelvin
             noise["n_thermal"] = nbar_from_temperature(omega1, temperature * 1e-3, kelvin)
         return cls(**kwargs, noise=NoiseSpec(**noise), noise_temperature_mk=temperature)
@@ -431,11 +420,10 @@ def member_seed(master_seed: int, member: int) -> int:
 
 
 def _member_chain(config: ScenarioConfig, member: int) -> ChainSpec:
-    template = config.chain.with_coupling(config.quench.k_fin)
     if config.disorder is None:
-        return template
+        return config.chain
     dis = DisorderSpec(config.disorder.fraction, config.disorder.targets, member_seed(config.seed, member))
-    return sample_disorder(template, dis)
+    return sample_disorder(config.chain, dis)
 
 
 def _initial_coupling_chain(config: ScenarioConfig, chain_fin: ChainSpec) -> ChainSpec:
@@ -483,8 +471,8 @@ def propagate(
 
     The accessor maps ascending 1-based sites to the reduced density
     matrices at `times`, stacked as (len(times), 2^m, 2^m), and stays valid
-    after later blocks are drawn.  With `engine`, `state0` is an
-    MpsMixedState advanced by TEBD steps of `dt` and `h` is unused.
+    after later blocks are drawn.  With `engine`, whose step must be `dt`,
+    `state0` is an MpsMixedState advanced by its TEBD steps and `h` is unused.
     Otherwise `state0` is a state vector or density matrix under the
     Hamiltonian `h`, given as its real diagonal blocks
     (:func:`qubitchain.chain.build_hamiltonian_eigen`; a dense d x d matrix
@@ -503,6 +491,8 @@ def propagate(
     block, as its stacked diagonal blocks like RK4's, with the same
     fallback to one block.
     """
+    if engine is not None and engine.dt != dt:
+        raise ValueError(f"the engine steps at dt = {engine.dt}, the sample grid at dt = {dt}")
     times = sample_grid(t_max, dt, sample_every)
     if engine is not None:
         state, done = state0, 0
@@ -580,13 +570,13 @@ def _run_member(config: ScenarioConfig, member: int, pair_series, block_series, 
     rates = rates_from_angles(mixing_angles(chain_fin), config.noise)
     engine = h = None
     if config.solver.kind == "mps":
-        engine = MixedTebdEngine(chain_fin, rates, config.solver.dt, config.solver.bond_dim)
+        engine = MixedTebdEngine(chain_fin, rates, config.dt, config.solver.bond_dim)
         ground = np.diag([1.0, 0.0]).astype(complex)
         state0 = mps_from_product([ground] * config.chain.n_qubits)
     else:
         h = build_hamiltonian_eigen(chain_fin)
         state0 = _prepare_initial(config, chain_fin)
-    samples = propagate(state0, h, rates, config.t_max, config.step, config.sample_every, engine)
+    samples = propagate(state0, h, rates, config.t_max, config.dt, config.sample_every, engine)
     del state0  # with noise, propagate lets go of a full initial density matrix
 
     measures = config.observables.measures
@@ -625,7 +615,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ResultSet:
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    times = sample_grid(config.t_max, config.step, config.sample_every)
+    times = sample_grid(config.t_max, config.dt, config.sample_every)
     members = config.ensemble_size
     if config.solver.kind == "exact":
         _check_exact_memory(config.chain.n_qubits, config.member_bytes, min(threads, members))
@@ -711,8 +701,8 @@ def _frozen_axes(times, pair_series, correlations, flags: list[str]):
 _SCAN = {
     "schema_version": _schema_version,
     "name": str,
-    # Every coupling becomes ratio x delta_1, so a scan chain may omit it.
-    "chain": lambda data: _SCENARIO["chain"]({"coupling": 0.025, **data}),
+    # Uncoupled: each ratio sets every bond to ratio x delta_1.
+    "chain": lambda data: _chain(data, 0.0),
     "gammas": lambda gammas: tuple(map(float, gammas)),
     "coupling_ratios": lambda ratios: tuple(map(float, ratios)),
     "n_thermal": float,
@@ -744,11 +734,8 @@ class ScanConfig:
     def __post_init__(self):
         if not self.gammas or not self.coupling_ratios:
             raise ConfigError("scan grids must be non-empty")
-        _check_one_coupling(self.chain, "coupling_ratios x delta_1")
         n = self.chain.n_qubits
-        i, j = self.pair
-        if not 1 <= i < j <= n:
-            raise ConfigError(f"pair ({i}, {j}) must be ordered i < j inside the chain of {n} sites")
+        _check_pair(self.pair, n)
         for key in ("tol", "transient_t_max", "transient_dt"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be > 0")
@@ -761,7 +748,9 @@ class ScanConfig:
         return cls(**_section(data, _SCAN, "scan config", cls))
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        out = asdict(self)
+        del out["chain"]["coupling"]
+        return out
 
 
 @dataclass(frozen=True)

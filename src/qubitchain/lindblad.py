@@ -56,7 +56,6 @@ from .pauli import site_bit, z_pattern
 
 # dt must satisfy dt * max(||H||, Gamma) <= this factor (RK4 accuracy guard).
 STEP_GUARD_FACTOR = 0.1
-DEFAULT_DT = 0.01
 
 _TRACE_ABORT = 1e-6
 _POSITIVITY_ABORT = 1e-6
@@ -352,7 +351,7 @@ def stream(
     h: HamiltonianBlocks,
     rates: RateSet,
     t_max: float,
-    dt: float = DEFAULT_DT,
+    dt: float,
     sample_every: int = 10,
 ) -> Iterator[tuple[float, np.ndarray, float, float]]:
     """Integrate the master equation on the sector of the blocks of `h`,
@@ -418,7 +417,7 @@ def evolve(
     h: HamiltonianBlocks,
     rates: RateSet,
     t_max: float,
-    dt: float = DEFAULT_DT,
+    dt: float,
     sample_every: int = 10,
 ) -> Trajectory:
     """Every snapshot of :func:`stream` from the d x d matrix `rho0`, collected;

@@ -30,8 +30,8 @@ with a negative middle coefficient,
 
 which is fourth order in dt; S2 is the sweep even, odd, dissipative, odd,
 even with half steps on the bonds.  Bonds keep at most `bond_dim` singular
-values, and a step that discards more than `TRUNCATION_CEILING` of the
-relative weight is counted as flagged.
+values and never split a multiplet of equal ones; a step that discards
+more than `TRUNCATION_CEILING` of the relative weight is counted as flagged.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ TRUNCATION_CEILING = 1e-6  # discarded weight above which a step is flagged
 _DRIFT_LIMIT = 1e-4  # Hermiticity or trace correction of a reduced state that is warned about
 _SV_FLOOR = 1e-14  # relative floor below which singular values are dropped
 _IMAG_LIMIT = 1e-12  # largest imaginary part a real-basis conversion may drop
+_MULTIPLET_TOL = 1e-12  # of the largest singular value; SVD roundoff splits equal values by ~1e-15 of it
 
 # Row k maps a row-major vectorized 2x2 matrix m to tr(P_k m)/sqrt2 for
 # P_k in (I, X, Y, Z); it is unitary, and its conjugate transpose maps the
@@ -84,9 +85,6 @@ class MpsMixedState:
         for j, w in enumerate(self.bond_weights):
             if np.any(w < 0) or np.any(np.diff(w) > 1e-14):
                 raise ValueError(f"bond weights {j} must be non-negative and descending")
-
-    def copy(self) -> "MpsMixedState":
-        return MpsMixedState([t.copy() for t in self.tensors], [w.copy() for w in self.bond_weights])
 
     @property
     def n_sites(self) -> int:
@@ -300,6 +298,12 @@ def _fourth_order_stages(dt: float) -> list[tuple[str, float]]:
     return [(family, c * dt) for family, c in merged]
 
 
+def _multiplet_cut(s: np.ndarray, cap: int) -> int:
+    """`cap` moved down to the nearest gap in the descending `s`; `cap` if s[0]'s multiplet reaches past it."""
+    gaps = np.flatnonzero(s[:cap] - s[1 : cap + 1] > _MULTIPLET_TOL * s[0])
+    return int(gaps[-1]) + 1 if gaps.size else cap
+
+
 class MixedTebdEngine:
     """Applies fourth-order Trotter steps of `dt` to an MpsMixedState, truncating to `bond_dim`.
 
@@ -317,6 +321,7 @@ class MixedTebdEngine:
         if dt <= 0:
             raise ValueError("dt must be > 0")
         self.n_sites = n
+        self.dt = dt
         self.bond_dim = bond_dim
         self.truncation_weight = 0.0
         self.trace_drift_total = 0.0
@@ -342,10 +347,10 @@ class MixedTebdEngine:
                 self._stage_ops.append(("sites", locals_))
 
     def step(self, state: MpsMixedState) -> MpsMixedState:
-        """One full composite Trotter step; returns a new state."""
+        """One full composite Trotter step into a new state; `state` is unchanged (stages only rebind arrays)."""
         if state.n_sites != self.n_sites:
             raise ValueError("state size does not match engine")
-        work = state.copy()
+        work = MpsMixedState(list(state.tensors), list(state.bond_weights))
         step_weight = 0.0
         for kind, ops in self._stage_ops:
             if kind == "sites":
@@ -382,8 +387,9 @@ class MixedTebdEngine:
         total = float((s**2).sum())
         if total <= 0:
             raise RuntimeError(f"bond {b} collapsed to zero weight")
-        keep = min(self.bond_dim, int((s > s[0] * _SV_FLOOR).sum()))
-        keep = max(keep, 1)
+        keep = int((s > s[0] * _SV_FLOOR).sum())
+        if keep > self.bond_dim:
+            keep = _multiplet_cut(s, max(self.bond_dim, 1))
         discarded = float((s[keep:] ** 2).sum()) / total
 
         vh = vh[:keep]

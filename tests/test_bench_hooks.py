@@ -37,7 +37,7 @@ def test_traced_mps_run_reports_step_and_svd_spans(tmp_path):
     cfg = json.loads((ROOT / "configs" / "long_chain_mps.json").read_text())
     cfg["chain"]["n_qubits"] = 6
     cfg["t_max"] = 0.2
-    cfg["solver"]["dt"] = cfg["dt"] = 0.1
+    cfg["dt"] = 0.1
     cfg["sample_every"] = 1
     cfg["observables"]["pairs"] = [[1, 2]]
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))

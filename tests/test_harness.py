@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 import qubitchain as qc
 from conftest import dense, unitary_propagate, whole
 from qubitchain.cli import main as cli_main
+from qubitchain.mps import MixedTebdEngine, mps_from_product
 from qubitchain.harness import (
     ConfigError,
     ScanConfig,
@@ -34,7 +36,7 @@ def small_config(**overrides):
     base = {
         "schema_version": 1,
         "name": "test",
-        "chain": {"n_qubits": 4, "epsilon": 0.0, "delta": 0.1, "coupling": 0.025},
+        "chain": {"n_qubits": 4, "epsilon": 0.0, "delta": 0.1},
         "initial_state": "product_eigen",
         "quench": {"k_ini": 0.0, "k_fin": 0.025},
         "noise": {"gamma": 0.0, "n_thermal": 0.0},
@@ -51,7 +53,7 @@ def small_config(**overrides):
 
 SMALL_SCAN = {
     "name": "scan-test",
-    "chain": {"n_qubits": 3, "epsilon": 0.0, "delta": 0.1, "coupling": 0.025},
+    "chain": {"n_qubits": 3, "epsilon": 0.0, "delta": 0.1},
     "gammas": [0.0, 0.05],
     "coupling_ratios": [0.5],
     "n_thermal": 0.1,
@@ -84,13 +86,13 @@ class TestConfig:
 
     def test_exact_solver_size_guard(self):
         with pytest.raises(ConfigError, match="exact solver") as err:
-            small_config(chain={"n_qubits": 15, "epsilon": 0.0, "delta": 0.1, "coupling": 0.025})
+            small_config(chain={"n_qubits": 15, "epsilon": 0.0, "delta": 0.1})
         assert re.search(r"estimated peak [\d.]+ GiB exceeds the [\d.]+ GiB", str(err.value))
 
     def test_noisy_estimate_counts_parity_sectors(self):
         noise = {"gamma": 0.01, "n_thermal": 0.0}
         two = small_config(noise=noise).member_bytes
-        biased = small_config(noise=noise, chain={"n_qubits": 4, "epsilon": 0.01, "delta": 0.1, "coupling": 0.025})
+        biased = small_config(noise=noise, chain={"n_qubits": 4, "epsilon": 0.01, "delta": 0.1})
         disordered = small_config(noise=noise, disorder={"fraction": 0.05, "targets": ["epsilon"], "ensemble_size": 2})
         assert biased.member_bytes == disordered.member_bytes == 2 * two
         # The estimate and the Hamiltonian builder read the epsilon rule each
@@ -109,31 +111,44 @@ class TestConfig:
 
     def test_uncoupled_chain_without_quench_is_a_config_error(self):
         data = {key: value for key, value in small_config().to_dict().items() if key != "quench"}
-        data["chain"] = {"n_qubits": 1, "epsilon": 0.0, "delta": 0.1, "coupling": []}
+        data["chain"] = {"n_qubits": 1, "epsilon": 0.0, "delta": 0.1}
         data["observables"] = {"pairs": [], "measures": ["e_n"]}
-        with pytest.raises(ConfigError, match="explicit quench"):
+        with pytest.raises(ConfigError, match="missing config key: 'quench'"):
             ScenarioConfig.from_dict(data)
         data["quench"] = {"k_ini": 0.0, "k_fin": 0.0}
         assert ScenarioConfig.from_dict(data).chain.n_qubits == 1
 
-    def test_per_bond_couplings_refused(self):
-        # Every bond runs at quench.k_fin (a scan: ratio x delta_1), so
-        # per-bond values would be dropped without a word.
-        per_bond = {"n_qubits": 4, "epsilon": 0.0, "delta": 0.1, "coupling": [0.02, 0.03, 0.04]}
-        with pytest.raises(ConfigError, match=r"chain\.coupling .*quench\.k_fin"):
-            small_config(chain=per_bond)
-        with pytest.raises(ConfigError, match=r"chain\.coupling .*coupling_ratios"):
-            ScanConfig.from_dict({**SMALL_SCAN, "chain": {**SMALL_SCAN["chain"], "coupling": [0.02, 0.03]}})
-        # One value given per bond is still one coupling.
-        assert small_config(chain={**per_bond, "coupling": [0.025] * 3}).chain.coupling == (0.025,) * 3
+    def test_second_copies_of_coupling_and_step_refused(self):
+        # The quench (a scan: each ratio) sets the couplings, and every
+        # solver steps at the top-level dt.
+        with pytest.raises(ConfigError, match=r"unknown chain keys: \['coupling'\]"):
+            small_config(chain={"n_qubits": 4, "epsilon": 0.0, "delta": 0.1, "coupling": 0.025})
+        with pytest.raises(ConfigError, match=r"unknown chain keys: \['coupling'\]"):
+            ScanConfig.from_dict({**SMALL_SCAN, "chain": {**SMALL_SCAN["chain"], "coupling": 0.025}})
+        with pytest.raises(ConfigError, match=r"unknown solver keys: \['dt'\]"):
+            small_config(solver={"kind": "mps", "bond_dim": 16, "dt": 0.05})
+
+    def test_chains_take_their_couplings_from_quench_or_scan(self):
+        cfg = small_config(quench={"k_ini": 0.0, "k_fin": 0.03})
+        assert cfg.chain.coupling == (0.03,) * 3
+        assert "coupling" not in cfg.to_dict()["chain"]
+        scan = ScanConfig.from_dict(SMALL_SCAN)
+        assert scan.chain.coupling == (0.0, 0.0)
+        assert "coupling" not in scan.to_dict()["chain"]
 
     def test_frozen_axes_needs_negativity(self):
         with pytest.raises(ConfigError, match="frozen_axes mode requires the e_n measure"):
             small_config(observables={"pairs": [[1, 2]], "measures": ["c2"], "frozen_axes": True})
 
     def test_pair_bounds_checked(self):
-        with pytest.raises(ConfigError, match="pair"):
-            small_config(observables={"pairs": [[1, 9]], "measures": ["e_n"]})
+        # One check and one message for the pairs of both config kinds.
+        scan_chain = {**SMALL_SCAN["chain"], "n_qubits": 4}
+        for pair in ((1, 9), (2, 1), (2, 2), (0, 2)):
+            message = re.escape(f"pair {pair} must be ordered i < j within the chain of 4 sites")
+            with pytest.raises(ConfigError, match=message):
+                small_config(observables={"pairs": [list(pair)], "measures": ["e_n"]})
+            with pytest.raises(ConfigError, match=message):
+                ScanConfig.from_dict({**SMALL_SCAN, "chain": scan_chain, "pair": list(pair)})
 
     @pytest.mark.parametrize("seed", [-3, 2**64])
     def test_seed_outside_uint64_rejected(self, seed):
@@ -160,7 +175,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="product_eigen"):
             small_config(
                 initial_state="bell_head_eigen",
-                solver={"kind": "mps", "bond_dim": 16, "dt": 0.05},
+                solver={"kind": "mps", "bond_dim": 16},
             )
 
     def test_scan_rejects_t_cap(self):
@@ -191,11 +206,6 @@ class TestConfig:
         data = {k: v for k, v in SMALL_SCAN.items() if k != "gammas"}
         with pytest.raises(ConfigError, match="missing config key: 'gammas'"):
             ScanConfig.from_dict(data)
-
-    def test_scan_chain_may_omit_coupling(self):
-        chain = {k: v for k, v in SMALL_SCAN["chain"].items() if k != "coupling"}
-        scan = ScanConfig.from_dict({**SMALL_SCAN, "chain": chain})
-        assert scan.chain.n_qubits == 3
 
     def test_scan_ignores_seed(self):
         # A scan draws no random numbers: the seed is not part of its config.
@@ -265,9 +275,9 @@ class TestRunScenario:
     def test_long_mps_chain_builds_nothing_dense(self):
         # A 40-site dense index or operator would need 2^40 entries.
         cfg = small_config(
-            chain={"n_qubits": 40, "epsilon": 0.0, "delta": 0.1, "coupling": 0.025},
+            chain={"n_qubits": 40, "epsilon": 0.0, "delta": 0.1},
             noise={"gamma": 0.01, "n_thermal": 0.0},
-            solver={"kind": "mps", "bond_dim": 4, "dt": 0.05},
+            solver={"kind": "mps", "bond_dim": 4},
             t_max=0.1,
             sample_every=1,
             observables={"pairs": [[1, 2], [39, 40]], "measures": ["e_n"]},
@@ -333,10 +343,9 @@ class TestPropagation:
             {"noise": {"gamma": 0.01, "n_thermal": 0.0}},
             {"initial_state": "thermal_of_k_ini", "initial_temperature_mk": 30.0},
             {
-                "chain": {"n_qubits": 6, "epsilon": 0.0, "delta": 0.1, "coupling": 0.025},
+                "chain": {"n_qubits": 6, "epsilon": 0.0, "delta": 0.1},
                 "noise": {"gamma": 0.01, "n_thermal": 0.0},
-                "solver": {"kind": "mps", "bond_dim": 16, "dt": 0.05},
-                "dt": 0.1,  # the exact-solver step, unused by mps
+                "solver": {"kind": "mps", "bond_dim": 16},
             },
         ],
         ids=["noisy_exact", "thermal_noiseless_exact", "mps_n6"],
@@ -360,6 +369,17 @@ class TestPropagation:
         assert res.frozen_axes_info["[2, 3]"]["reference_time"] == res.times[k]
         assert frozen[k] == pytest.approx(res.member_series((2, 3), "c2_opt")[0][k], abs=1e-12)
         assert frozen[k] >= c2[k] - 1e-12
+
+
+    def test_engine_must_step_at_the_grid_dt(self):
+        # An engine of another step would label each sample with the wrong time.
+        spec, rates = qc.ChainSpec.homogeneous(4), qc.RateSet.zero(4)
+        state0 = mps_from_product([np.diag([1.0, 0.0]).astype(complex)] * 4)
+        engine = MixedTebdEngine(spec, rates, 0.05, bond_dim=8)
+        with pytest.raises(ValueError, match="dt"):
+            next(propagate(state0, None, rates, 2.0, 0.1, 1, engine))
+        ts, _ = next(propagate(state0, None, rates, 2.0, 0.05, 1, engine))
+        assert list(ts) == [0.0]
 
 
 def dense_reduced(rho: np.ndarray, sites) -> np.ndarray:
@@ -536,7 +556,7 @@ class TestEmitOutputs:
     def test_bound_ordering_in_emitted_columns(self, tmp_path):
         cfg = small_config(
             noise={"gamma": 0.01, "n_thermal": 0.0},
-            chain={"n_qubits": 4, "epsilon": 0.0, "delta": 0.1, "coupling": 0.025},
+            chain={"n_qubits": 4, "epsilon": 0.0, "delta": 0.1},
             observables={"pairs": [[2, 3]], "measures": ["e_n", "c1", "c2", "c2_opt"]},
             t_max=20.0,
         )
@@ -645,7 +665,7 @@ class TestSteadyScan:
         scan = ScanConfig.from_dict(
             {
                 "name": "washout",
-                "chain": {"n_qubits": 3, "epsilon": 0.0, "delta": 0.1, "coupling": 0.025},
+                "chain": {"n_qubits": 3, "epsilon": 0.0, "delta": 0.1},
                 "gammas": [0.01, 0.1],
                 "coupling_ratios": [0.5, 1.0],
                 "n_thermal": 10.0,
@@ -692,6 +712,20 @@ class TestCli:
         assert (out / "manifest.json").exists()
         assert "first-maximum" in proc.stdout
 
+    def test_solver_override_keeps_the_sample_grid(self, tmp_path):
+        # --solver switches only the solver: both step at the config's dt.
+        noise = {"gamma": 0.01, "n_thermal": 0.0}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(t_max=2.0, dt=0.1, sample_every=5, noise=noise).to_dict()))
+        times = {}
+        for solver in ("exact", "mps"):
+            out = tmp_path / solver
+            assert cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--solver", solver]) == 0
+            with open(out / "timeseries.csv", newline="") as fh:
+                times[solver] = [float(row["time"]) for row in csv.DictReader(fh)]
+        assert times["mps"] == times["exact"]
+        assert times["exact"] == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0], abs=1e-12)
+
     def test_seed_override_changes_manifest(self, tmp_path):
         cfg = small_config(
             t_max=5.0,
@@ -706,7 +740,7 @@ class TestCli:
 
     def test_config_over_memory_writes_estimate(self, tmp_path):
         cfg = small_config().to_dict()
-        cfg["chain"] = {"n_qubits": 15, "epsilon": 0.0, "delta": 0.1, "coupling": 0.025}
+        cfg["chain"] = {"n_qubits": 15, "epsilon": 0.0, "delta": 0.1}
         cfg_path = tmp_path / "big.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "out"
@@ -753,7 +787,7 @@ class TestCli:
     def test_scan_command(self, tmp_path):
         scan_cfg = {
             "name": "scan-cli",
-            "chain": {"n_qubits": 3, "epsilon": 0.0, "delta": 0.1, "coupling": 0.025},
+            "chain": {"n_qubits": 3, "epsilon": 0.0, "delta": 0.1},
             "gammas": [0.05],
             "coupling_ratios": [0.5],
             "n_thermal": 0.1,

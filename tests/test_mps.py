@@ -6,6 +6,7 @@ from conftest import dense
 from qubitchain.mps import (
     MixedTebdEngine,
     _fourth_order_stages,
+    _multiplet_cut,
     bond_hamiltonians,
     mps_from_product,
     mps_to_dense,
@@ -207,6 +208,37 @@ class TestTebd:
             state = engine.step(state)
         assert engine.flagged_steps > 0
         assert engine.truncation_weight > 0
+
+    def test_cap_keeps_whole_multiplets(self):
+        # The first gate of the starved chain above gives singular values
+        # (1, 0.003378, 0.003378, ...): a cap of 2 would split the equal
+        # pair, so the bond keeps the first value alone.
+        spec = qc.ChainSpec.homogeneous(6, 0.0, 0.1, 0.1)
+        engine = MixedTebdEngine(spec, qc.RateSet.zero(6), 0.1, bond_dim=2)
+        _, gates = engine._stage_ops[0]
+        state = product_state(6)
+        engine._apply_bond_gate(state, 0, gates[0])
+        assert len(state.bond_weights[0]) == 1
+
+    def test_multiplet_cut_moves_down_to_a_gap(self):
+        s = np.array([1.0, 0.5, 0.5 - 1e-15, 0.2, 0.2, 0.1])
+        assert [_multiplet_cut(s, cap) for cap in (1, 2, 3, 4, 5)] == [1, 1, 3, 3, 5]
+        # The first value's multiplet reaches past the cap: the cap stays.
+        assert _multiplet_cut(np.array([0.5, 0.5, 0.5, 0.1]), 2) == 2
+
+    def test_step_leaves_its_input_unchanged(self):
+        # Earlier MPS samples keep the states that later steps start from.
+        spec = qc.ChainSpec.homogeneous(5)
+        rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.01, 0.1))
+        engine = MixedTebdEngine(spec, rates, 0.1, bond_dim=4)
+        state = product_state(5)
+        for _ in range(3):
+            state = engine.step(state)
+        before = state.tensors + state.bond_weights
+        copies = [a.copy() for a in before]
+        assert engine.step(state) is not state
+        assert all(a is b for a, b in zip(state.tensors + state.bond_weights, before))
+        assert all(np.array_equal(a, b) for a, b in zip(before, copies))
 
     def test_single_site_splittings_enter_bond_terms_once(self):
         spec = qc.ChainSpec.homogeneous(5)
