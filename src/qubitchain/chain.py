@@ -91,10 +91,6 @@ class ChainSpec:
         """Copy of this spec with every bond coupling set to `k`."""
         return replace(self, coupling=(float(k),) * (self.n_qubits - 1))
 
-    def scale_coupling(self, factor: float) -> "ChainSpec":
-        """Copy with every bond coupling multiplied by `factor`."""
-        return replace(self, coupling=tuple(k * factor for k in self.coupling))
-
 
 @dataclass(frozen=True)
 class MixingAngles:

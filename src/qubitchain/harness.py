@@ -12,13 +12,13 @@ Config schema (schema_version 1); "= x" marks an optional key and its default::
     {
       "schema_version": 1,                   # = 1
       "name": "generation-ideal",
-      "chain": {"n_qubits": 8, "epsilon": 0.0, "delta": 0.1,   # scalars or per site
-                "energy_unit_kelvin": 1.0},                     # = 1.0
+      "chain": {"n_qubits": 8, "epsilon": 0.0, "delta": 0.1,   # scalars or per site;
+                "energy_unit_kelvin": 1.0},                     # = 1.0; no couplings
       "initial_state": "product_eigen",      # or bell_head_eigen |
                                              #    ground_of_k_ini | thermal_of_k_ini
       "quench": {"k_ini": 0.0, "k_fin": 0.025},     # every bond runs at k_fin
       "noise": {"gamma": 0.01, "n_thermal": 0.0},   # = 0.0; or temperature_mk
-      "initial_temperature_mk": null,        # thermal_of_k_ini only
+      "initial_temperature_mk": 30.0,        # thermal_of_k_ini only, and required there
       "disorder": {"fraction": 0.05, "targets": ["delta", "coupling"],
                    "ensemble_size": 1000},   # optional; ensemble_size = 1
       "solver": {"kind": "exact"},           # = exact; mps: "bond_dim" = 60
@@ -29,14 +29,15 @@ Config schema (schema_version 1); "= x" marks an optional key and its default::
       "seed": 7
     }
 
-The chain has no coupling key, and the solver no time step of its own.
+The chain is an uncoupled template and the solver has no time step of its own.
+A member's one disorder draw scales its couplings at k_ini and at k_fin alike.
 Scan schema (schema_version 1), for :func:`steady_state_scan`::
 
     {
       "schema_version": 1, "name": "steady-scan",   # schema_version = 1
       "chain": {"n_qubits": 4, "epsilon": 0.0, "delta": 0.1},
-      "coupling_ratios": [0.25, 1.5],        # each sets every bond to ratio x delta_1
-      "gammas": [0.0, 0.001, 0.01, 0.1], "n_thermal": 0.1,
+      "coupling_ratios": [0.25, 1.5],        # each sets every bond to ratio x delta_1; distinct
+      "gammas": [0.0, 0.001, 0.01, 0.1], "n_thermal": 0.1,   # gammas strictly ascending
       "pair": [1, 2], "tol": 1e-8,           # = [1, 2] and 1e-8 (certified residual)
       "transient_t_max": 40.0, "transient_dt": 0.05   # = 40.0 and 0.05
     }
@@ -238,9 +239,9 @@ def _pair(values) -> tuple[int, int]:
 _CHAIN = {"n_qubits": int, "epsilon": _as_given, "delta": _as_given, "energy_unit_kelvin": float}
 
 
-def _chain(data: dict, coupling: float) -> ChainSpec:
-    """The chain section with every bond at `coupling`, which the quench or a scan ratio sets."""
-    return ChainSpec(**_section(data, _CHAIN, "chain", ChainSpec), coupling=coupling)
+def _chain(data: dict) -> ChainSpec:
+    """The chain section as an uncoupled template: the quench or a scan ratio sets the couplings."""
+    return ChainSpec(**_section(data, _CHAIN, "chain", ChainSpec), coupling=0.0)
 
 
 _OBSERVABLES = {
@@ -254,10 +255,10 @@ _disorder = _build(DisorderConfig, {"fraction": float, "targets": tuple, "ensemb
 _SCENARIO = {
     "schema_version": _schema_version,
     "name": str,
-    "chain": _as_given,  # built by from_dict, once the quench is known
+    "chain": _chain,
     "initial_state": str,
     "quench": _build(QuenchSpec, {"k_ini": float, "k_fin": float}, "quench"),
-    # The noise section stays a dict: temperature_mk needs the chain.
+    # The noise section stays a dict: from_dict splits off temperature_mk.
     "noise": lambda data: _section(data, {"gamma": float, "n_thermal": float, "temperature_mk": float}, "noise"),
     "initial_temperature_mk": _as_given,
     "disorder": lambda data: _disorder(data) if data else None,
@@ -273,7 +274,7 @@ _SCENARIO = {
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str
-    chain: ChainSpec  # every bond at quench.k_fin
+    chain: ChainSpec  # uncoupled template; the quench sets each member's couplings
     initial_state: str
     quench: QuenchSpec
     t_max: float
@@ -302,6 +303,10 @@ class ScenarioConfig:
             raise ConfigError("the mps solver supports product_eigen initial states only")
         if self.initial_state == "thermal_of_k_ini" and not self.initial_temperature_mk:
             raise ConfigError("thermal_of_k_ini requires initial_temperature_mk")
+        if self.initial_state != "thermal_of_k_ini" and self.initial_temperature_mk is not None:
+            raise ConfigError(f"initial_temperature_mk is read by thermal_of_k_ini only, not {self.initial_state}")
+        if self.noise_temperature_mk is not None and self.noise.n_thermal:
+            raise ConfigError("noise takes n_thermal or temperature_mk, not both")
         for pair in self.observables.pairs:
             _check_pair(pair, n)
         for block_a, block_b in self.observables.blocks:
@@ -319,6 +324,14 @@ class ScenarioConfig:
         sectors = _parity_sectors(self.chain, self.disorder.targets if self.disorder else ())
         return exact_member_bytes(self.chain.n_qubits, self.noise.gamma > 0, not mixed, sectors)
 
+    @property
+    def effective_noise(self) -> NoiseSpec:
+        """The noise of the rates: n_T from `noise_temperature_mk` at the template's site-1 splitting."""
+        if self.noise_temperature_mk is None:
+            return self.noise
+        omega1, kelvin = mixing_angles(self.chain).omega[0], self.chain.energy_unit_kelvin
+        return NoiseSpec(self.noise.gamma, nbar_from_temperature(omega1, self.noise_temperature_mk * 1e-3, kelvin))
+
     def to_dict(self) -> dict:
         out = asdict(self)
         del out["chain"]["coupling"]
@@ -330,14 +343,10 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         kwargs = _section(data, _SCENARIO, "config", cls)
-        chain = kwargs["chain"] = _chain(kwargs["chain"], kwargs["quench"].k_fin)
         noise = kwargs.pop("noise", {})
         temperature = noise.pop("temperature_mk", None)
-        if temperature is not None:
-            if "n_thermal" in noise:
-                raise ConfigError("noise takes n_thermal or temperature_mk, not both")
-            omega1, kelvin = mixing_angles(chain).omega[0], chain.energy_unit_kelvin
-            noise["n_thermal"] = nbar_from_temperature(omega1, temperature * 1e-3, kelvin)
+        if temperature is not None and "n_thermal" in noise:
+            raise ConfigError("noise takes n_thermal or temperature_mk, not both")
         return cls(**kwargs, noise=NoiseSpec(**noise), noise_temperature_mk=temperature)
 
 
@@ -419,22 +428,16 @@ def member_seed(master_seed: int, member: int) -> int:
     return int(words[0]) | (int(words[1]) << 32)
 
 
-def _member_chain(config: ScenarioConfig, member: int) -> ChainSpec:
+def _member_chain(config: ScenarioConfig, member: int, coupling: float) -> ChainSpec:
+    """One member's chain, every bond at `coupling` before its draw, which its seed alone sets."""
+    chain = config.chain.with_coupling(coupling)
     if config.disorder is None:
-        return config.chain
+        return chain
     dis = DisorderSpec(config.disorder.fraction, config.disorder.targets, member_seed(config.seed, member))
-    return sample_disorder(config.chain, dis)
+    return sample_disorder(chain, dis)
 
 
-def _initial_coupling_chain(config: ScenarioConfig, chain_fin: ChainSpec) -> ChainSpec:
-    """Chain with the pre-quench couplings, keeping each bond's disorder factor."""
-    k_ini, k_fin = config.quench.k_ini, config.quench.k_fin
-    if k_fin == 0.0:
-        return chain_fin.with_coupling(k_ini)
-    return chain_fin.scale_coupling(k_ini / k_fin)
-
-
-def _prepare_initial(config: ScenarioConfig, chain_fin: ChainSpec) -> np.ndarray:
+def _prepare_initial(config: ScenarioConfig, member: int) -> np.ndarray:
     """Initial state of one member: a state vector, or a density matrix if mixed."""
     n = config.chain.n_qubits
     kind = config.initial_state
@@ -443,7 +446,7 @@ def _prepare_initial(config: ScenarioConfig, chain_fin: ChainSpec) -> np.ndarray
     if kind == "bell_head_eigen":
         return eigenbasis_bell_head(n)
     # Per parity block: the state has exactly no weight in the other sector.
-    h_ini = build_hamiltonian_eigen(_initial_coupling_chain(config, chain_fin))
+    h_ini = build_hamiltonian_eigen(_member_chain(config, member, config.quench.k_ini))
     if kind == "ground_of_k_ini":
         return ground_state(h_ini).vector
     return thermal_state(h_ini, config.initial_temperature_mk * 1e-3, config.chain.energy_unit_kelvin)
@@ -559,15 +562,16 @@ def _propagate_unitary(
             yield times[i : i + 1], partial(reduce_blocks, rho[None], blocks)
 
 
-def _run_member(config: ScenarioConfig, member: int, pair_series, block_series, asymmetries, correlations, flags):
-    """Measure one ensemble member into row `member` of the (members, times) series,
-    and the pairs' correlation asymmetries where `asymmetries` has a series.
+def _run_member(config: ScenarioConfig, member: int):
+    """Measure one ensemble member over the sample grid.
 
-    Writes each pair's correlation matrices at every sample into
-    `correlations`, where it has a (times, 3, 3) array for the pair.
+    Returns (pair series, block series, asymmetries, correlations, flags):
+    one series per pair and measure, one per block, each pair's correlation
+    asymmetry when C2' is measured, and, for member 0 in frozen-axes mode,
+    each pair's correlation matrices stacked as (times, 3, 3).
     """
-    chain_fin = _member_chain(config, member)
-    rates = rates_from_angles(mixing_angles(chain_fin), config.noise)
+    chain_fin = _member_chain(config, member, config.quench.k_fin)
+    rates = rates_from_angles(mixing_angles(chain_fin), config.effective_noise)
     engine = h = None
     if config.solver.kind == "mps":
         engine = MixedTebdEngine(chain_fin, rates, config.dt, config.solver.bond_dim)
@@ -575,30 +579,38 @@ def _run_member(config: ScenarioConfig, member: int, pair_series, block_series, 
         state0 = mps_from_product([ground] * config.chain.n_qubits)
     else:
         h = build_hamiltonian_eigen(chain_fin)
-        state0 = _prepare_initial(config, chain_fin)
+        state0 = _prepare_initial(config, member)
     samples = propagate(state0, h, rates, config.t_max, config.dt, config.sample_every, engine)
     del state0  # with noise, propagate lets go of a full initial density matrix
 
-    measures = config.observables.measures
+    n_times = len(sample_grid(config.t_max, config.dt, config.sample_every))
+    pairs, measures = config.observables.pairs, config.observables.measures
+    pair_series = {p: {m: np.empty(n_times) for m in measures} for p in pairs}
+    block_series = {b: np.empty(n_times) for b in config.observables.blocks}
+    asymmetries = {p: np.empty(n_times) for p in pairs} if "c2_opt" in measures else {}
+    # Axes freezing is a single-run protocol: it reads the first member only.
+    frozen = config.observables.frozen_axes and member == 0
+    correlations = {p: np.empty((n_times, 3, 3)) for p in pairs} if frozen else {}
     bounds = {m: f for m, f in (("c1", bound_c1), ("c2", bound_c2), ("c2_opt", c2_opt_value)) if m in measures}
     done = 0
     for ts, acc in samples:
         rows = slice(done, done + len(ts))
         done += len(ts)
-        for p in config.observables.pairs:
+        for p in pairs:
             rs = acc(p)
             if "e_n" in measures:
-                pair_series[p]["e_n"][member, rows] = log_negativity(rs, p[:1])
-            if bounds or p in correlations:
+                pair_series[p]["e_n"][rows] = log_negativity(rs, p[:1])
+            if bounds or frozen:
                 x = correlation_matrix_from_pair(rs)
                 for m, bound in bounds.items():
-                    pair_series[p][m][member, rows] = bound(x)
-                if p in asymmetries:
-                    asymmetries[p][member, rows] = asymmetry(x)
-                if p in correlations:
+                    pair_series[p][m][rows] = bound(x)
+                if asymmetries:
+                    asymmetries[p][rows] = asymmetry(x)
+                if frozen:
                     correlations[p][rows] = x
         for a, b in config.observables.blocks:
-            block_series[(a, b)][member, rows] = log_negativity(acc(tuple(sorted(a + b))), a)
+            block_series[(a, b)][rows] = log_negativity(acc(tuple(sorted(a + b))), a)
+    flags: list[str] = []
     if engine is not None:
         if engine.flagged_steps:
             flags.append(
@@ -606,6 +618,7 @@ def _run_member(config: ScenarioConfig, member: int, pair_series, block_series, 
                 f"(total discarded weight {engine.truncation_weight:.3e})"
             )
         flags.append(f"mps total truncation weight {engine.truncation_weight:.3e}")
+    return pair_series, block_series, asymmetries, correlations, flags
 
 
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> ResultSet:
@@ -619,33 +632,21 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ResultSet:
     members = config.ensemble_size
     if config.solver.kind == "exact":
         _check_exact_memory(config.chain.n_qubits, config.member_bytes, min(threads, members))
-    pairs = config.observables.pairs
-    measures = config.observables.measures
-    pair_series = {p: {m: np.empty((members, len(times))) for m in measures} for p in pairs}
-    block_series = {b: np.empty((members, len(times))) for b in config.observables.blocks}
-    asymmetries = {p: np.empty((members, len(times))) for p in pairs} if "c2_opt" in measures else {}
-    flags: list[str] = []
-    member_flags: list[list[str]] = [[] for _ in range(members)]
-    frozen = config.observables.frozen_axes
-    # Axes freezing is a single-run protocol: it reads the first member only.
-    correlations = {p: np.empty((len(times), 3, 3)) for p in pairs} if frozen else {}
-
-    def one(m: int):
-        kept = correlations if m == 0 else {}
-        _run_member(config, m, pair_series, block_series, asymmetries, kept, member_flags[m])
-
+    pairs, measures = config.observables.pairs, config.observables.measures
+    one = partial(_run_member, config)
     if threads > 1 and members > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(members)))
+            results = list(pool.map(one, range(members)))
     else:
-        for m in range(members):
-            one(m)
-    for mf in member_flags:
-        flags.extend(mf)
-    for p, a in asymmetries.items():
-        flags.extend(asymmetry_flags(p, a))
+        results = list(map(one, range(members)))
+    series, blocks, asymmetries, correlations, member_flags = zip(*results)
+    pair_series = {p: {m: np.array([s[p][m] for s in series]) for m in measures} for p in pairs}
+    block_series = {b: np.array([s[b] for s in blocks]) for b in config.observables.blocks}
+    flags = [f for mf in member_flags for f in mf]
+    for p in asymmetries[0]:
+        flags.extend(asymmetry_flags(p, np.array([a[p] for a in asymmetries])))
 
     # nanmean over a column with no evaluable member is NaN by design
     # (c2_opt under the symmetrization policy); silence the numpy warning.
@@ -654,23 +655,15 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ResultSet:
         mean = {p: {m: np.nanmean(pair_series[p][m], axis=0) for m in measures} for p in pairs}
         std = {p: {m: np.nanstd(pair_series[p][m], axis=0) for m in measures} for p in pairs}
 
-    fm_values = {}
-    fm_times = {}
+    fm_values, fm_times = {}, {}
     for p in pairs:
-        if "e_n" in measures:
-            vals, tvals = [], []
-            for k in range(members):
-                fm = first_maximum(times, pair_series[p]["e_n"][k])
-                vals.append(fm.value if fm else math.nan)
-                tvals.append(fm.time if fm else math.nan)
-            fm_values[p] = np.array(vals)
-            fm_times[p] = np.array(tvals)
-        else:
-            fm_values[p] = np.full(members, math.nan)
-            fm_times[p] = np.full(members, math.nan)
+        found = [first_maximum(times, s) for s in pair_series[p]["e_n"]] if "e_n" in measures else [None] * members
+        fm_values[p] = np.array([fm.value if fm else math.nan for fm in found])
+        fm_times[p] = np.array([fm.time if fm else math.nan for fm in found])
 
     stats = EnsembleStats(mean, std, fm_values, fm_times)
-    frozen_series, frozen_info = _frozen_axes(times, pair_series, correlations, flags) if frozen else (None, None)
+    frozen = config.observables.frozen_axes
+    frozen_series, frozen_info = _frozen_axes(times, pair_series, correlations[0], flags) if frozen else (None, None)
     return ResultSet(config, times, pair_series, block_series, stats, flags, frozen_series, frozen_info)
 
 
@@ -702,7 +695,7 @@ _SCAN = {
     "schema_version": _schema_version,
     "name": str,
     # Uncoupled: each ratio sets every bond to ratio x delta_1.
-    "chain": lambda data: _chain(data, 0.0),
+    "chain": _chain,
     "gammas": lambda gammas: tuple(map(float, gammas)),
     "coupling_ratios": lambda ratios: tuple(map(float, ratios)),
     "n_thermal": float,
@@ -741,6 +734,10 @@ class ScanConfig:
                 raise ConfigError(f"{key} must be > 0")
         if not all(g >= 0 for g in self.gammas) or not self.n_thermal >= 0:
             raise ConfigError("every gamma and n_thermal must be >= 0")
+        if any(a >= b for a, b in zip(self.gammas, self.gammas[1:])):
+            raise ConfigError(f"gammas must ascend strictly (rows are classified in order), got {list(self.gammas)}")
+        if len(set(self.coupling_ratios)) != len(self.coupling_ratios):
+            raise ConfigError(f"coupling_ratios must be distinct (each is one row), got {list(self.coupling_ratios)}")
         _check_exact_memory(n, exact_member_bytes(n, any(self.gammas), sectors=_parity_sectors(self.chain)))
 
     @classmethod

@@ -205,7 +205,7 @@ def emit_outputs(result, out_dir: str | Path, build_id: str) -> Path:
         seed=config.seed,
         config_hash=config_hash(config_dict),
         ensemble_size=config.ensemble_size,
-        noise={**vars(config.noise), "temperature_mk": config.noise_temperature_mk},
+        noise={**vars(config.effective_noise), "temperature_mk": config.noise_temperature_mk},
         sample_times={"count": len(times), "t_max": float(times[-1])},
         flags=sorted(set(result.flags)),
     )

@@ -483,11 +483,11 @@ def test_criterion_10_conservation_suite():
         cfg = ScenarioConfig.from_dict(data)
         from qubitchain.harness import _member_chain, _prepare_initial, _sector_start
 
-        chain = _member_chain(cfg, 0)
-        rates = qc.rates_from_angles(qc.mixing_angles(chain), cfg.noise)
+        chain = _member_chain(cfg, 0, cfg.quench.k_fin)
+        rates = qc.rates_from_angles(qc.mixing_angles(chain), cfg.effective_noise)
         # The shipped path: RK4 on the parity blocks of H (one block of
         # every index when epsilon_i != 0).
-        rho0, h = _sector_start(_prepare_initial(cfg, chain), qc.build_hamiltonian_eigen(chain))
+        rho0, h = _sector_start(_prepare_initial(cfg, 0), qc.build_hamiltonian_eigen(chain))
         _, snapshots, trace_drift, herm_drift = zip(*stream(rho0, h, rates, cfg.t_max, 0.02, 50))
         if max(trace_drift) >= 1e-8:
             failures.append(f"{path.stem}: trace drift {max(trace_drift):.2e}")

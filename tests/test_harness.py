@@ -103,7 +103,7 @@ class TestConfig:
                 chain = cfg.chain.with_coupling(cfg.coupling_ratios[0] * cfg.chain.delta[0])
                 sectors = qc.harness._parity_sectors(cfg.chain)
             elif cfg.solver.kind == "exact":
-                chain = qc.harness._member_chain(cfg, 0)
+                chain = qc.harness._member_chain(cfg, 0, cfg.quench.k_fin)
                 sectors = qc.harness._parity_sectors(cfg.chain, cfg.disorder.targets if cfg.disorder else ())
             else:
                 continue
@@ -130,7 +130,7 @@ class TestConfig:
 
     def test_chains_take_their_couplings_from_quench_or_scan(self):
         cfg = small_config(quench={"k_ini": 0.0, "k_fin": 0.03})
-        assert cfg.chain.coupling == (0.03,) * 3
+        assert qc.harness._member_chain(cfg, 0, cfg.quench.k_fin).coupling == (0.03,) * 3
         assert "coupling" not in cfg.to_dict()["chain"]
         scan = ScanConfig.from_dict(SMALL_SCAN)
         assert scan.chain.coupling == (0.0, 0.0)
@@ -164,12 +164,39 @@ class TestConfig:
 
     def test_temperature_converted_to_occupation(self):
         cfg = small_config(noise={"gamma": 0.01, "temperature_mk": 41.0})
-        assert cfg.noise.n_thermal == pytest.approx(0.0956, abs=0.001)
+        assert cfg.effective_noise.n_thermal == pytest.approx(0.0956, abs=0.001)
         assert cfg.noise_temperature_mk == 41.0
 
     def test_thermal_initial_needs_temperature(self):
         with pytest.raises(ConfigError, match="initial_temperature_mk"):
             small_config(initial_state="thermal_of_k_ini")
+
+    def test_initial_temperature_only_with_thermal_start(self):
+        data = json.loads((CONFIG_DIR / "generation_ideal.json").read_text())
+        with pytest.raises(ConfigError, match="initial_temperature_mk is read by thermal_of_k_ini only"):
+            ScenarioConfig.from_dict({**data, "initial_temperature_mk": 30.0})
+        for kind in ("product_eigen", "bell_head_eigen", "ground_of_k_ini"):
+            with pytest.raises(ConfigError, match="initial_temperature_mk"):
+                replace(small_config(initial_state=kind), initial_temperature_mk=30.0)
+
+    def test_noise_temperature_stored_once(self):
+        # n_T follows the temperature and the chain a config runs with, and
+        # config.json holds them as written.
+        base = small_config(noise={"gamma": 0.01, "temperature_mk": 33.0}, t_max=5.0)
+        for changed in (replace(base, noise_temperature_mk=50.0), replace(base, chain=replace(base.chain, delta=0.2))):
+            reloaded = ScenarioConfig.from_dict(changed.to_dict())
+            assert reloaded == changed
+            assert changed.effective_noise == reloaded.effective_noise != base.effective_noise
+            assert np.array_equal(run_scenario(changed).mean_series((1, 2)), run_scenario(reloaded).mean_series((1, 2)))
+        with pytest.raises(ConfigError, match="not both"):
+            replace(base, noise=qc.NoiseSpec(0.01, 0.1))
+
+    def test_replaced_quench_sets_the_couplings(self):
+        cfg = replace(small_config(t_max=5.0), quench=qc.QuenchSpec(0.0, 0.05))
+        assert cfg.to_dict()["quench"] == {"k_ini": 0.0, "k_fin": 0.05}
+        assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+        fresh = small_config(t_max=5.0, quench={"k_ini": 0.0, "k_fin": 0.05})
+        assert np.array_equal(run_scenario(cfg).mean_series((1, 2)), run_scenario(fresh).mean_series((1, 2)))
 
     def test_mps_restricted_to_product_start(self):
         with pytest.raises(ConfigError, match="product_eigen"):
@@ -192,6 +219,10 @@ class TestConfig:
             ({"tol": -1}, "tol"),
             ({"gammas": [0.01, -0.05]}, "gamma"),
             ({"n_thermal": -0.1}, "n_thermal"),
+            # classify_row reads each row in grid order; a repeated ratio merges two rows.
+            ({"gammas": [0.05, 0.0]}, "gammas must ascend strictly"),
+            ({"gammas": [0.0, 0.05, 0.05]}, "gammas must ascend strictly"),
+            ({"coupling_ratios": [0.5, 0.5]}, "coupling_ratios must be distinct"),
         ],
     )
     def test_scan_rejects_out_of_range_values(self, override, match):
@@ -479,7 +510,7 @@ class TestNoiselessBlocks:
             )
             res = run_scenario(cfg)
             for m in range(2):
-                chain = qc.harness._member_chain(cfg, m)
+                chain = qc.harness._member_chain(cfg, m, cfg.quench.k_fin)
                 h = qc.build_hamiltonian_eigen(chain)
                 rho0 = qc.density_from_pure(qc.eigenbasis_product(4))
                 for p in cfg.observables.pairs:
@@ -522,14 +553,27 @@ class TestNoisyBlocks:
             for p in self.PAIRS:
                 assert np.abs(two[p] - one[p]).max() < 1e-12
 
+    def test_member_draw_scales_both_quench_couplings(self):
+        from qubitchain.harness import _member_chain, _prepare_initial
+
+        disorder = {"fraction": 0.05, "targets": ["coupling"], "ensemble_size": 2}
+        cfg = small_config(initial_state="ground_of_k_ini", quench={"k_ini": 0.02, "k_fin": 0.0}, disorder=disorder)
+        chain_ini = _member_chain(cfg, 1, 0.02)
+        assert len(set(chain_ini.coupling)) == 3
+        assert np.array_equal(_prepare_initial(cfg, 1), qc.ground_state(qc.build_hamiltonian_eigen(chain_ini)).vector)
+        for k_fin in (1e-9, 0.025):
+            cfg = replace(cfg, quench=qc.QuenchSpec(0.02, k_fin))
+            ratio = np.divide(_member_chain(cfg, 1, 0.02).coupling, _member_chain(cfg, 1, k_fin).coupling)
+            np.testing.assert_allclose(ratio, 0.02 / k_fin, rtol=1e-14, atol=0)
+
     def test_prepared_states_have_no_inter_sector_weight(self):
         from qubitchain.harness import _prepare_initial
         from qubitchain.lindblad import couples_blocks
 
         for kind, extra in (("ground_of_k_ini", {}), ("thermal_of_k_ini", {"initial_temperature_mk": 33.0})):
             cfg = small_config(initial_state=kind, quench={"k_ini": 0.01, "k_fin": 0.025}, **extra)
-            chain = qc.harness._member_chain(cfg, 0)
-            state0 = _prepare_initial(cfg, chain)
+            chain = qc.harness._member_chain(cfg, 0, cfg.quench.k_fin)
+            state0 = _prepare_initial(cfg, 0)
             rho0 = qc.density_from_pure(state0) if state0.ndim == 1 else state0
             assert not couples_blocks(rho0, [b for b, _ in qc.build_hamiltonian_eigen(chain)]), kind
 
