@@ -30,7 +30,6 @@ from .mps import (
     MixedTebdEngine,
     MpsMixedState,
     mps_from_product,
-    mps_to_dense,
     mps_trace,
     reduced_pair_dm,
     reduced_sites_dm,

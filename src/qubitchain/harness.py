@@ -16,7 +16,8 @@ Config schema (schema_version 1); "= x" marks an optional key and its default::
                 "energy_unit_kelvin": 1.0},                     # = 1.0; no couplings
       "initial_state": "product_eigen",      # or bell_head_eigen |
                                              #    ground_of_k_ini | thermal_of_k_ini
-      "quench": {"k_ini": 0.0, "k_fin": 0.025},     # every bond runs at k_fin
+      "quench": {"k_ini": 0.0, "k_fin": 0.025},     # every bond runs at k_fin; k_ini
+                                             # is nonzero only for the k_ini starts
       "noise": {"gamma": 0.01, "n_thermal": 0.0},   # = 0.0; or temperature_mk
       "initial_temperature_mk": 30.0,        # thermal_of_k_ini only, and required there
       "disorder": {"fraction": 0.05, "targets": ["delta", "coupling"],
@@ -39,10 +40,12 @@ Scan schema (schema_version 1), for :func:`steady_state_scan`::
       "coupling_ratios": [0.25, 1.5],        # each sets every bond to ratio x delta_1; distinct
       "gammas": [0.0, 0.001, 0.01, 0.1], "n_thermal": 0.1,   # gammas strictly ascending
       "pair": [1, 2], "tol": 1e-8,           # = [1, 2] and 1e-8 (certified residual)
-      "transient_t_max": 40.0, "transient_dt": 0.05   # = 40.0 and 0.05
+      "transient_t_max": 40.0, "transient_dt": 0.05   # = 40.0 (a cap) and 0.05
     }
 
-A scan accepts and ignores a seed.  Both kinds refuse unknown keys.
+Each point's transient stops at its first maximum of E_N, so
+transient_t_max is only reached by a point that has none.  A scan accepts
+and ignores a seed.  Both kinds refuse unknown keys.
 
 All energies are in units of E_C, times in 1/E_C; temperatures are given in
 millikelvin and converted with the chain's energy_unit_kelvin, using the
@@ -305,6 +308,8 @@ class ScenarioConfig:
             raise ConfigError("thermal_of_k_ini requires initial_temperature_mk")
         if self.initial_state != "thermal_of_k_ini" and self.initial_temperature_mk is not None:
             raise ConfigError(f"initial_temperature_mk is read by thermal_of_k_ini only, not {self.initial_state}")
+        if self.initial_state in ("product_eigen", "bell_head_eigen") and self.quench.k_ini:
+            raise ConfigError(f"quench.k_ini is read by ground_of_k_ini and thermal_of_k_ini only, not {self.initial_state}")
         if self.noise_temperature_mk is not None and self.noise.n_thermal:
             raise ConfigError("noise takes n_thermal or temperature_mk, not both")
         for pair in self.observables.pairs:
@@ -793,12 +798,31 @@ class ScanResult:
         return {ratio: classify_row(values) if values else "not_applicable" for ratio, values in rows.items()}
 
 
+def _first_max_value(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> float:
+    """:func:`first_maximum` of the series that the (times, values) blocks make up, or 0.0 if none.
+
+    The blocks are read only until the maximum is found.  first_maximum
+    tests sample k on samples k-1, k and k+1 alone, so each block is tested
+    behind the last two samples of the one before: the value found is the
+    one of the whole series.
+    """
+    times, series = np.empty(0), np.empty(0)
+    for ts, values in blocks:
+        times, series = np.concatenate([times[-2:], ts]), np.concatenate([series[-2:], values])
+        found = first_maximum(times, series)
+        if found:
+            return found.value
+    return 0.0
+
+
 def steady_state_scan(config: ScanConfig) -> ScanResult:
     """Certified steady-state E_N over the (coupling ratio x Gamma) grid.
 
     Gamma = 0 points are reported as not applicable (no steady state without
     dissipation).  Each point also records the first transient maximum so
-    the short-time monotonicity can be checked alongside.
+    the short-time monotonicity can be checked alongside.  The transient
+    stops at that maximum: `transient_t_max` is a cap, reached only by a
+    point that has none.
     """
     points: list[ScanPoint] = []
     rho0_vec = eigenbasis_product(config.chain.n_qubits)
@@ -812,10 +836,7 @@ def steady_state_scan(config: ScanConfig) -> ScanResult:
             noise = NoiseSpec(gamma, config.n_thermal)
             rates = rates_from_angles(angles, noise)
             samples = propagate(rho0_vec, h, rates, config.transient_t_max, config.transient_dt, sample)
-            measured = [(ts, log_negativity(acc(config.pair), part)) for ts, acc in samples]
-            times, series = (np.concatenate(column) for column in zip(*measured))
-            fm = first_maximum(times, series)
-            fm = fm.value if fm else 0.0
+            fm = _first_max_value((ts, log_negativity(acc(config.pair), part)) for ts, acc in samples)
             if gamma == 0.0 or rates.is_zero():
                 points.append(ScanPoint(ratio, gamma, math.nan, False, math.nan, fm, False))
                 continue

@@ -25,8 +25,9 @@ state without coherence between the even and odd sectors never gains any.
 The blocks of rho are those of H as
 :func:`qubitchain.chain.build_hamiltonian_eigen` returns it: the parity
 sectors, whose rho_ee + rho_oo holds half the entries of rho, or one block
-of every index, whose sector is all of rho.  The commutator is taken per
-block with that block of H, made sparse.  The rest of the generator is one
+of every index, whose sector is all of rho.  The commutator takes one
+sparse product per block, X = H_b rho_b, and is -i (X - X^dagger): for an
+exactly Hermitian rho, rho H = X^dagger.  The rest of the generator is one
 precomputed sparse matrix on the vectorized sector: the damping on its
 diagonal, and the jumps as the indexed entries that carry rho[i, j] of
 one block into rho[i', j'] of the other (of the same, with one block).
@@ -280,12 +281,18 @@ class LindbladGenerator:
         return (h @ rows.view(np.float64)).view(complex).reshape(self.shape)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """drho/dt of a (not necessarily normalized) state, in the shape given."""
+        """drho/dt of a (not necessarily normalized) state, in the shape given.
+
+        `rho` must be exactly Hermitian, block by block: the commutator is
+        read off the one product X = H rho as -i (X - X^dagger), since
+        rho H = X^dagger then.  The result is exactly Hermitian again, so
+        every RK4 stage built from an exactly Hermitian start stays so.
+        """
         r = np.ascontiguousarray(rho, dtype=complex).reshape(self.shape)
-        out = self._times(self._h, r)
-        # rho H = (H rho^T)^T for the exactly symmetric H: scipy's dense @
-        # sparse dispatch costs more than the product itself.
-        out -= self._times(self._h, np.ascontiguousarray(r.transpose(0, 2, 1))).transpose(0, 2, 1)
+        x = self._times(self._h, r)
+        out = np.conjugate(x.transpose(0, 2, 1), order="C")
+        np.subtract(x, out, out=out)
+        del x
         out *= -1j
         _as_pairs(out)[...] += self._dissipator @ _as_pairs(r)
         return out.reshape(rho.shape)
@@ -362,9 +369,11 @@ def stream(
     under a leading axis of one).  Yields (t, rho, trace drift, Hermiticity
     drift) at t = 0, every `sample_every` steps and the last step; only the
     current state and the RK4 stages are held, and a yielded array is never
-    written to again.  Snapshots are re-Hermitized ((rho + rho^dagger)/2 per
-    block) and trace-renormalized; the drift corrected at each snapshot is
-    yielded with it.  Cumulative trace drift beyond 1e-6 or a snapshot
+    written to again.  The prefix of samples does not depend on `t_max`.
+    The start is Hermitized ((rho + rho^dagger)/2 per block), which keeps
+    every RK4 stage exactly Hermitian (:meth:`LindbladGenerator.apply`).
+    Snapshots are re-Hermitized the same way and trace-renormalized; the
+    drift corrected at each snapshot is yielded with it.  Cumulative trace drift beyond 1e-6 or a snapshot
     eigenvalue below -1e-6 (one stacked eigvalsh over the blocks) aborts
     with a diagnostic, since either indicates a broken integration rather
     than roundoff.
@@ -377,7 +386,10 @@ def stream(
         raise ValueError("sample_every must be >= 1")
     n_steps = int(round(t_max / dt))
 
+    # Exactly Hermitian, as apply requires; a no-op on a start that already is.
     rho = rho0.astype(complex)
+    rho += rho0.conj().transpose(0, 2, 1)
+    rho *= 0.5
     del rho0
     yield 0.0, rho, abs(_trace(rho) - 1.0), 0.0
     cumulative_trace = 0.0

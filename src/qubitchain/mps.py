@@ -200,17 +200,6 @@ def reduced_pair_dm(state: MpsMixedState, i: int, j: int) -> ReducedState:
     return reduced_sites_dm(state, (i, j))
 
 
-def mps_to_dense(state: MpsMixedState) -> np.ndarray:
-    """Reconstruct the full density matrix (refused above 8 sites)."""
-    n = state.n_sites
-    if n > 8:
-        raise ValueError("dense reconstruction refused above 8 sites")
-    coeff = np.ones((1, 1))  # (flattened physical, bond)
-    for t in state.tensors:
-        coeff = np.tensordot(coeff, t, axes=(1, 0)).reshape(coeff.shape[0] * 4, t.shape[2])
-    return _dense_from_coefficients(coeff[:, 0], n)
-
-
 def _svd_safe(matrix: np.ndarray):
     try:
         return np.linalg.svd(matrix, full_matrices=False)

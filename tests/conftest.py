@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 import qubitchain as qc
 from qubitchain.lindblad import block_matrix
+from qubitchain.mps import _dense_from_coefficients
 
 
 def pytest_collection_modifyitems(config, items):
@@ -50,6 +51,17 @@ def dense(h):
 def whole(matrix):
     """A dense d x d matrix as the one block the solvers take."""
     return [(np.arange(len(matrix)), matrix)]
+
+
+def mps_to_dense(state):
+    """The full density matrix of an MPS state, contracted bond by bond (up to 8 sites)."""
+    n = state.n_sites
+    if n > 8:
+        raise ValueError("dense reconstruction refused above 8 sites")
+    coeff = np.ones((1, 1))  # (flattened physical, bond)
+    for t in state.tensors:
+        coeff = np.tensordot(coeff, t, axes=(1, 0)).reshape(coeff.shape[0] * 4, t.shape[2])
+    return _dense_from_coefficients(coeff[:, 0], n)
 
 
 def partial_trace(rho, sites):

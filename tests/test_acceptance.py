@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qubitchain as qc
-from conftest import dense, random_density_matrix, whole
+from conftest import dense, mps_to_dense, random_density_matrix, whole
 from qubitchain.harness import (
     ScanConfig,
     ScenarioConfig,
@@ -26,7 +26,6 @@ from qubitchain.lindblad import stream
 from qubitchain.mps import (
     MixedTebdEngine,
     mps_from_product,
-    mps_to_dense,
     reduced_pair_dm,
     reduced_sites_dm,
 )

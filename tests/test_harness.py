@@ -15,6 +15,7 @@ import qubitchain as qc
 from conftest import dense, unitary_propagate, whole
 from qubitchain.cli import main as cli_main
 from qubitchain.mps import MixedTebdEngine, mps_from_product
+from qubitchain.negativity import log_negativity
 from qubitchain.harness import (
     ConfigError,
     ScanConfig,
@@ -178,6 +179,16 @@ class TestConfig:
         for kind in ("product_eigen", "bell_head_eigen", "ground_of_k_ini"):
             with pytest.raises(ConfigError, match="initial_temperature_mk"):
                 replace(small_config(initial_state=kind), initial_temperature_mk=30.0)
+
+    def test_k_ini_only_with_a_k_ini_start(self):
+        data = json.loads((CONFIG_DIR / "generation_ideal.json").read_text())
+        assert data["quench"]["k_ini"] == 0.0
+        with pytest.raises(ConfigError, match="quench.k_ini is read by ground_of_k_ini and thermal_of_k_ini only"):
+            ScenarioConfig.from_dict({**data, "quench": {**data["quench"], "k_ini": 0.02}})
+        for kind in ("product_eigen", "bell_head_eigen"):
+            with pytest.raises(ConfigError, match=f"quench.k_ini .* not {kind}"):
+                replace(small_config(initial_state=kind), quench=qc.QuenchSpec(0.02, 0.025))
+        small_config(initial_state="ground_of_k_ini", quench={"k_ini": 0.02, "k_fin": 0.025})
 
     def test_noise_temperature_stored_once(self):
         # n_T follows the temperature and the chain a config runs with, and
@@ -724,6 +735,46 @@ class TestSteadyScan:
         res = qc.steady_state(h, rates, tol=1e-9)
         assert res.converged
         assert qc.pair_log_negativity(res.state, 1, 2) == 0.0
+
+    def test_transient_stops_at_its_first_maximum(self, monkeypatch):
+        # The scan reads each transient only up to its first maximum, and
+        # reports the value first_maximum finds on the whole capped series;
+        # a point without one runs to the cap.
+        config = ScanConfig.from_dict(
+            {**SMALL_SCAN, "gammas": [0.0, 0.01, 0.05, 0.2], "coupling_ratios": [0.5, 1.5]}
+        )
+        read = []
+
+        def recording(*args):
+            read.append([])
+            for ts, acc in propagate(*args):
+                read[-1].extend(ts)
+                yield ts, acc
+
+        monkeypatch.setattr(qc.harness, "propagate", recording)
+        result = steady_state_scan(config)
+        assert len(read) == len(result.points) == 8
+        assert [p.first_max == 0.0 for p in result.points].count(True) == 1
+        every = sample_grid(config.transient_t_max, config.transient_dt, 10)  # a sample per 0.5 time units
+        for point, times in zip(result.points, read):
+            chain = config.chain.with_coupling(point.coupling_ratio * config.chain.delta[0])
+            rates = qc.rates_from_angles(qc.mixing_angles(chain), qc.NoiseSpec(point.gamma, config.n_thermal))
+            samples = propagate(
+                qc.eigenbasis_product(3), qc.build_hamiltonian_eigen(chain), rates, config.transient_t_max,
+                config.transient_dt, 10,
+            )
+            full = [(ts, log_negativity(acc((1, 2)), (1,))) for ts, acc in samples]
+            tt, series = (np.concatenate(column) for column in zip(*full))
+            found = first_maximum(tt, series)
+            k = len(times)
+            if found is None:  # (0.5, 0.2): the transient runs to the cap
+                assert point.first_max == 0.0 and np.array_equal(times, every)
+                continue
+            assert point.first_max == found.value
+            assert k < len(every) and np.array_equal(times, every[:k])
+            assert first_maximum(tt[:k], series[:k]) == found
+            if point.gamma > 0:  # RK4 yields one sample at a time: none past the one after the maximum
+                assert first_maximum(tt[: k - 1], series[: k - 1]) is None
 
     def test_small_scan_excludes_gamma_zero(self, tmp_path):
         result = steady_state_scan(ScanConfig.from_dict(SMALL_SCAN))

@@ -158,6 +158,18 @@ class TestRhs:
         rho = block_stack(random_density_matrix(rng, 8), blocks)
         assert np.abs(gen.superoperator() @ rho.ravel() - gen.apply(rho).ravel()).max() < 1e-14
 
+    def test_hermitian_in_hermitian_out(self, rng):
+        # apply reads rho H as (H rho)^dagger: on an exactly Hermitian stack
+        # its result is exactly Hermitian and equals the Kronecker generator's.
+        h = qc.build_hamiltonian_eigen(parity_chain(4))
+        rho = random_density_matrix(rng, 16)
+        rho = 0.5 * (rho + rho.conj().T)
+        for blocks_of_h, stack in ((h, block_stack(rho, [b for b, _ in h])), (whole(dense(h)), rho[None])):
+            gen = LindbladGenerator(blocks_of_h, sector_rates(4))
+            out = gen.apply(stack)
+            assert np.array_equal(out, out.conj().transpose(0, 2, 1))
+            assert np.abs(gen.superoperator() @ stack.ravel() - out.ravel()).max() < 1e-13
+
     def test_zero_rates_reduce_to_commutator(self, rng):
         spec = qc.ChainSpec.homogeneous(3)
         h = dense(qc.build_hamiltonian_eigen(spec))
@@ -167,6 +179,18 @@ class TestRhs:
 
 
 class TestEvolve:
+    def test_stream_prefix_does_not_depend_on_t_max(self, rng):
+        spec = qc.ChainSpec.homogeneous(3, 0.02, 0.1, 0.025)
+        h = qc.build_hamiltonian_eigen(spec)
+        rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.02, 0.3))
+        rho0 = random_density_matrix(rng, 8)[None]
+        short = list(stream(rho0, whole(dense(h)), rates, t_max=5.0, dt=0.05, sample_every=10))
+        long = stream(rho0, whole(dense(h)), rates, t_max=40.0, dt=0.05, sample_every=10)
+        assert len(short) == 11
+        for (t, rho, *drifts), (t_long, rho_long, *drifts_long) in zip(short, long):
+            assert t == t_long and drifts == drifts_long
+            assert np.array_equal(rho, rho_long)
+
     def test_unitary_purity_conserved(self):
         spec = qc.ChainSpec.homogeneous(4)
         h = qc.build_hamiltonian_eigen(spec)

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 import qubitchain as qc
-from conftest import dense
+from conftest import dense, mps_to_dense
 from qubitchain.mps import (
     MixedTebdEngine,
     _fourth_order_stages,
     _multiplet_cut,
     bond_hamiltonians,
     mps_from_product,
-    mps_to_dense,
     mps_trace,
     reduced_pair_dm,
     reduced_sites_dm,
