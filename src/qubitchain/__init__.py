@@ -44,13 +44,11 @@ from .negativity import (
 )
 from .states import (
     GroundState,
-    bell_head,
     density_from_pure,
     eigenbasis_bell_head,
     eigenbasis_product,
     fidelity,
     ground_state,
-    plus_product,
     thermal_state,
 )
 from .witness import (

@@ -480,7 +480,8 @@ def propagate(
     The accessor maps ascending 1-based sites to the reduced density
     matrices at `times`, stacked as (len(times), 2^m, 2^m), and stays valid
     after later blocks are drawn.  With `engine`, whose step must be `dt`,
-    `state0` is an MpsMixedState advanced by its TEBD steps and `h` is unused.
+    `state0` is an MpsMixedState advanced by its TEBD steps, one engine call
+    per sample interval, and `h` is unused.
     Otherwise `state0` is a state vector or density matrix under the
     Hamiltonian `h`, given as its real diagonal blocks
     (:func:`qubitchain.chain.build_hamiltonian_eigen`; a dense d x d matrix
@@ -503,11 +504,10 @@ def propagate(
         raise ValueError(f"the engine steps at dt = {engine.dt}, the sample grid at dt = {dt}")
     times = sample_grid(t_max, dt, sample_every)
     if engine is not None:
-        state, done = state0, 0
+        state = state0
         for k, t in enumerate(times):
-            while done < int(round(t / dt)):
-                state = engine.step(state)
-                done += 1
+            if k:
+                state = engine.step(state, int(round((t - times[k - 1]) / dt)))
             yield times[k : k + 1], partial(_mps_sample, state)
     elif rates.is_zero():
         yield from _propagate_unitary(state0, h, times)

@@ -20,18 +20,21 @@ bond-weight vectors act only as relative environment weights for
 truncation; for mixed states they are not Schmidt coefficients.
 
 Time evolution Trotterizes the master equation of :mod:`qubitchain.lindblad`
-into two-site coherent gates (bond Hamiltonians, single-site splittings
-split onto adjacent bonds) and single-site dissipative stages, each
-exponentiated exactly on its 16- or 4-dimensional local operator space.
-Every step is the symmetric triple concatenation of second-order sweeps
-with a negative middle coefficient,
+into two-site gates, one real 16 x 16 generator per bond exponentiated
+exactly: the bond Hamiltonian's commutator plus the dissipators of the
+bond's two sites, each single-site term shared half and half between the
+two bonds of an interior site and given whole to the one bond of a
+boundary site.  Every step is the symmetric triple concatenation of
+second-order sweeps with a negative middle coefficient,
 
     S4(dt) = S2(c dt) S2((1 - 2c) dt) S2(c dt),   c = 1/(2 - 2**(1/3)),
 
-which is fourth order in dt; S2 is the sweep even, odd, dissipative, odd,
-even with half steps on the bonds.  Bonds keep at most `bond_dim` singular
-values and never split a multiplet of equal ones; a step that discards
-more than `TRUNCATION_CEILING` of the relative weight is counted as flagged.
+which is fourth order in dt; S2 is the sweep even, odd, even with half
+steps on the even bonds.  Steps taken in one call fuse the closing even
+sweep of each step with the opening one of the next.  Bonds keep at most
+`bond_dim` singular values and never split a multiplet of equal ones; a
+step that discards more than `TRUNCATION_CEILING` of the relative weight
+is counted as flagged.
 """
 
 from __future__ import annotations
@@ -209,19 +212,22 @@ def _svd_safe(matrix: np.ndarray):
         return scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
 
 
-def bond_hamiltonians(spec: ChainSpec) -> list[np.ndarray]:
-    """Two-site Hamiltonians of the eigenbasis frame, one per bond.
+def _bond_shares(n: int, b: int) -> tuple[float, float]:
+    """Shares of its left and right site's single-site terms that bond b carries.
 
-    Single-site splitting terms are shared half-and-half between the two
-    bonds adjacent to each interior site; boundary sites give their full
-    weight to their only bond.
+    An interior site's terms are shared half-and-half between its two
+    bonds; a boundary site gives its full weight to its only bond.
     """
+    return (1.0 if b == 0 else 0.5), (1.0 if b == n - 2 else 0.5)
+
+
+def bond_hamiltonians(spec: ChainSpec) -> list[np.ndarray]:
+    """Two-site Hamiltonians of the eigenbasis frame, one per bond, single-site splittings shared by `_bond_shares`."""
     n = spec.n_qubits
     angles = mixing_angles(spec)
     out = []
     for b in range(n - 1):
-        w_left = 1.0 if b == 0 else 0.5
-        w_right = 1.0 if b == n - 2 else 0.5
+        w_left, w_right = _bond_shares(n, b)
         ci, si = math.cos(angles.theta[b]), math.sin(angles.theta[b])
         cj, sj = math.cos(angles.theta[b + 1]), math.sin(angles.theta[b + 1])
         op_i = ci * SZ + si * SX
@@ -235,51 +241,56 @@ def bond_hamiltonians(spec: ChainSpec) -> list[np.ndarray]:
     return out
 
 
-def _coherent_gate(h_bond: np.ndarray, tau: float) -> np.ndarray:
-    """Real 16x16 superoperator of rho -> U rho U^dag on two sites, Pauli basis, indexed site-major."""
-    from scipy.linalg import expm
-
-    u = expm(-1j * tau * h_bond)
-    m = np.kron(u, u.conj())  # row-major vec: indices (a_i a_j b_i b_j)
-    g = m.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)  # (s_i s_j), matrix units
-    basis = np.kron(_TO_PAULI, _TO_PAULI)
-    return _real(basis @ g @ basis.conj().T, "coherent gate")
+def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> a rho b on the row-major-vectorized rho."""
+    return np.kron(a, b.T)
 
 
 def _dissipative_superoperator(g_relax: float, g_excite: float, g_dephase: float) -> np.ndarray:
     """Single-site generator on the row-major-vectorized local matrix."""
     p0 = SP @ SM  # |0><0|
     p1 = SM @ SP  # |1><1|
-    eye4 = np.eye(4, dtype=complex)
-
-    def sandwich(a, b):
-        return np.kron(a, b.T)
-
-    l1 = g_relax * (2.0 * sandwich(SP, SM) - sandwich(ID2, p1) - sandwich(p1, ID2))
-    l1 += g_excite * (2.0 * sandwich(SM, SP) - sandwich(ID2, p0) - sandwich(p0, ID2))
-    l1 += g_dephase * (2.0 * sandwich(SZ, SZ) - 2.0 * eye4)
+    l1 = g_relax * (2.0 * _sandwich(SP, SM) - _sandwich(ID2, p1) - _sandwich(p1, ID2))
+    l1 += g_excite * (2.0 * _sandwich(SM, SP) - _sandwich(ID2, p0) - _sandwich(p0, ID2))
+    l1 += g_dephase * (2.0 * _sandwich(SZ, SZ) - 2.0 * np.eye(4))
     return l1
 
 
-def _dissipative_gate(g_relax: float, g_excite: float, g_dephase: float, tau: float) -> np.ndarray:
-    """Real 4x4 propagator of one site's dissipator over `tau`, Pauli basis."""
-    from scipy.linalg import expm
+def bond_generators(spec: ChainSpec, rates: RateSet) -> list[np.ndarray]:
+    """Real 16x16 Lindblad generators of the bonds, Pauli basis, indexed site-major.
 
-    e = expm(tau * _dissipative_superoperator(g_relax, g_excite, g_dephase))
-    return _real(_TO_PAULI @ e @ _FROM_PAULI, "dissipative gate")
+    Each is -i[h_b, .] of `bond_hamiltonians` plus the dissipators of the
+    bond's two sites, shared between bonds as the splittings are, so the
+    generators sum to the chain's.
+    """
+    n = spec.n_qubits
+    basis = np.kron(_TO_PAULI, _TO_PAULI)
+    out = []
+    for b, h in enumerate(bond_hamiltonians(spec)):
+        w_left, w_right = _bond_shares(n, b)
+        coherent = -1j * (_sandwich(h, np.eye(4)) - _sandwich(np.eye(4), h))  # indices (a_i a_j b_i b_j)
+        coherent = coherent.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)  # (s_i s_j)
+        local = [
+            _TO_PAULI @ _dissipative_superoperator(rates.g_relax[i], rates.g_excite[i], rates.g_dephase[i]) @ _FROM_PAULI
+            for i in (b, b + 1)
+        ]
+        gen = basis @ coherent @ basis.conj().T
+        gen += w_left * np.kron(local[0], np.eye(4)) + w_right * np.kron(np.eye(4), local[1])
+        out.append(_real(gen, f"generator of bond {b}"))
+    return out
 
 
 def _fourth_order_stages(dt: float) -> list[tuple[str, float]]:
-    """(family, time step) of each stage of S4(dt), adjacent stages of one family merged.
+    """(family, time step) of each half-sweep of S4(dt), adjacent half-sweeps of one family merged.
 
-    The family is "even" or "odd" (a half-sweep of two-site coherent gates)
-    or "dissipative" (the single-site stage); the time steps of each family
-    sum to dt.
+    The family is "even" or "odd", the bonds whose gates the half-sweep
+    applies; the stages alternate E O E O E O E, and the time steps of
+    each family sum to dt.
     """
     c1 = _YOSHIDA_C1
     merged: list[list] = []
     for c in (c1, 1.0 - 2.0 * c1, c1):
-        for family, share in (("even", 0.5), ("odd", 0.5), ("dissipative", 1.0), ("odd", 0.5), ("even", 0.5)):
+        for family, share in (("even", 0.5), ("odd", 1.0), ("even", 0.5)):
             if merged and merged[-1][0] == family:
                 merged[-1][1] += share * c
             else:
@@ -296,14 +307,17 @@ def _multiplet_cut(s: np.ndarray, cap: int) -> int:
 class MixedTebdEngine:
     """Applies fourth-order Trotter steps of `dt` to an MpsMixedState, truncating to `bond_dim`.
 
-    Gates are exponentiated once at construction for every stage.  The
-    engine accumulates the relative singular-value weight discarded by
-    truncation and the trace drift corrected at each step; steps whose
-    discarded weight exceeds `TRUNCATION_CEILING` are counted in
-    `flagged_steps` (the harness reports the count as one manifest flag).
+    Gates are exponentiated once at construction for every stage, and for
+    the even sweep that fuses the end of one step with the start of the
+    next.  The engine accumulates the relative singular-value weight
+    discarded by truncation and the trace drift corrected at each step;
+    steps whose discarded weight exceeds `TRUNCATION_CEILING` are counted
+    in `flagged_steps` (the harness reports the count as one manifest flag).
     """
 
     def __init__(self, spec: ChainSpec, rates: RateSet, dt: float, bond_dim: int):
+        from scipy.linalg import expm
+
         n = spec.n_qubits
         if rates.n_sites != n:
             raise ValueError("rate set and chain size differ")
@@ -317,47 +331,47 @@ class MixedTebdEngine:
         self.flagged_steps = 0
         self.step_count = 0
 
-        h_bonds = bond_hamiltonians(spec)
-        even_bonds = list(range(0, n - 1, 2))
-        odd_bonds = list(range(1, n - 1, 2))
-        self._stage_ops: list[tuple[str, object]] = []
-        for family, tau in _fourth_order_stages(dt):
-            if family == "even":
-                gates = {b: _coherent_gate(h_bonds[b], tau) for b in even_bonds}
-                self._stage_ops.append(("bonds", gates))
-            elif family == "odd":
-                gates = {b: _coherent_gate(h_bonds[b], tau) for b in odd_bonds}
-                self._stage_ops.append(("bonds", gates))
-            else:
-                locals_ = [
-                    _dissipative_gate(rates.g_relax[i], rates.g_excite[i], rates.g_dephase[i], tau)
-                    for i in range(n)
-                ]
-                self._stage_ops.append(("sites", locals_))
+        generators = bond_generators(spec, rates)
+        bonds = {"even": range(0, n - 1, 2), "odd": range(1, n - 1, 2)}
 
-    def step(self, state: MpsMixedState) -> MpsMixedState:
-        """One full composite Trotter step into a new state; `state` is unchanged (stages only rebind arrays)."""
+        def sweep(family: str, tau: float) -> dict[int, np.ndarray]:
+            return {b: expm(tau * generators[b]) for b in bonds[family]}
+
+        stages = _fourth_order_stages(dt)
+        self._stage_ops = [(family, sweep(family, tau)) for family, tau in stages]
+        # e^{aL} e^{aL} = e^{2aL} on each even bond, and the even gates commute.
+        self._fused_even = sweep("even", stages[-1][1] + stages[0][1])
+
+    def step(self, state: MpsMixedState, count: int = 1) -> MpsMixedState:
+        """`count` composite Trotter steps into a new state; `state` is unchanged (stages only rebind arrays).
+
+        The closing even sweep of each step but the last runs fused with
+        the opening even sweep of the next, and its discarded weight counts
+        towards the earlier step.  Each step is then trace-normalized,
+        counted and flagged on its own.
+        """
         if state.n_sites != self.n_sites:
             raise ValueError("state size does not match engine")
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
         work = MpsMixedState(list(state.tensors), list(state.bond_weights))
-        step_weight = 0.0
-        for kind, ops in self._stage_ops:
-            if kind == "sites":
-                for i, e in enumerate(ops):
-                    work.tensors[i] = np.matmul(e, work.tensors[i])
-            else:
-                for b, gate in ops.items():
+        sweeps = [gates for _, gates in self._stage_ops]
+        for k in range(count):
+            closing = sweeps[-1] if k == count - 1 else self._fused_even
+            step_weight = 0.0
+            for gates in [*sweeps[(1 if k else 0) : -1], closing]:
+                for b, gate in gates.items():
                     step_weight += self._apply_bond_gate(work, b, gate)
-        trace = mps_trace(work)
-        if trace <= 0:
-            raise RuntimeError(f"state trace collapsed to {trace:.3e} at step {self.step_count + 1}")
-        drift = abs(trace - 1.0)
-        self.trace_drift_total += drift
-        work.tensors[-1] = work.tensors[-1] / trace
-        self.truncation_weight += step_weight
-        self.step_count += 1
-        if step_weight > TRUNCATION_CEILING:
-            self.flagged_steps += 1
+            trace = mps_trace(work)
+            if trace <= 0:
+                raise RuntimeError(f"state trace collapsed to {trace:.3e} at step {self.step_count + 1}")
+            drift = abs(trace - 1.0)
+            self.trace_drift_total += drift
+            work.tensors[-1] = work.tensors[-1] / trace
+            self.truncation_weight += step_weight
+            self.step_count += 1
+            if step_weight > TRUNCATION_CEILING:
+                self.flagged_steps += 1
         return work
 
     def _apply_bond_gate(self, state: MpsMixedState, b: int, gate: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""Initial-state preparation: product, Bell-head, ground, and thermal states.
+"""Initial-state preparation: eigenbasis product and Bell-head, ground, and thermal states.
 
 State vectors are complex numpy vectors of length 2**N with unit Euclidean
 norm; density matrices are Hermitian, unit-trace, positive 2**N x 2**N
@@ -18,22 +18,6 @@ from .lindblad import block_matrix
 
 _SQRT2 = np.sqrt(2.0)
 _DEGENERACY_TOL = 1e-10  # ground-state gap, relative to max(1, |E_0|), reported as degenerate
-
-
-def plus_product(n: int) -> np.ndarray:
-    """|+>^N with |+> = (|up> + |down>)/sqrt(2): every amplitude 2**(-N/2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return np.full(2**n, 2.0 ** (-n / 2.0), dtype=complex)
-
-
-def bell_head(n: int) -> np.ndarray:
-    """(|up down> + |down up>)/sqrt(2) on sites (1, 2), |+> everywhere else."""
-    if n < 2:
-        raise ValueError("bell_head needs n >= 2")
-    bell = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / _SQRT2
-    tail = plus_product(n - 2) if n > 2 else np.array([1.0], dtype=complex)
-    return np.kron(bell, tail)
 
 
 def eigenbasis_product(n: int) -> np.ndarray:

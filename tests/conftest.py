@@ -53,6 +53,22 @@ def whole(matrix):
     return [(np.arange(len(matrix)), matrix)]
 
 
+def plus_product(n):
+    """Lab-frame |+>^N with |+> = (|up> + |down>)/sqrt(2): every amplitude 2**(-N/2)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return np.full(2**n, 2.0 ** (-n / 2.0), dtype=complex)
+
+
+def bell_head(n):
+    """Lab-frame (|up down> + |down up>)/sqrt(2) on sites (1, 2), |+> everywhere else."""
+    if n < 2:
+        raise ValueError("bell_head needs n >= 2")
+    bell = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+    tail = plus_product(n - 2) if n > 2 else np.array([1.0], dtype=complex)
+    return np.kron(bell, tail)
+
+
 def mps_to_dense(state):
     """The full density matrix of an MPS state, contracted bond by bond (up to 8 sites)."""
     n = state.n_sites

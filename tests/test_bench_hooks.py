@@ -34,11 +34,12 @@ def test_traced_setup_only_launch_exits_cleanly(tmp_path):
 
 def test_traced_mps_run_reports_step_and_svd_spans(tmp_path):
     # The SVD span wraps np.linalg.svd only when qubitchain.mps calls it.
+    # Two steps per sample make the step hook take a multi-step call.
     cfg = json.loads((ROOT / "configs" / "long_chain_mps.json").read_text())
     cfg["chain"]["n_qubits"] = 6
     cfg["t_max"] = 0.2
     cfg["dt"] = 0.1
-    cfg["sample_every"] = 1
+    cfg["sample_every"] = 2
     cfg["observables"]["pairs"] = [[1, 2]]
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     report = tmp_path / "report.json"
@@ -49,9 +50,10 @@ def test_traced_mps_run_reports_step_and_svd_spans(tmp_path):
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    spans = json.loads(report.read_text())["spans"]
+    traced = json.loads(report.read_text())
     for name in ("mps.step", "mps.svd"):
-        assert spans.get(name, {}).get("calls", 0) > 0, name
+        assert traced["spans"].get(name, {}).get("calls", 0) > 0, name
+    assert traced["max_bond_dim"] > 1
 
 
 def test_steady_result_keeps_the_field_the_tracer_reads():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qubitchain as qc
-from conftest import dense
+from conftest import dense, plus_product
 from qubitchain.chain import DENSE_SITE_LIMIT, require_real_symmetric
 from qubitchain.pauli import SX, SZ, kron_all, site_operator, z_pattern
 
@@ -179,7 +179,7 @@ class TestFrameRotation:
         spec = qc.ChainSpec.homogeneous(3)
         u = frame_rotation(qc.mixing_angles(spec))
         lab = u @ qc.eigenbasis_product(3)
-        assert np.abs(lab - qc.plus_product(3)).max() < 1e-14
+        assert np.abs(lab - plus_product(3)).max() < 1e-14
 
     def test_conjugates_eigen_hamiltonian_onto_lab(self):
         # Bias-free chains share one sign convention between the frames, so

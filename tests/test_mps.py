@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 import qubitchain as qc
-from conftest import dense, mps_to_dense
+from conftest import dense, mps_to_dense, whole
+from qubitchain.lindblad import LindbladGenerator
 from qubitchain.mps import (
     MixedTebdEngine,
+    _dense_from_coefficients,
     _fourth_order_stages,
     _multiplet_cut,
+    bond_generators,
     bond_hamiltonians,
     mps_from_product,
     mps_trace,
@@ -23,25 +26,25 @@ def product_state(n, local=GROUND):
 
 
 class TestStages:
-    """The stage list of one fourth-order step, S2(c dt) S2((1 - 2c) dt) S2(c dt)."""
+    """The stage list of one fourth-order step, S2(c dt) S2((1 - 2c) dt) S2(c dt), with S2 = E/2 O E/2."""
 
     def test_family_time_steps_sum_to_dt(self):
         for dt in (0.05, 0.1, 0.4):
             stages = _fourth_order_stages(dt)
-            for family in ("even", "odd", "dissipative"):
+            for family in ("even", "odd"):
                 assert abs(sum(tau for f, tau in stages if f == family) - dt) < 1e-12
 
     def test_adjacent_stages_of_one_family_are_merged(self):
         families = [f for f, _ in _fourth_order_stages(0.05)]
         assert all(a != b for a, b in zip(families, families[1:]))
-        assert families == ["even", "odd", "dissipative", "odd"] * 3 + ["even"]
+        assert families == ["even", "odd"] * 3 + ["even"]
 
     def test_time_steps_match_reference(self):
         # Reference time steps of S4(0.05), compared bitwise so that MPS run
         # outputs stay byte-identical.  The middle sweep runs backwards in time.
         a, b = 0.03378017979899144, 0.06756035959798289
-        c, d, e = -0.008780179798991445, -0.04256035959798289, -0.08512071919596578
-        assert [tau for _, tau in _fourth_order_stages(0.05)] == [a, a, b, a, c, d, e, d, c, a, b, a, a]
+        c, d = -0.008780179798991445, -0.08512071919596578
+        assert [tau for _, tau in _fourth_order_stages(0.05)] == [a, b, c, d, c, b, a]
 
     def test_rejects_nonpositive_dt(self):
         spec = qc.ChainSpec.homogeneous(4)
@@ -250,3 +253,78 @@ class TestTebd:
             dim_right = 2 ** (5 - b - 2)
             total += np.kron(np.kron(np.eye(dim_left), h), np.eye(dim_right))
         assert np.abs(total - dense(qc.build_hamiltonian_eigen(spec))).max() < 1e-13
+
+
+class TestSteps:
+    """Bond gates carry the dissipators, and steps taken in one call share their boundary sweep."""
+
+    @staticmethod
+    def noisy_engine(n, dt, bond_dim):
+        spec = qc.ChainSpec.homogeneous(n)
+        rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.01, 0.1))
+        return MixedTebdEngine(spec, rates, dt, bond_dim)
+
+    @staticmethod
+    def gates(engine):
+        return [g for _, gates in engine._stage_ops for g in gates.values()] + list(engine._fused_even.values())
+
+    def test_multi_step_matches_single_steps(self):
+        # D = 64 holds every bond of six sites, so the cap never binds.
+        single, fused = self.noisy_engine(6, 0.05, 64), self.noisy_engine(6, 0.05, 64)
+        state = product_state(6)
+        for _ in range(10):
+            state = single.step(state)
+        multi = fused.step(product_state(6), 10)
+        assert fused.step_count == single.step_count == 10
+        assert np.abs(mps_to_dense(multi) - mps_to_dense(state)).max() < 1e-12
+        fused.step(multi, 10)
+        assert fused.step_count == 20
+
+    def test_rejects_count_below_one(self):
+        engine = self.noisy_engine(4, 0.05, 16)
+        for count in (0, -1):
+            with pytest.raises(ValueError):
+                engine.step(product_state(4), count)
+
+    def test_bond_gates_per_step_at_n40(self, monkeypatch):
+        calls = []
+        apply = MixedTebdEngine._apply_bond_gate
+
+        def counted(self, state, b, gate):
+            calls.append(b)
+            return apply(self, state, b, gate)
+
+        monkeypatch.setattr(MixedTebdEngine, "_apply_bond_gate", counted)
+        engine = self.noisy_engine(40, 0.05, 8)
+        state = engine.step(product_state(40))
+        assert len(calls) == 4 * 20 + 3 * 19 == 137
+        calls.clear()
+        engine.step(state, 10)
+        assert len(calls) == 31 * 20 + 30 * 19 == 1190
+
+    def test_bond_gates_preserve_trace(self):
+        # Detuned sites give every rate, dephasing included, a nonzero value.
+        spec = qc.ChainSpec.homogeneous(5, 0.05, 0.1, 0.025)
+        rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.1, 0.2))
+        assert min(rates.g_relax + rates.g_excite + rates.g_dephase) > 0
+        trace = np.kron([np.sqrt(2), 0, 0, 0], [np.sqrt(2), 0, 0, 0])
+        for gate in self.gates(MixedTebdEngine(spec, rates, 0.4, 16)):
+            assert np.abs(trace @ gate - trace).max() < 1e-14
+
+    def test_noiseless_bond_gates_are_orthogonal(self):
+        spec = qc.ChainSpec.homogeneous(5, 0.05, 0.1, 0.025)
+        for gate in self.gates(MixedTebdEngine(spec, qc.RateSet.zero(5), 0.4, 16)):
+            assert np.abs(gate @ gate.T - np.eye(16)).max() < 1e-14
+
+    def test_bond_generators_sum_to_the_chain_generator(self):
+        # Oracle: the dense master-equation right-hand side, applied to each
+        # Pauli string and read back in the Pauli basis.
+        spec = qc.ChainSpec(3, (0.05, 0.0, -0.1), (0.1, 0.12, 0.09), (0.02, 0.03))
+        rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.015, 0.2))
+        gen = LindbladGenerator(whole(dense(qc.build_hamiltonian_eigen(spec))), rates)
+        strings = [_dense_from_coefficients(e, 3) for e in np.eye(64)]
+        expected = np.array([[np.vdot(p, gen.apply(q)) for q in strings] for p in strings])
+        first, second = bond_generators(spec, rates)
+        total = np.kron(first, np.eye(4)) + np.kron(np.eye(4), second)
+        assert first.dtype == second.dtype == np.float64
+        assert np.abs(total - expected).max() < 1e-14

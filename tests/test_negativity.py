@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qubitchain as qc
-from conftest import partial_trace, random_density_matrix, random_pure_state, unitary_propagate
+from conftest import bell_head, partial_trace, plus_product, random_density_matrix, random_pure_state, unitary_propagate
 from qubitchain.pauli import kron_all
 
 
@@ -21,7 +21,7 @@ class TestReduce:
         assert np.abs(rs.matrix - expected).max() < 1e-14
 
     def test_bell_head_pair_factors_out_tail(self):
-        rho = qc.density_from_pure(qc.bell_head(4))
+        rho = qc.density_from_pure(bell_head(4))
         rs = qc.reduce(rho, (1, 2))
         bell = np.array([0, 1, 1, 0]) / np.sqrt(2)
         assert np.abs(rs.matrix - np.outer(bell, bell)).max() < 1e-14
@@ -184,7 +184,7 @@ def block_log_negativity(rho, a, b):
 
 class TestBlockLogNegativity:
     def test_global_product_gives_zero(self):
-        rho = qc.density_from_pure(qc.plus_product(4))
+        rho = qc.density_from_pure(plus_product(4))
         assert block_log_negativity(rho, (1, 2), (3, 4)) == 0.0
 
     def test_bell_pair_across_cut_gives_one(self):

@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 
 import qubitchain as qc
-from conftest import dense, random_density_matrix, whole
+from conftest import bell_head, dense, plus_product, random_density_matrix, whole
 
 
 class TestProductStates:
     def test_plus_product_single(self):
-        assert np.allclose(qc.plus_product(1), [1 / np.sqrt(2)] * 2)
+        assert np.allclose(plus_product(1), [1 / np.sqrt(2)] * 2)
 
     def test_plus_product_amplitudes(self):
-        psi = qc.plus_product(3)
+        psi = plus_product(3)
         assert np.allclose(psi, 1 / (2 * np.sqrt(2)))
         assert np.linalg.norm(psi) == pytest.approx(1.0)
 
     def test_plus_product_is_separable(self):
-        rho = qc.density_from_pure(qc.plus_product(4))
+        rho = qc.density_from_pure(plus_product(4))
         for pair in ((1, 2), (1, 4), (2, 3)):
             assert qc.pair_log_negativity(rho, *pair) == 0.0
 
@@ -26,20 +26,20 @@ class TestProductStates:
 
 class TestBellHead:
     def test_two_site_amplitudes(self):
-        assert np.allclose(qc.bell_head(2), np.array([0, 1, 1, 0]) / np.sqrt(2))
+        assert np.allclose(bell_head(2), np.array([0, 1, 1, 0]) / np.sqrt(2))
         assert np.allclose(qc.eigenbasis_bell_head(2), np.array([0, 1, 1, 0]) / np.sqrt(2))
 
     def test_head_pair_is_maximally_entangled(self):
-        rho = qc.density_from_pure(qc.bell_head(2))
+        rho = qc.density_from_pure(bell_head(2))
         assert qc.pair_log_negativity(rho, 1, 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_tail_pair_is_separable(self):
-        rho = qc.density_from_pure(qc.bell_head(4))
+        rho = qc.density_from_pure(bell_head(4))
         assert qc.pair_log_negativity(rho, 3, 4) == 0.0
 
     def test_needs_two_sites(self):
         with pytest.raises(ValueError):
-            qc.bell_head(1)
+            bell_head(1)
         with pytest.raises(ValueError):
             qc.eigenbasis_bell_head(1)
 
@@ -53,7 +53,7 @@ class TestGroundState:
     def test_uncoupled_lab_ground_is_plus_product(self):
         spec = qc.ChainSpec.homogeneous(4, 0.0, 0.1, 0.0)
         g = qc.ground_state(whole(qc.build_hamiltonian_lab(spec)))
-        assert abs(np.vdot(qc.plus_product(4), g.vector)) == pytest.approx(1.0, abs=1e-10)
+        assert abs(np.vdot(plus_product(4), g.vector)) == pytest.approx(1.0, abs=1e-10)
         assert not g.degenerate
 
     def test_uncoupled_eigen_ground_is_zero_product(self):
