@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -189,30 +190,53 @@ def build_hamiltonian_eigen(spec: ChainSpec) -> HamiltonianBlocks:
     c = np.cos(angles.theta)
     s = np.sin(angles.theta)
     parity = not any(spec.epsilon)
+    z, blocks = _eigen_basis(n, parity)
     diag = np.zeros(2**n)
-    flips = []  # (flipped bits, value of each row), in summation order
+    flips = []  # (scale, +/-1 pattern of the rows or None) of each flip term, in summation order
     for i in range(1, n + 1):
-        diag += -0.5 * angles.omega[i - 1] * z_pattern(i, n)
+        diag += -0.5 * angles.omega[i - 1] * z[i - 1]
     for i in range(1, n):
         k = -0.5 * spec.coupling[i - 1]
-        zi, zj = z_pattern(i, n), z_pattern(i + 1, n)
-        bi, bj = 1 << (n - i), 1 << (n - i - 1)
         ci, si, cj, sj = c[i - 1], s[i - 1], c[i], s[i]
-        diag += k * ci * cj * zi * zj
+        diag += k * ci * cj * z[i - 1] * z[i]
         if not parity:
-            flips += [(bj, k * ci * sj * zi), (bi, k * si * cj * zj)]
-        flips.append((bi | bj, np.full(2**n, k * si * sj)))
-    index = np.arange(2**n)
-    odd = np.prod([z_pattern(i, n) for i in range(1, n + 1)], axis=0) < 0
+            flips += [(k * ci * sj, z[i - 1]), (k * si * cj, z[i])]
+        flips.append((k * si * sj, None))
     out = []
-    for b in [index[~odd], index[odd]] if parity else [index]:
+    for b, positions in blocks:
         rows = np.arange(len(b))
         h = np.zeros((len(b), len(b)))
-        for bits, values in flips:
-            h[rows, np.searchsorted(b, b ^ bits)] += values[b]
+        for (scale, pattern), cols in zip(flips, positions):
+            h[rows, cols] += scale if pattern is None else scale * pattern[b]
         h[rows, rows] += diag[b]
         out.append((b, h))
     return out
+
+
+@lru_cache(maxsize=8)
+def _eigen_basis(n: int, parity: bool) -> tuple[np.ndarray, tuple[tuple[np.ndarray, tuple[np.ndarray, ...]], ...]]:
+    """Basis tables of :func:`build_hamiltonian_eigen` for n sites, read-only and cached.
+
+    Returns the Z patterns of the sites as rows, and per block its basis
+    indices and the block positions that each flip term maps its rows to,
+    in the builder's summation order: per bond i, i+1 the flips of site
+    i + 1 and of site i (only without parity), then of both.
+    """
+    z = np.array([z_pattern(i, n) for i in range(1, n + 1)])
+    flip_bits = []
+    for i in range(1, n):
+        bi, bj = 1 << (n - i), 1 << (n - i - 1)
+        flip_bits += ([] if parity else [bj, bi]) + [bi | bj]
+    index = np.arange(2**n)
+    odd = np.prod(z, axis=0) < 0
+    blocks = []
+    for b in [index[~odd], index[odd]] if parity else [index]:
+        positions = tuple(np.searchsorted(b, b ^ bits) for bits in flip_bits)
+        for a in (b, *positions):
+            a.flags.writeable = False
+        blocks.append((b, positions))
+    z.flags.writeable = False
+    return z, tuple(blocks)
 
 
 def sample_disorder(spec: ChainSpec, dis: DisorderSpec) -> ChainSpec:

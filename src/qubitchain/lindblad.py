@@ -69,7 +69,7 @@ _POSITIVITY_ABORT = 1e-6
 # (dephasing-only chains with epsilon = 0.05 or in the lab frame).
 _GROWTH_LIMIT = 1e10
 
-# scipy is imported where sparse matrices are built: a noiseless run never loads it.
+# scipy is imported where sparse matrices are built: noiseless and MPS runs never load it.
 if TYPE_CHECKING:
     import scipy.sparse as sparse
 

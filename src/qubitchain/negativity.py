@@ -13,6 +13,7 @@ product and measured by one stacked eigvalsh.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,23 +77,42 @@ def reduce_blocks(parts: np.ndarray, blocks: list[np.ndarray], sites) -> Reduced
     if 2**n != d or parts.shape[-2:] != (len(blocks[0]),) * 2:
         raise ValueError("density matrix must be square blocks of a power-of-two total dimension")
     kept = _validate_sites(sites, n)
+    tables = _gather_tables(tuple(np.asarray(b, dtype=np.intp).tobytes() for b in blocks), kept, n)
+    reduced = np.zeros(parts.shape[:-3] + (2 ** len(kept),) * 2, dtype=parts.dtype)
+    for (flat, mask), part in zip(tables, np.moveaxis(parts, -3, 0)):
+        entries = part.reshape(part.shape[:-2] + (-1,))[..., flat]
+        reduced += (entries * mask).sum(axis=-3)
+    return ReducedState(kept, reduced)
+
+
+@lru_cache(maxsize=64)
+def _gather_tables(blocks: tuple[bytes, ...], kept: tuple[int, ...], n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per block (its basis indices as intp bytes): the flat positions in the
+    block of the entries that `reduce_blocks` sums, indexed (traced bits,
+    kept row bits, kept column bits), and the mask of those the block holds.
+
+    Cached per blocks and sites; the arrays are read-only.
+    """
     k = len(kept)
-    idx = np.arange(d)
-    keep, rest = np.zeros(d, dtype=int), np.zeros(d, dtype=int)
+    idx = np.arange(2**n)
+    keep, rest = np.zeros(2**n, dtype=int), np.zeros(2**n, dtype=int)
     for s in range(1, n + 1):
         if s in kept:
             keep = 2 * keep + site_bit(idx, s, n)
         else:
             rest = 2 * rest + site_bit(idx, s, n)
-    reduced = np.zeros(parts.shape[:-3] + (2**k, 2**k), dtype=parts.dtype)
-    for b, part in zip(blocks, np.moveaxis(parts, -3, 0)):
+    tables = []
+    for raw in blocks:
+        b = np.frombuffer(raw, dtype=np.intp)
         table = np.full((2 ** (n - k), 2**k), -1)
         table[rest[b], keep[b]] = np.arange(len(b))
         present = table >= 0
         at = np.where(present, table, 0)
-        entries = part[..., at[:, :, None], at[:, None, :]]
-        reduced += (entries * (present[:, :, None] & present[:, None, :])).sum(axis=-3)
-    return ReducedState(kept, reduced)
+        flat = at[:, :, None] * len(b) + at[:, None, :]
+        mask = present[:, :, None] & present[:, None, :]
+        flat.flags.writeable = mask.flags.writeable = False
+        tables.append((flat, mask))
+    return tuple(tables)
 
 
 def reduce_statevector(psi: np.ndarray, sites) -> ReducedState:

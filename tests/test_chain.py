@@ -116,6 +116,30 @@ class TestHamiltonianEigen:
         with pytest.raises(ValueError, match="not symmetric"):
             require_real_symmetric(skewed)
 
+    def test_cached_basis_tables_match_a_cold_cache(self):
+        # Each spec is built cold, then warm after builds of other specs
+        # (other parameters, the other parity) have filled the cache.
+        from qubitchain.chain import _eigen_basis
+
+        dis = qc.DisorderSpec(0.2, ("epsilon", "delta", "coupling"), 7)
+        specs = [
+            spec
+            for n in range(2, 9)
+            for spec in (qc.ChainSpec.homogeneous(n), qc.sample_disorder(qc.ChainSpec.homogeneous(n), dis))
+        ]
+        assert all(not any(s.epsilon) for s in specs[::2]) and all(all(s.epsilon) for s in specs[1::2])
+        cold = []
+        for spec in specs:
+            _eigen_basis.cache_clear()
+            cold.append(qc.build_hamiltonian_eigen(spec))
+        for spec, want in zip(specs[::-1], cold[::-1]):
+            got = qc.build_hamiltonian_eigen(spec)
+            assert len(got) == len(want)
+            for (b, h), (b0, h0) in zip(got, want):
+                assert np.array_equal(b, b0) and h.tobytes() == h0.tobytes()
+                assert not b.flags.writeable
+        assert _eigen_basis.cache_info().hits > 0
+
     def test_degeneracy_point_structure(self):
         # At eps=0 the rotated coupling is purely transverse: H' has no
         # sigma_z sigma_z part, so its diagonal is the field term alone.

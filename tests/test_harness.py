@@ -865,9 +865,22 @@ class TestCli:
         error = json.loads((out / "error.json").read_text())
         assert error["type"] == "ConfigError"
 
-    def test_noiseless_run_never_imports_scipy(self, tmp_path):
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"t_max": 5.0},
+            {
+                "chain": {"n_qubits": 6, "epsilon": 0.0, "delta": 0.1},
+                "noise": {"gamma": 0.01, "n_thermal": 0.0},
+                "solver": {"kind": "mps", "bond_dim": 16},
+                "t_max": 1.0,
+            },
+        ],
+        ids=["noiseless_exact", "noisy_mps"],
+    )
+    def test_run_never_imports_scipy(self, tmp_path, overrides):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(small_config(t_max=5.0).to_dict()))
+        cfg_path.write_text(json.dumps(small_config(**overrides).to_dict()))
         run = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
         script = (
             "import sys; from qubitchain.cli import main; "

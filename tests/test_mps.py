@@ -6,7 +6,9 @@ from conftest import dense, mps_to_dense, whole
 from qubitchain.lindblad import LindbladGenerator
 from qubitchain.mps import (
     MixedTebdEngine,
+    MpsMixedState,
     _dense_from_coefficients,
+    _expm,
     _fourth_order_stages,
     _multiplet_cut,
     bond_generators,
@@ -51,6 +53,52 @@ class TestStages:
         for dt in (0.0, -0.05):
             with pytest.raises(ValueError):
                 MixedTebdEngine(spec, qc.RateSet.zero(4), dt, bond_dim=16)
+
+
+class TestExpm:
+    """The numpy scaling-and-squaring exponential that builds the bond gates, against scipy's."""
+
+    @staticmethod
+    def close(a, ref):
+        return np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_engine_gates_match_scipy(self):
+        from scipy.linalg import expm
+
+        # Disorder on every target detunes the sites, so every rate, dephasing included, is nonzero.
+        dis = qc.DisorderSpec(0.3, ("epsilon", "delta", "coupling"), seed=5)
+        spec = qc.sample_disorder(qc.ChainSpec.homogeneous(6, 0.02, 0.1, 0.025), dis)
+        rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.05, 0.2))
+        assert min(rates.g_relax + rates.g_excite + rates.g_dephase) > 0
+        dt = 0.1
+        engine = MixedTebdEngine(spec, rates, dt, bond_dim=16)
+        generators = bond_generators(spec, rates)
+        stages = _fourth_order_stages(dt)
+        sweeps = [(tau, gates) for (_, tau), (_, gates) in zip(stages, engine._stage_ops)]
+        sweeps.append((stages[-1][1] + stages[0][1], engine._fused_even))
+        assert sum(len(gates) for _, gates in sweeps) == 4 * 3 + 3 * 2 + 3
+        for tau, gates in sweeps:
+            for b, gate in gates.items():
+                assert self.close(gate, expm(tau * generators[b])), (tau, b)
+
+    def test_random_matrices_match_scipy(self):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(3)
+        for norm in np.geomspace(1e-3, 50.0, 25):
+            a = rng.standard_normal((16, 16))
+            a *= norm / np.abs(a).sum(axis=0).max()
+            assert self.close(_expm(a), expm(a)), norm
+
+    def test_stack_matches_single_matrices(self):
+        rng = np.random.default_rng(4)
+        stack = rng.standard_normal((4, 16, 16)) * np.array([0.01, 1.0, 8.0, 40.0])[:, None, None]
+        out = _expm(stack)
+        for a, e in zip(stack, out):
+            assert self.close(e, _expm(a))
+
+    def test_zero_matrix_gives_identity_exactly(self):
+        assert np.array_equal(_expm(np.zeros((16, 16))), np.eye(16))
 
 
 class TestProductConstruction:
@@ -221,6 +269,31 @@ class TestTebd:
         state = product_state(6)
         engine._apply_bond_gate(state, 0, gates[0])
         assert len(state.bond_weights[0]) == 1
+
+    def test_svd_fallback_matches_the_default_driver(self, monkeypatch):
+        # Bond 2 of a state whose neighbouring bonds are already entangled.
+        spec = qc.ChainSpec.homogeneous(6)
+        rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.01, 0.1))
+        engine = MixedTebdEngine(spec, rates, 0.1, bond_dim=64)
+        start = engine.step(product_state(6), 3)
+        assert start.bond_dims()[1] > 1 and start.bond_dims()[2] > 1
+        gate = engine._stage_ops[0][1][2]
+
+        def bond_update(state):
+            state = MpsMixedState(list(state.tensors), list(state.bond_weights))
+            weight = engine._apply_bond_gate(state, 2, gate)
+            return state, weight
+
+        expected, expected_weight = bond_update(start)
+
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        fallback, weight = bond_update(start)
+        assert abs(weight - expected_weight) < 1e-12
+        assert np.abs(fallback.bond_weights[2] - expected.bond_weights[2]).max() < 1e-12
+        assert np.abs(mps_to_dense(fallback) - mps_to_dense(expected)).max() < 1e-12
 
     def test_multiplet_cut_moves_down_to_a_gap(self):
         s = np.array([1.0, 0.5, 0.5 - 1e-15, 0.2, 0.2, 0.1])

@@ -67,6 +67,33 @@ class TestReduce:
                     want = partial_trace(block_matrix(part, blocks), sites)
                     assert np.abs(got - want).max() < 1e-15
 
+    def test_cached_tables_match_a_cold_cache(self, rng):
+        from qubitchain.lindblad import block_stack
+        from qubitchain.negativity import _gather_tables, reduce_blocks
+
+        spec = qc.ChainSpec.homogeneous(6)
+        cases = [
+            (blocks, sites)
+            for blocks in ([b for b, _ in qc.build_hamiltonian_eigen(spec)], [np.arange(64)])
+            for sites in ((1, 2), (3, 6), (2,), (1, 3, 4, 6))
+        ]
+        parts = {len(blocks): block_stack(random_density_matrix(rng, 64), blocks)[None] for blocks, _ in cases}
+        cold = []
+        for blocks, sites in cases:
+            _gather_tables.cache_clear()
+            cold.append(reduce_blocks(parts[len(blocks)], blocks, sites).matrix)
+        for blocks, sites in cases:
+            reduce_blocks(parts[len(blocks)], blocks, sites)
+        hits = _gather_tables.cache_info().hits
+        for (blocks, sites), want in zip(cases, cold):
+            # Equal copies of the blocks hit the tables cached for the originals.
+            got = reduce_blocks(parts[len(blocks)], [b.copy() for b in blocks], sites).matrix
+            assert got.tobytes() == want.tobytes()
+        assert _gather_tables.cache_info().hits == hits + len(cases)
+        key = tuple(np.asarray(b, dtype=np.intp).tobytes() for b in cases[0][0])
+        for flat, mask in _gather_tables(key, cases[0][1], 6):
+            assert not flat.flags.writeable and not mask.flags.writeable
+
     def test_validates_sites(self):
         rho = np.eye(8) / 8
         with pytest.raises(ValueError):
