@@ -304,6 +304,8 @@ class ScenarioConfig:
             _check_exact_memory(n, self.member_bytes)
         if self.solver.kind == "mps" and self.initial_state != "product_eigen":
             raise ConfigError("the mps solver supports product_eigen initial states only")
+        if self.solver.kind == "mps" and n < 2:
+            raise ConfigError("the mps solver needs at least two sites")
         if self.initial_state == "thermal_of_k_ini" and not self.initial_temperature_mk:
             raise ConfigError("thermal_of_k_ini requires initial_temperature_mk")
         if self.initial_state != "thermal_of_k_ini" and self.initial_temperature_mk is not None:
@@ -367,14 +369,17 @@ def first_maximum(times: np.ndarray, series: np.ndarray) -> FirstMaximum | None:
     """First local maximum above `FIRST_MAX_FLOOR`, refined across three samples.
 
     The drop after the maximum must exceed roundoff, so a series that is flat
-    up to its last bits has none.
+    up to its last bits has none.  The parabola assumes equal spacings, so a
+    maximum next to a shorter step (the last one of :func:`sample_grid`) is
+    reported at its sample.
     """
     for k in range(1, len(series) - 1):
         if series[k] > FIRST_MAX_FLOOR and series[k] >= series[k - 1] and series[k] - series[k + 1] > 1e-12 * series[k]:
             y0, y1, y2 = series[k - 1], series[k], series[k + 1]
-            denom = y0 - 2.0 * y1 + y2
-            shift = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
             step = times[k] - times[k - 1]
+            equal = abs(times[k + 1] - times[k] - step) <= 1e-9 * step
+            denom = y0 - 2.0 * y1 + y2
+            shift = 0.5 * (y0 - y2) / denom if denom != 0 and equal else 0.0
             return FirstMaximum(float(y1 - 0.25 * (y0 - y2) * shift), float(times[k] + shift * step))
     return None
 
@@ -453,7 +458,10 @@ def _prepare_initial(config: ScenarioConfig, member: int) -> np.ndarray:
     # Per parity block: the state has exactly no weight in the other sector.
     h_ini = build_hamiltonian_eigen(_member_chain(config, member, config.quench.k_ini))
     if kind == "ground_of_k_ini":
-        return ground_state(h_ini).vector
+        ground = ground_state(h_ini)
+        if ground.degenerate:
+            raise ValueError(f"member {member}: the ground state at k_ini is degenerate (gap {ground.gap:.3e})")
+        return ground.vector
     return thermal_state(h_ini, config.initial_temperature_mk * 1e-3, config.chain.energy_unit_kelvin)
 
 

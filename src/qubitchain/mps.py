@@ -20,11 +20,13 @@ bond-weight vectors act only as relative environment weights for
 truncation; for mixed states they are not Schmidt coefficients.
 
 Time evolution Trotterizes the master equation of :mod:`qubitchain.lindblad`
-into two-site gates.  Each bond has one real 16 x 16 generator: the bond
-Hamiltonian's commutator plus the dissipators of the bond's two sites,
-each single-site term shared half and half between the two bonds of an
-interior site and given whole to the one bond of a boundary site.  The
-gates are its exponentials, computed by numpy scaling and squaring of the
+into two-site gates.  Each bond has one real 16 x 16 generator: the
+two-site master equation of the bond coupling and the splittings and jumps
+of its two sites, applied to the 16 Pauli strings and read back in the
+Pauli basis.  Each single-site term is shared half and half between the
+two bonds of an interior site and given whole to the one bond of a
+boundary site, so the generators sum to the chain's.  The gates are its
+exponentials, computed by numpy scaling and squaring of the
 [13/13] Pade approximant, exact to roundoff.  Every step is the symmetric
 triple concatenation of second-order sweeps with a negative middle
 coefficient,
@@ -50,24 +52,15 @@ import numpy as np
 from .chain import ChainSpec, mixing_angles
 from .lindblad import RateSet
 from .negativity import ReducedState
-from .pauli import ID2, SM, SP, SX, SY, SZ
+from .pauli import ID2, SM, SP, SX, SZ, pauli_strings
 
 logger = logging.getLogger(__name__)
 
 TRUNCATION_CEILING = 1e-6  # discarded weight above which a step is flagged
 _DRIFT_LIMIT = 1e-4  # Hermiticity or trace correction of a reduced state that is warned about
 _SV_FLOOR = 1e-14  # relative floor below which singular values are dropped
-_IMAG_LIMIT = 1e-12  # largest imaginary part a real-basis conversion may drop
+_IMAG_LIMIT = 1e-12  # largest imaginary part a bond generator may drop
 _MULTIPLET_TOL = 1e-12  # of the largest singular value; SVD roundoff splits equal values by ~1e-15 of it
-
-# Row k maps a row-major vectorized 2x2 matrix m to tr(P_k m)/sqrt2 for
-# P_k in (I, X, Y, Z); it is unitary, and its conjugate transpose maps the
-# Pauli coefficients back to the vectorized matrix.
-_TO_PAULI = np.array([p.T.reshape(4) for p in (ID2, SX, SY, SZ)]) / math.sqrt(2.0)
-_FROM_PAULI = _TO_PAULI.conj().T
-
-# Trace functional on the physical index: tr(I/sqrt2) = sqrt2, the rest are traceless.
-_TRACE_VEC = np.array([math.sqrt(2.0), 0.0, 0.0, 0.0])
 
 _YOSHIDA_C1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 
@@ -110,24 +103,9 @@ def validate_local_state(rho: np.ndarray) -> None:
         raise ValueError("local state is not positive")
 
 
-def _real(op: np.ndarray, what: str) -> np.ndarray:
-    """Real part of an operator in the Pauli basis, refusing a dropped imaginary part above `_IMAG_LIMIT`."""
-    imag = float(np.abs(op.imag).max())
-    if imag > _IMAG_LIMIT:
-        raise RuntimeError(f"{what} has imaginary part {imag:.3e} in the Pauli basis")
-    return np.ascontiguousarray(op.real)
-
-
 def _dense_from_coefficients(coeff: np.ndarray, m: int) -> np.ndarray:
     """2^m x 2^m matrix of the real Pauli coefficients `coeff` (length 4^m, site-major) on m sites."""
-    units = coeff.reshape((4,) * m)
-    for _ in range(m):
-        # Back to matrix units on the last axis, moved to the front: after m passes the order is restored.
-        units = np.tensordot(_FROM_PAULI, units, axes=(1, m - 1))
-    units = units.reshape((2, 2) * m)
-    rows = tuple(range(0, 2 * m, 2))
-    cols = tuple(range(1, 2 * m, 2))
-    return units.transpose(rows + cols).reshape(2**m, 2**m)
+    return np.tensordot(coeff, pauli_strings(m), axes=1) / 2.0 ** (m / 2)
 
 
 def mps_from_product(local_states: list[np.ndarray]) -> MpsMixedState:
@@ -144,27 +122,23 @@ def mps_from_product(local_states: list[np.ndarray]) -> MpsMixedState:
     for rho in local_states:
         rho = np.asarray(rho, dtype=complex)
         validate_local_state(rho)
-        tensors.append((_TO_PAULI @ rho.reshape(4)).real.reshape(1, 4, 1))
+        tensors.append(np.trace(pauli_strings(1) @ rho, axis1=1, axis2=2).real.reshape(1, 4, 1) / math.sqrt(2.0))
     weights = [np.ones(1) for _ in range(n - 1)]
     return MpsMixedState(tensors, weights)
 
 
 def mps_trace(state: MpsMixedState) -> float:
-    """Full trace via the per-site trace functional."""
+    """Full trace: tr(I/sqrt2) = sqrt2 times each site's identity coefficient, the other strings are traceless."""
     v = np.ones(1)
     for t in state.tensors:
-        v = v @ np.tensordot(_TRACE_VEC, t, axes=(0, 1))
+        v = v @ (math.sqrt(2.0) * t[:, 0, :])
     return float(v[0])
-
-
-def _transfer_matrices(state: MpsMixedState) -> list[np.ndarray]:
-    return [np.tensordot(_TRACE_VEC, t, axes=(0, 1)) for t in state.tensors]
 
 
 def reduced_sites_dm(state: MpsMixedState, sites) -> ReducedState:
     """Reduced density matrix on 1 to 4 sites (1-based, strictly increasing).
 
-    All other sites are contracted against the trace functional and only
+    All other sites are traced as in :func:`mps_trace` and only
     the retained sites are converted back to matrix units; the result is
     re-Hermitized and renormalized, and the correction applied is logged
     (warned about above `_DRIFT_LIMIT`).
@@ -175,7 +149,6 @@ def reduced_sites_dm(state: MpsMixedState, sites) -> ReducedState:
         raise ValueError("between 1 and 4 sites can be retained")
     if any(b <= a for a, b in zip(kept, kept[1:])) or not all(1 <= s <= n for s in kept):
         raise ValueError(f"sites must be strictly increasing within [1, {n}]")
-    transfer = _transfer_matrices(state)
     keep_set = set(kept)
     # acc[(s_i1..s_ik), D]: sweep left to right, keeping physical indices of
     # retained sites and tracing the rest.
@@ -185,7 +158,7 @@ def reduced_sites_dm(state: MpsMixedState, sites) -> ReducedState:
             nxt = np.tensordot(acc, state.tensors[k], axes=(1, 0))  # (phys, 4, Dr)
             acc = nxt.reshape(acc.shape[0] * 4, -1)
         else:
-            acc = acc @ transfer[k]
+            acc = acc @ (math.sqrt(2.0) * state.tensors[k][:, 0, :])
     mat = _dense_from_coefficients(acc[:, 0], len(kept))
     herm = float(np.abs(mat - mat.conj().T).max())
     mat = 0.5 * (mat + mat.conj().T)
@@ -263,62 +236,37 @@ def _bond_shares(n: int, b: int) -> tuple[float, float]:
     return (1.0 if b == 0 else 0.5), (1.0 if b == n - 2 else 0.5)
 
 
-def bond_hamiltonians(spec: ChainSpec) -> list[np.ndarray]:
-    """Two-site Hamiltonians of the eigenbasis frame, one per bond, single-site splittings shared by `_bond_shares`."""
-    n = spec.n_qubits
-    angles = mixing_angles(spec)
-    out = []
-    for b in range(n - 1):
-        w_left, w_right = _bond_shares(n, b)
-        ci, si = math.cos(angles.theta[b]), math.sin(angles.theta[b])
-        cj, sj = math.cos(angles.theta[b + 1]), math.sin(angles.theta[b + 1])
-        op_i = ci * SZ + si * SX
-        op_j = cj * SZ + sj * SX
-        h = (
-            -0.5 * w_left * angles.omega[b] * np.kron(SZ, ID2)
-            - 0.5 * w_right * angles.omega[b + 1] * np.kron(ID2, SZ)
-            - 0.5 * spec.coupling[b] * np.kron(op_i, op_j)
-        )
-        out.append(h)
-    return out
-
-
-def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> a rho b on the row-major-vectorized rho."""
-    return np.kron(a, b.T)
-
-
-def _dissipative_superoperator(g_relax: float, g_excite: float, g_dephase: float) -> np.ndarray:
-    """Single-site generator on the row-major-vectorized local matrix."""
-    p0 = SP @ SM  # |0><0|
-    p1 = SM @ SP  # |1><1|
-    l1 = g_relax * (2.0 * _sandwich(SP, SM) - _sandwich(ID2, p1) - _sandwich(p1, ID2))
-    l1 += g_excite * (2.0 * _sandwich(SM, SP) - _sandwich(ID2, p0) - _sandwich(p0, ID2))
-    l1 += g_dephase * (2.0 * _sandwich(SZ, SZ) - 2.0 * np.eye(4))
-    return l1
-
-
 def bond_generators(spec: ChainSpec, rates: RateSet) -> list[np.ndarray]:
     """Real 16x16 Lindblad generators of the bonds, Pauli basis, indexed site-major.
 
-    Each is -i[h_b, .] of `bond_hamiltonians` plus the dissipators of the
-    bond's two sites, shared between bonds as the splittings are, so the
-    generators sum to the chain's.
+    Generator b maps the 16 strings P_l of `pauli_strings(2)` through the
+    bond's master equation L_b and reads back tr(P_k L_b(P_l))/4.  L_b is
+    -i[h_b, .] with the bond coupling and the two sites' splittings, plus
+    the jumps sqrt(2 w G) s+, sqrt(2 w Gt) s- and sqrt(2 w g) sz on each
+    site, where w are the site's shares from `_bond_shares`.
     """
     n = spec.n_qubits
-    basis = np.kron(_TO_PAULI, _TO_PAULI)
+    angles = mixing_angles(spec)
+    strings = pauli_strings(2)
+    embed = (lambda op: np.kron(op, ID2), lambda op: np.kron(ID2, op))
     out = []
-    for b, h in enumerate(bond_hamiltonians(spec)):
-        w_left, w_right = _bond_shares(n, b)
-        coherent = -1j * (_sandwich(h, np.eye(4)) - _sandwich(np.eye(4), h))  # indices (a_i a_j b_i b_j)
-        coherent = coherent.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)  # (s_i s_j)
-        local = [
-            _TO_PAULI @ _dissipative_superoperator(rates.g_relax[i], rates.g_excite[i], rates.g_dephase[i]) @ _FROM_PAULI
-            for i in (b, b + 1)
-        ]
-        gen = basis @ coherent @ basis.conj().T
-        gen += w_left * np.kron(local[0], np.eye(4)) + w_right * np.kron(np.eye(4), local[1])
-        out.append(_real(gen, f"generator of bond {b}"))
+    for b in range(n - 1):
+        sites = (b, b + 1)
+        axes = [math.cos(angles.theta[i]) * SZ + math.sin(angles.theta[i]) * SX for i in sites]
+        h = -0.5 * spec.coupling[b] * np.kron(*axes)
+        images = np.zeros_like(strings)
+        for i, w, on in zip(sites, _bond_shares(n, b), embed):
+            h -= 0.5 * w * angles.omega[i] * on(SZ)
+            for rate, op in ((rates.g_relax[i], SP), (rates.g_excite[i], SM), (rates.g_dephase[i], SZ)):
+                jump = math.sqrt(2.0 * w * rate) * on(op)
+                decay = jump.conj().T @ jump
+                images += jump @ strings @ jump.conj().T - 0.5 * (decay @ strings + strings @ decay)
+        images -= 1j * (h @ strings - strings @ h)
+        gen = np.einsum("kab,lba->kl", strings, images) / 4.0
+        imag = float(np.abs(gen.imag).max())
+        if imag > _IMAG_LIMIT:
+            raise RuntimeError(f"generator of bond {b} has imaginary part {imag:.3e} in the Pauli basis")
+        out.append(np.ascontiguousarray(gen.real))
     return out
 
 

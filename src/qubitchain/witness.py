@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .negativity import ReducedState, reduce
-from .pauli import PAULI_BY_AXIS
+from .pauli import pauli_strings
 
 AXES = ("x", "y", "z")
 
@@ -45,7 +45,7 @@ SYMMETRY_WARN_LIMIT = 1e-4
 _IMAG_TOL = 1e-10
 
 # sigma^a kron sigma^b at [row a, column b], axes ordered as AXES.
-_PAIR_PAULI = np.array([[np.kron(PAULI_BY_AXIS[a], PAULI_BY_AXIS[b]) for b in AXES] for a in AXES])
+_PAIR_PAULI = pauli_strings(2).reshape(4, 4, 4, 4)[1:, 1:]
 
 
 @dataclass(frozen=True)

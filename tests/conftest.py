@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 import qubitchain as qc
 from qubitchain.lindblad import block_matrix
-from qubitchain.mps import _dense_from_coefficients
+from qubitchain.pauli import pauli_strings
 
 
 def pytest_collection_modifyitems(config, items):
@@ -27,6 +27,21 @@ def rng():
 @pytest.fixture(scope="session")
 def homogeneous8():
     return qc.ChainSpec.homogeneous(8)
+
+
+def site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:
+    """Dense embedding of a single-site 2x2 operator at `site` (1-based)."""
+    left = np.eye(2 ** (site - 1), dtype=complex)
+    right = np.eye(2 ** (n - site), dtype=complex)
+    return np.kron(np.kron(left, op), right)
+
+
+def kron_all(ops: list[np.ndarray]) -> np.ndarray:
+    """Tensor product of a list of matrices, site 1 first (most significant)."""
+    out = ops[0]
+    for op in ops[1:]:
+        out = np.kron(out, op)
+    return out
 
 
 def random_density_matrix(rng, dim, rank=None):
@@ -74,10 +89,12 @@ def mps_to_dense(state):
     n = state.n_sites
     if n > 8:
         raise ValueError("dense reconstruction refused above 8 sites")
-    coeff = np.ones((1, 1))  # (flattened physical, bond)
+    # (row, column, bond): each site's Pauli index becomes one more row and column bit.
+    rho = np.ones((1, 1, 1))
     for t in state.tensors:
-        coeff = np.tensordot(coeff, t, axes=(1, 0)).reshape(coeff.shape[0] * 4, t.shape[2])
-    return _dense_from_coefficients(coeff[:, 0], n)
+        rho = np.einsum("rcd,dse,sab->racbe", rho, t, pauli_strings(1) / np.sqrt(2.0))
+        rho = rho.reshape(2 * rho.shape[0], 2 * rho.shape[2], t.shape[2])
+    return rho[:, :, 0]
 
 
 def partial_trace(rho, sites):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import qubitchain as qc
-from conftest import dense, plus_product
+from conftest import dense, kron_all, plus_product, site_operator
 from qubitchain.chain import DENSE_SITE_LIMIT, require_real_symmetric
-from qubitchain.pauli import SX, SZ, kron_all, site_operator, z_pattern
+from qubitchain.pauli import SX, SZ, z_pattern
 
 
 def kron_hamiltonian_lab(spec):

@@ -18,8 +18,10 @@ from qubitchain.mps import MixedTebdEngine, mps_from_product
 from qubitchain.negativity import log_negativity
 from qubitchain.harness import (
     ConfigError,
+    FirstMaximum,
     ScanConfig,
     ScenarioConfig,
+    _first_max_value,
     classify_row,
     first_maximum,
     member_seed,
@@ -209,6 +211,16 @@ class TestConfig:
         fresh = small_config(t_max=5.0, quench={"k_ini": 0.0, "k_fin": 0.05})
         assert np.array_equal(run_scenario(cfg).mean_series((1, 2)), run_scenario(fresh).mean_series((1, 2)))
 
+    def test_mps_needs_two_sites(self):
+        # The same one-site config runs on the exact solver.
+        one_site = {
+            "chain": {"n_qubits": 1, "epsilon": 0.0, "delta": 0.1},
+            "observables": {"pairs": [], "measures": ["e_n"]},
+        }
+        assert run_scenario(small_config(t_max=1.0, **one_site)).times[-1] == pytest.approx(1.0)
+        with pytest.raises(ConfigError, match="the mps solver needs at least two sites"):
+            small_config(**one_site, solver={"kind": "mps", "bond_dim": 4})
+
     def test_mps_restricted_to_product_start(self):
         with pytest.raises(ConfigError, match="product_eigen"):
             small_config(
@@ -277,6 +289,26 @@ class TestFirstMaximum:
     def test_monotone_series_has_no_maximum(self):
         times = np.linspace(0, 5, 20)
         assert first_maximum(times, times / 5) is None
+
+    def test_unequal_spacings_report_the_sample(self):
+        # sample_grid ends with a shorter step when sample_every does not
+        # divide the step count; a parabola over equal spacings would put
+        # this maximum above 1 and past the last time.
+        times = sample_grid(1.0, 0.1, 3)
+        assert times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
+        series = 1.0 - (times - 0.93) ** 2
+        assert first_maximum(times, series) == FirstMaximum(series[3], times[3])
+        blocks = [(times[:3], series[:3]), (times[3:], series[3:])]
+        assert _first_max_value(iter(blocks)) == series[3]
+
+    def test_run_with_a_short_last_interval_reports_the_sample(self):
+        # E_N(1, 2) of the small chain first peaks near t = 15.24: on this
+        # grid at the sample t = 15, before the last step of 0.5.
+        result = run_scenario(small_config(t_max=15.5, sample_every=60))
+        assert result.times[-3:] == pytest.approx([12.0, 15.0, 15.5])
+        series = result.mean_series((1, 2))
+        assert result.stats.first_max_values[(1, 2)][0] == series[-2] == series.max()
+        assert result.stats.first_max_times[(1, 2)][0] == result.times[-2]
 
     def test_series_flat_up_to_roundoff_has_no_maximum(self):
         # a stationary state: E_N constant up to its last bits
@@ -796,6 +828,25 @@ class TestCli:
             text=True,
             env=env,
         )
+
+    def test_degenerate_ground_start_writes_error(self, tmp_path):
+        # At k_ini = 2 the N=8 ground doublet is split by 7.8e-11 only.
+        cfg = small_config(
+            chain={"n_qubits": 8, "epsilon": 0.0, "delta": 0.1},
+            initial_state="ground_of_k_ini",
+            quench={"k_ini": 2.0, "k_fin": 0.025},
+            t_max=1.0,
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        error = json.loads((out / "error.json").read_text())
+        assert error["type"] == "ValueError"
+        assert re.fullmatch(r"member 0: the ground state at k_ini is degenerate \(gap \d\.\d{3}e-\d\d\)", error["error"])
+        assert not (out / "manifest.json").exists()
+        shipped = ScenarioConfig.from_dict(json.loads((CONFIG_DIR / "quench_from_ground.json").read_text()))
+        assert run_scenario(replace(shipped, t_max=0.5)).times[-1] == pytest.approx(0.5)
 
     def test_run_command_end_to_end(self, tmp_path):
         cfg = small_config(t_max=5.0).to_dict()

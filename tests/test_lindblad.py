@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qubitchain as qc
-from conftest import dense, random_density_matrix, random_pure_state, unitary_propagate, whole
+from conftest import dense, random_density_matrix, random_pure_state, site_operator, unitary_propagate, whole
 from qubitchain.harness import propagate
 from qubitchain.lindblad import LindbladGenerator, block_matrix, block_stack, stream
 
@@ -30,7 +30,7 @@ def random_block_diagonal(rng, blocks):
 
 def kronecker_liouvillian(h, rates):
     """Dense d^2 x d^2 generator on row-major vec(rho), from explicit jump operators."""
-    from qubitchain.pauli import SM, SP, SZ, site_operator
+    from qubitchain.pauli import SM, SP, SZ
 
     n = rates.n_sites
     d = len(h)
@@ -113,7 +113,7 @@ class TestRhs:
     def test_matches_bruteforce_superoperator(self, rng):
         # Independent oracle: assemble the dissipator from explicit dense
         # jump operators and compare.
-        from qubitchain.pauli import SM, SP, SZ, site_operator
+        from qubitchain.pauli import SM, SP, SZ
 
         spec = qc.ChainSpec(3, (0.05, 0.0, -0.1), (0.1, 0.12, 0.09), (0.02, 0.03))
         h = qc.build_hamiltonian_eigen(spec)

@@ -12,7 +12,6 @@ from qubitchain.mps import (
     _fourth_order_stages,
     _multiplet_cut,
     bond_generators,
-    bond_hamiltonians,
     mps_from_product,
     mps_trace,
     reduced_pair_dm,
@@ -314,18 +313,6 @@ class TestTebd:
         assert engine.step(state) is not state
         assert all(a is b for a, b in zip(state.tensors + state.bond_weights, before))
         assert all(np.array_equal(a, b) for a, b in zip(before, copies))
-
-    def test_single_site_splittings_enter_bond_terms_once(self):
-        spec = qc.ChainSpec.homogeneous(5)
-        bonds = bond_hamiltonians(spec)
-        from qubitchain.pauli import ID2, SZ, site_operator
-
-        total = np.zeros((2**5, 2**5), dtype=complex)
-        for b, h in enumerate(bonds):
-            dim_left = 2**b
-            dim_right = 2 ** (5 - b - 2)
-            total += np.kron(np.kron(np.eye(dim_left), h), np.eye(dim_right))
-        assert np.abs(total - dense(qc.build_hamiltonian_eigen(spec))).max() < 1e-13
 
 
 class TestSteps:

@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 import qubitchain as qc
-from conftest import bell_head, partial_trace, plus_product, random_density_matrix, random_pure_state, unitary_propagate
-from qubitchain.pauli import kron_all
+from conftest import (
+    bell_head,
+    kron_all,
+    partial_trace,
+    plus_product,
+    random_density_matrix,
+    random_pure_state,
+    unitary_propagate,
+)
 
 
 def random_single_qubit_unitary(rng):

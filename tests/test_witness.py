@@ -6,7 +6,8 @@ import pytest
 import qubitchain as qc
 from conftest import random_density_matrix
 from qubitchain.negativity import ReducedState, log_negativity
-from qubitchain.witness import asymmetry, asymmetry_flags, c2_opt_value, correlation_matrix_from_pair
+from qubitchain.pauli import SX, SY, SZ
+from qubitchain.witness import AXES, _PAIR_PAULI, asymmetry, asymmetry_flags, c2_opt_value, correlation_matrix_from_pair
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -55,6 +56,12 @@ class TestCorrelation:
         path = write_csv(tmp_path, ["1,2,w,z,0.5"])
         with pytest.raises(ValueError, match="unknown axis"):
             qc.load_correlations_csv(path)
+
+    def test_pair_table_is_the_kronecker_table(self):
+        by_axis = {"x": SX, "y": SY, "z": SZ}
+        kron_table = np.array([[np.kron(by_axis[a], by_axis[b]) for b in AXES] for a in AXES])
+        assert _PAIR_PAULI.shape == kron_table.shape
+        assert _PAIR_PAULI.tobytes() == kron_table.tobytes()
 
     def test_matrix_from_larger_chain(self):
         rho = qc.density_from_pure(qc.eigenbasis_bell_head(4))
