@@ -23,7 +23,7 @@ Config schema (schema_version 1); "= x" marks an optional key and its default::
       "disorder": {"fraction": 0.05, "targets": ["delta", "coupling"],
                    "ensemble_size": 1000},   # optional; ensemble_size = 1
       "solver": {"kind": "exact"},           # = exact; mps: "bond_dim" = 60
-      "t_max": 50.0, "dt": 0.01, "sample_every": 25,   # every solver steps at dt
+      "t_max": 50.0, "dt": 0.01, "sample_every": 25,   # samples every 25 dt; mps steps at dt
       "observables": {"pairs": [[1, 2], [1, 8]], "blocks": [],   # = []
                       "measures": ["e_n", "c2", "c2_opt"],       # = ["e_n"]
                       "frozen_axes": false},                     # = false
@@ -40,11 +40,11 @@ Scan schema (schema_version 1), for :func:`steady_state_scan`::
       "coupling_ratios": [0.25, 1.5],        # each sets every bond to ratio x delta_1; distinct
       "gammas": [0.0, 0.001, 0.01, 0.1], "n_thermal": 0.1,   # gammas strictly ascending
       "pair": [1, 2], "tol": 1e-8,           # = [1, 2] and 1e-8 (certified residual)
-      "transient_t_max": 40.0, "transient_dt": 0.05   # = 40.0 (a cap) and 0.05
+      "transient_t_max": 40.0                # = 40.0 (a cap)
     }
 
-Each point's transient stops at its first maximum of E_N, so
-transient_t_max is only reached by a point that has none.  A scan accepts
+Each point's transient is sampled every 0.5 and stops at its first maximum
+of E_N, so transient_t_max is only reached by a point that has none.  A scan accepts
 and ignores a seed.  Both kinds refuse unknown keys.
 
 All energies are in units of E_C, times in 1/E_C; temperatures are given in
@@ -81,6 +81,7 @@ from .lindblad import (
     block_matrix,
     nbar_from_temperature,
     rates_from_angles,
+    sample_grid,
     steady_state,
     stream,
 )
@@ -113,29 +114,30 @@ class ConfigError(ValueError):
 
 
 # Peak working set of one exact-solver member, in complex arrays.  Measured
-# peak RSS above that of an N = 4 run, at N = 9..11.  With noise, in arrays
-# the size of the RK4 sector (d^2/2 entries with two parity blocks, d^2 with
-# one; d = 2^N): 11.8/12.6/12.7 from a product state and 12.4/12.0/13.3 from
-# a thermal one with two blocks (12.5 at N = 12 from a product state), and
-# 11.1/12.1/11.7 with one.  Of these, the sparse dissipator is about 4.9 at
-# N = 11 and grows by 0.375 per site; the RK4 stages and the temporaries of
-# LindbladGenerator.apply are about 6.  Without noise, in d x d arrays:
-# 3.8/3.8/4.0 for a state vector over a full chunk of d samples with pairs
-# (1, 2) and (1, N) (real H, half-size block eigh, the chunk of amplitudes
-# and its reduction); 5.1/5.0/4.6 for a thermal state (its preparation, the
-# eigenbasis blocks and one sample).  Each count below leaves about one
-# spare; with noise 1.7 at N = 11 and about 0.6 at N = 14.  All were taken
-# with H built whole and then copied per block, so they now err high.
+# peak RSS above that of an N = 4 run.  With noise, in arrays the size of
+# the propagated sector (d^2/2 entries with two parity blocks, d^2 with one;
+# d = 2^N), at N = 9/10: 11.5/11.2 from a product state and 11.5/11.2 from
+# a thermal one with two blocks, and 10.3/11.7 with one.  Of these, the
+# sparse dissipator is about 4.9 at N = 11 and grows by 0.375 per site; the
+# state, the next one, one Taylor term and the temporaries of
+# LindbladGenerator.apply are about 5.
+# Without noise, in d x d arrays, at N = 9..11: 3.8/3.8/4.0 for a state
+# vector over a full chunk of d samples with pairs (1, 2) and (1, N) (real
+# H, half-size block eigh, the chunk of amplitudes and its reduction);
+# 5.1/5.0/4.6 for a thermal state (its preparation, the eigenbasis blocks
+# and one sample).  Each count below leaves at least one spare; with noise
+# 3.3 at N = 10 and, by the dissipator's growth, about 1.8 at N = 14.
 _NOISY_ARRAYS, _PURE_ARRAYS, _MIXED_ARRAYS = 15, 5, 6
 # Interpreter, numpy and scipy, counted once per process.
 _PROCESS_BYTES = 128 * 2**20
 
 
 def exact_member_bytes(n_qubits: int, noisy: bool, pure: bool = True, sectors: int = 1) -> int:
-    """Estimated peak bytes of one exact-solver member: RK4 on the density
-    matrix's `sectors` parity blocks (2 when every epsilon_i = 0) if `noisy`,
-    else a state vector (`pure`) or density matrix propagated in the
-    eigenbasis of each parity block of H."""
+    """Estimated peak bytes of one exact-solver member: the Taylor
+    propagator (:func:`qubitchain.lindblad.stream`) on the density matrix's
+    `sectors` parity blocks (2 when every epsilon_i = 0) if `noisy`, else a
+    state vector (`pure`) or density matrix propagated in the eigenbasis of
+    each parity block of H."""
     if noisy:
         return _NOISY_ARRAYS * 16 * 4**n_qubits // sectors
     return (_PURE_ARRAYS if pure else _MIXED_ARRAYS) * 16 * 4**n_qubits
@@ -281,7 +283,7 @@ class ScenarioConfig:
     initial_state: str
     quench: QuenchSpec
     t_max: float
-    dt: float  # the step of every solver, and the unit of the sample grid
+    dt: float  # the unit of the sample grid, and the Trotter step of the mps solver
     sample_every: int
     observables: ObservablesConfig
     seed: int
@@ -465,12 +467,6 @@ def _prepare_initial(config: ScenarioConfig, member: int) -> np.ndarray:
     return thermal_state(h_ini, config.initial_temperature_mk * 1e-3, config.chain.energy_unit_kelvin)
 
 
-def sample_grid(t_max: float, dt: float, sample_every: int) -> np.ndarray:
-    """Sample times of every propagation path: every sample_every steps of dt, and the last step."""
-    n_steps = int(round(t_max / dt))
-    return np.array([k * dt for k in [*range(0, n_steps, sample_every), n_steps]])
-
-
 Accessor = Callable[[tuple[int, ...]], ReducedState]
 
 
@@ -493,10 +489,10 @@ def propagate(
     Otherwise `state0` is a state vector or density matrix under the
     Hamiltonian `h`, given as its real diagonal blocks
     (:func:`qubitchain.chain.build_hamiltonian_eigen`; a dense d x d matrix
-    is one block, ``[(np.arange(d), h)]``).  TEBD and RK4 yield one sample
-    per block.
+    is one block, ``[(np.arange(d), h)]``).  TEBD and the noisy dense path
+    yield one sample per block.
 
-    With noise, RK4 (:func:`qubitchain.lindblad.stream`) integrates the
+    With noise, :func:`qubitchain.lindblad.stream` propagates the
     diagonal blocks rho[b, b] of the density matrix, and the accessor reads
     the reduced states straight from them.  A state with a nonzero entry
     between two blocks runs as one block of every index instead.
@@ -505,7 +501,7 @@ def propagate(
     diagonal block of `h`.  A block whose component of `state0` is exactly
     zero is skipped.  A state vector is served up to 2^N samples per block,
     one GEMM per diagonal block.  A density matrix is served one sample per
-    block, as its stacked diagonal blocks like RK4's, with the same
+    block, as its stacked diagonal blocks like the noisy path's, with the same
     fallback to one block.
     """
     if engine is not None and engine.dt != dt:
@@ -521,7 +517,7 @@ def propagate(
         yield from _propagate_unitary(state0, h, times)
     else:
         rho0, h = _sector_start(state0, h)
-        samples = stream(rho0, h, rates, t_max, dt, sample_every)
+        samples = stream(rho0, h, rates, times)
         del state0, rho0  # the stream keeps its own copy of the blocks
         for t, rho, _, _ in samples:
             yield np.array([t]), partial(reduce_blocks, rho[None], [b for b, _ in h])
@@ -715,7 +711,6 @@ _SCAN = {
     "pair": _pair,
     "tol": float,
     "transient_t_max": float,
-    "transient_dt": float,
     # A scan draws no random numbers; the master seed that generated configs
     # carry (the benchmark's among them) is accepted and has no effect.
     "seed": None,
@@ -734,7 +729,6 @@ class ScanConfig:
     pair: tuple[int, int] = (1, 2)
     tol: float = 1e-8
     transient_t_max: float = 40.0
-    transient_dt: float = 0.05
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
@@ -742,7 +736,7 @@ class ScanConfig:
             raise ConfigError("scan grids must be non-empty")
         n = self.chain.n_qubits
         _check_pair(self.pair, n)
-        for key in ("tol", "transient_t_max", "transient_dt"):
+        for key in ("tol", "transient_t_max"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be > 0")
         if not all(g >= 0 for g in self.gammas) or not self.n_thermal >= 0:
@@ -834,7 +828,6 @@ def steady_state_scan(config: ScanConfig) -> ScanResult:
     """
     points: list[ScanPoint] = []
     rho0_vec = eigenbasis_product(config.chain.n_qubits)
-    sample = max(1, int(round(0.5 / config.transient_dt)))
     part = (config.pair[0],)
     for ratio in config.coupling_ratios:
         chain = config.chain.with_coupling(ratio * config.chain.delta[0])
@@ -843,7 +836,7 @@ def steady_state_scan(config: ScanConfig) -> ScanResult:
         for gamma in config.gammas:
             noise = NoiseSpec(gamma, config.n_thermal)
             rates = rates_from_angles(angles, noise)
-            samples = propagate(rho0_vec, h, rates, config.transient_t_max, config.transient_dt, sample)
+            samples = propagate(rho0_vec, h, rates, config.transient_t_max, 0.5, 1)
             fm = _first_max_value((ts, log_negativity(acc(config.pair), part)) for ts, acc in samples)
             if gamma == 0.0 or rates.is_zero():
                 points.append(ScanPoint(ratio, gamma, math.nan, False, math.nan, fm, False))

@@ -32,8 +32,11 @@ precomputed sparse matrix on the vectorized sector: the damping on its
 diagonal, and the jumps as the indexed entries that carry rho[i, j] of
 one block into rho[i', j'] of the other (of the same, with one block).
 
-Integration uses fixed-step classical Runge-Kutta (RK4) on the sector; the
-positivity check at each snapshot is one stacked eigvalsh over the blocks.
+The state goes from one sample to the next as exp(L Delta) rho, summed as
+a truncated Taylor series on substeps short enough that ||tau L|| <= 1
+(the action of the exponential as in Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33, 488 (2011)); the positivity check at each sample is one
+stacked eigvalsh over the blocks.
 
 The steady state is the null vector of the sparse Liouvillian L restricted
 to the sector (the same pieces in Kronecker form; half the unknowns of the
@@ -54,9 +57,6 @@ import numpy as np
 
 from .chain import HamiltonianBlocks, MixingAngles, require_real_symmetric
 from .pauli import site_bit, z_pattern
-
-# dt must satisfy dt * max(||H||, Gamma) <= this factor (RK4 accuracy guard).
-STEP_GUARD_FACTOR = 0.1
 
 _TRACE_ABORT = 1e-6
 _POSITIVITY_ABORT = 1e-6
@@ -262,18 +262,15 @@ class LindbladGenerator:
         # never converts either operand.
         self._h_parts = [sparse.csr_matrix(require_real_symmetric(part)) for _, part in h]
         self._h = sparse.block_diag(self._h_parts, format="csr")
-        # Row-sum norm: upper-bounds the spectral norm, cheap at any size.
-        self._h_norm = float(abs(self._h).sum(axis=1).max())
-
         self._dissipator = _dissipator(rates, stacked)
-
-    @property
-    def frequency_scale(self) -> float:
-        """max(||H||_2, Gamma-like rates): sets the step-size guard."""
-        rate_scale = max(
-            self.rates.g_relax + self.rates.g_excite + self.rates.g_dephase, default=0.0
-        )
-        return max(self._h_norm, rate_scale)
+        # nu >= ||L||, in the largest real or imaginary part of an entry:
+        # the commutator takes at most twice the row-sum norm of H (real H
+        # maps the real parts of rho to the imaginary ones and back), and
+        # the dissipator its own row-sum norm, read off without |D| since
+        # its diagonal is <= 0 and every other entry >= 0.
+        ones = np.ones(self._dissipator.shape[0])
+        d_norm = (self._dissipator @ ones - 2.0 * self._dissipator.diagonal()).max()
+        self.norm_bound = 2.0 * float(abs(self._h).sum(axis=1).max()) + float(d_norm)
 
     def _times(self, h: sparse.csr_matrix, rho: np.ndarray) -> np.ndarray:
         """Each block of the stack `rho` multiplied by its block of `h` from the left."""
@@ -286,7 +283,8 @@ class LindbladGenerator:
         `rho` must be exactly Hermitian, block by block: the commutator is
         read off the one product X = H rho as -i (X - X^dagger), since
         rho H = X^dagger then.  The result is exactly Hermitian again, so
-        every RK4 stage built from an exactly Hermitian start stays so.
+        every Taylor term and partial sum of :func:`stream`, built with
+        real coefficients from an exactly Hermitian start, stays so.
         """
         r = np.ascontiguousarray(rho, dtype=complex).reshape(self.shape)
         x = self._times(self._h, r)
@@ -330,48 +328,53 @@ def couples_blocks(rho: np.ndarray, blocks: list[np.ndarray]) -> bool:
     return np.count_nonzero(rho) != sum(np.count_nonzero(rho[np.ix_(b, b)]) for b in blocks)
 
 
-def _check_step(dt: float, gen: LindbladGenerator) -> None:
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    scale = gen.frequency_scale
-    if scale > 0 and dt > STEP_GUARD_FACTOR / scale * (1 + 1e-12):
-        raise ValueError(
-            f"dt={dt} violates the step guard dt <= {STEP_GUARD_FACTOR}/max(||H||, rates)"
-            f" = {STEP_GUARD_FACTOR / scale:.4g}"
-        )
+def _max_part(x: np.ndarray) -> float:
+    """The largest real or imaginary part of an entry of `x`, in absolute value, with no temporary."""
+    pairs = _as_pairs(x)
+    return float(max(pairs.max(), -pairs.min()))
 
 
-def _rk4_step(gen: LindbladGenerator, rho: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step; each stage is accumulated as soon as it is taken."""
-    k = gen.apply(rho)
-    out = rho + (dt / 6.0) * k
-    for shift, weight in ((0.5, 1.0 / 3.0), (0.5, 1.0 / 3.0), (1.0, 1.0 / 6.0)):
-        k *= shift * dt
-        k += rho
-        k = gen.apply(k)
-        out += (weight * dt) * k
-    return out
+def _propagate(gen: LindbladGenerator, rho: np.ndarray, delta: float) -> np.ndarray:
+    """exp(L delta) rho, as a Taylor series on s = ceil(nu delta) substeps of tau = delta / s.
+
+    Since ||tau L|| <= 1 (nu = :attr:`LindbladGenerator.norm_bound`), each
+    term (tau L)^k rho / k! bounds the rest of its series, so the terms
+    are added until one falls below 2^-53 of rho, in the largest real or
+    imaginary part of an entry.  Every term has a real coefficient, so a
+    sum from an exactly Hermitian rho is exactly Hermitian.
+    """
+    substeps = max(1, math.ceil(gen.norm_bound * delta))
+    tau = delta / substeps
+    for _ in range(substeps):
+        floor = 2.0**-53 * _max_part(rho)
+        term, k = rho, 0
+        rho = rho.copy()
+        while True:
+            k += 1
+            term = gen.apply(term)
+            term *= tau / k
+            rho += term
+            if _max_part(term) <= floor:
+                break
+    return rho
 
 
 def stream(
-    rho0: np.ndarray,
-    h: HamiltonianBlocks,
-    rates: RateSet,
-    t_max: float,
-    dt: float,
-    sample_every: int = 10,
+    rho0: np.ndarray, h: HamiltonianBlocks, rates: RateSet, times: np.ndarray
 ) -> Iterator[tuple[float, np.ndarray, float, float]]:
-    """Integrate the master equation on the sector of the blocks of `h`,
-    yielding a snapshot every `sample_every` steps.
+    """Propagate the master equation on the sector of the blocks of `h`,
+    yielding a snapshot at each of the ascending sample `times`.
 
-    `rho0` and every snapshot are stacks of diagonal blocks
-    (:func:`block_stack`; with one block of every index, the d x d matrix
-    under a leading axis of one).  Yields (t, rho, trace drift, Hermiticity
-    drift) at t = 0, every `sample_every` steps and the last step; only the
-    current state and the RK4 stages are held, and a yielded array is never
-    written to again.  The prefix of samples does not depend on `t_max`.
+    `rho0` is the state at times[0], and it and every snapshot are stacks
+    of diagonal blocks (:func:`block_stack`; with one block of every index,
+    the d x d matrix under a leading axis of one).  Yields (t, rho, trace
+    drift, Hermiticity drift) at each time.  From one sample to the next
+    the state is advanced by exp(L Delta) (:func:`_propagate`), with no
+    step of its own, so the samples at `times` do not depend on any later
+    time.  Only the current state, the next one and one Taylor term are
+    held, and a yielded array is never written to again.
     The start is Hermitized ((rho + rho^dagger)/2 per block), which keeps
-    every RK4 stage exactly Hermitian (:meth:`LindbladGenerator.apply`).
+    every Taylor term exactly Hermitian (:meth:`LindbladGenerator.apply`).
     Snapshots are re-Hermitized the same way and trace-renormalized; the
     drift corrected at each snapshot is yielded with it.  Cumulative trace drift beyond 1e-6 or a snapshot
     eigenvalue below -1e-6 (one stacked eigvalsh over the blocks) aborts
@@ -381,42 +384,43 @@ def stream(
     gen = LindbladGenerator(h, rates)
     if rho0.shape != gen.shape:
         raise ValueError(f"initial state has shape {rho0.shape}, the sector {gen.shape}")
-    _check_step(dt, gen)
-    if sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
-    n_steps = int(round(t_max / dt))
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.diff(times) > 0):
+        raise ValueError("sample times must ascend strictly")
 
     # Exactly Hermitian, as apply requires; a no-op on a start that already is.
     rho = rho0.astype(complex)
     rho += rho0.conj().transpose(0, 2, 1)
     rho *= 0.5
     del rho0
-    yield 0.0, rho, abs(_trace(rho) - 1.0), 0.0
+    yield float(times[0]), rho, abs(_trace(rho) - 1.0), 0.0
     cumulative_trace = 0.0
-    for step in range(1, n_steps + 1):
-        rho = _rk4_step(gen, rho, dt)
-        if step % sample_every == 0 or step == n_steps:
-            adjoint = rho.conj().transpose(0, 2, 1)
-            herm = float(np.abs(rho - adjoint).max())
-            scale = float(np.abs(rho).max())
-            rho += adjoint
-            rho *= 0.5
-            del adjoint
-            tr = _trace(rho)
-            drift = abs(tr - 1.0)
-            cumulative_trace += drift
-            if cumulative_trace > _TRACE_ABORT:
-                raise RuntimeError(
-                    f"cumulative trace drift {cumulative_trace:.3e} exceeds {_TRACE_ABORT} "
-                    f"at t={step * dt:.3f}; reduce dt"
-                )
-            rho /= tr
-            min_eig = float(np.linalg.eigvalsh(rho)[:, 0].min())
-            if min_eig < -_POSITIVITY_ABORT:
-                raise RuntimeError(
-                    f"positivity violated (min eigenvalue {min_eig:.3e}) at t={step * dt:.3f}"
-                )
-            yield step * dt, rho, drift, herm / scale if scale > 0 else 0.0
+    for before, t in zip(times, times[1:]):
+        rho = _propagate(gen, rho, t - before)
+        adjoint = rho.conj().transpose(0, 2, 1)
+        herm = float(np.abs(rho - adjoint).max())
+        scale = float(np.abs(rho).max())
+        rho += adjoint
+        rho *= 0.5
+        del adjoint
+        tr = _trace(rho)
+        drift = abs(tr - 1.0)
+        cumulative_trace += drift
+        if cumulative_trace > _TRACE_ABORT:
+            raise RuntimeError(f"cumulative trace drift {cumulative_trace:.3e} exceeds {_TRACE_ABORT} at t={t:.3f}")
+        rho /= tr
+        min_eig = float(np.linalg.eigvalsh(rho)[:, 0].min())
+        if min_eig < -_POSITIVITY_ABORT:
+            raise RuntimeError(f"positivity violated (min eigenvalue {min_eig:.3e}) at t={t:.3f}")
+        yield float(t), rho, drift, herm / scale if scale > 0 else 0.0
+
+
+def sample_grid(t_max: float, dt: float, sample_every: int) -> np.ndarray:
+    """Sample times of every propagation path: every sample_every steps of dt, and the last step."""
+    if dt <= 0 or sample_every < 1:
+        raise ValueError("dt must be > 0 and sample_every >= 1")
+    n_steps = int(round(t_max / dt))
+    return np.array([k * dt for k in [*range(0, n_steps, sample_every), n_steps]])
 
 
 def _trace(rho: np.ndarray) -> float:
@@ -432,11 +436,12 @@ def evolve(
     dt: float,
     sample_every: int = 10,
 ) -> Trajectory:
-    """Every snapshot of :func:`stream` from the d x d matrix `rho0`, collected;
-    the blocks of `h` are merged and run as one block of every index."""
+    """Every snapshot of :func:`stream` from the d x d matrix `rho0` at the
+    times of :func:`sample_grid`, collected; the blocks of `h` are merged
+    and run as one block of every index."""
     indices, parts = zip(*h)
     whole = block_matrix(parts, indices)
-    samples = stream(rho0[None], [(np.arange(len(whole)), whole)], rates, t_max, dt, sample_every)
+    samples = stream(rho0[None], [(np.arange(len(whole)), whole)], rates, sample_grid(t_max, dt, sample_every))
     times, states, trace_drift, herm_drift = zip(*((t, rho[0], a, b) for t, rho, a, b in samples))
     return Trajectory(np.asarray(times), list(states), np.asarray(trace_drift), np.asarray(herm_drift))
 

@@ -22,7 +22,7 @@ from qubitchain.harness import (
     run_scenario,
     steady_state_scan,
 )
-from qubitchain.lindblad import stream
+from qubitchain.lindblad import sample_grid, stream
 from qubitchain.mps import (
     MixedTebdEngine,
     mps_from_product,
@@ -484,10 +484,11 @@ def test_criterion_10_conservation_suite():
 
         chain = _member_chain(cfg, 0, cfg.quench.k_fin)
         rates = qc.rates_from_angles(qc.mixing_angles(chain), cfg.effective_noise)
-        # The shipped path: RK4 on the parity blocks of H (one block of
-        # every index when epsilon_i != 0).
+        # The shipped path: the Taylor propagator on the parity blocks of H
+        # (one block of every index when epsilon_i != 0).
         rho0, h = _sector_start(_prepare_initial(cfg, 0), qc.build_hamiltonian_eigen(chain))
-        _, snapshots, trace_drift, herm_drift = zip(*stream(rho0, h, rates, cfg.t_max, 0.02, 50))
+        times = sample_grid(cfg.t_max, 0.02, 50)
+        _, snapshots, trace_drift, herm_drift = zip(*stream(rho0, h, rates, times))
         if max(trace_drift) >= 1e-8:
             failures.append(f"{path.stem}: trace drift {max(trace_drift):.2e}")
         if max(herm_drift) >= 1e-12:

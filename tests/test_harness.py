@@ -237,7 +237,8 @@ class TestConfig:
         [
             ({"pair": [1, 9]}, "pair"),
             ({"pair": [2, 1]}, "pair"),
-            ({"transient_dt": 0}, "transient_dt"),
+            # not a scan key: the transient is sampled every 0.5
+            ({"transient_dt": 0.05}, "transient_dt"),
             ({"transient_t_max": -1.0}, "transient_t_max"),
             ({"tol": -1}, "tol"),
             ({"gammas": [0.01, -0.05]}, "gamma"),
@@ -562,7 +563,7 @@ class TestNoiselessBlocks:
 
 
 class TestNoisyBlocks:
-    """RK4 on the parity sector against one block of every index."""
+    """The noisy dense path on the parity sector against one block of every index."""
 
     PAIRS = ((1, 2), (2, 4))
 
@@ -787,13 +788,12 @@ class TestSteadyScan:
         result = steady_state_scan(config)
         assert len(read) == len(result.points) == 8
         assert [p.first_max == 0.0 for p in result.points].count(True) == 1
-        every = sample_grid(config.transient_t_max, config.transient_dt, 10)  # a sample per 0.5 time units
+        every = sample_grid(config.transient_t_max, 0.5, 1)  # a sample per 0.5 time units
         for point, times in zip(result.points, read):
             chain = config.chain.with_coupling(point.coupling_ratio * config.chain.delta[0])
             rates = qc.rates_from_angles(qc.mixing_angles(chain), qc.NoiseSpec(point.gamma, config.n_thermal))
             samples = propagate(
-                qc.eigenbasis_product(3), qc.build_hamiltonian_eigen(chain), rates, config.transient_t_max,
-                config.transient_dt, 10,
+                qc.eigenbasis_product(3), qc.build_hamiltonian_eigen(chain), rates, config.transient_t_max, 0.5, 1
             )
             full = [(ts, log_negativity(acc((1, 2)), (1,))) for ts, acc in samples]
             tt, series = (np.concatenate(column) for column in zip(*full))
@@ -805,7 +805,7 @@ class TestSteadyScan:
             assert point.first_max == found.value
             assert k < len(every) and np.array_equal(times, every[:k])
             assert first_maximum(tt[:k], series[:k]) == found
-            if point.gamma > 0:  # RK4 yields one sample at a time: none past the one after the maximum
+            if point.gamma > 0:  # the noisy path yields one sample at a time: none past the one after the maximum
                 assert first_maximum(tt[: k - 1], series[: k - 1]) is None
 
     def test_small_scan_excludes_gamma_zero(self, tmp_path):

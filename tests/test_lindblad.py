@@ -6,7 +6,7 @@ import pytest
 import qubitchain as qc
 from conftest import dense, random_density_matrix, random_pure_state, site_operator, unitary_propagate, whole
 from qubitchain.harness import propagate
-from qubitchain.lindblad import LindbladGenerator, block_matrix, block_stack, stream
+from qubitchain.lindblad import LindbladGenerator, block_matrix, block_stack, sample_grid, stream
 
 
 def sector_rates(n):
@@ -184,8 +184,8 @@ class TestEvolve:
         h = qc.build_hamiltonian_eigen(spec)
         rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.02, 0.3))
         rho0 = random_density_matrix(rng, 8)[None]
-        short = list(stream(rho0, whole(dense(h)), rates, t_max=5.0, dt=0.05, sample_every=10))
-        long = stream(rho0, whole(dense(h)), rates, t_max=40.0, dt=0.05, sample_every=10)
+        short = list(stream(rho0, whole(dense(h)), rates, sample_grid(5.0, 0.05, 10)))
+        long = stream(rho0, whole(dense(h)), rates, sample_grid(40.0, 0.05, 10))
         assert len(short) == 11
         for (t, rho, *drifts), (t_long, rho_long, *drifts_long) in zip(short, long):
             assert t == t_long and drifts == drifts_long
@@ -229,12 +229,38 @@ class TestEvolve:
             series[dt] = np.array([qc.pair_log_negativity(r, 1, 2) for r in traj.states])
         assert np.abs(series[0.04] - series[0.02]).max() < 1e-6
 
-    def test_step_guard(self):
+    def test_long_interval_matches_eigenbasis_path(self, rng):
+        # dt = 2.0 and samples 10.0 apart, 3.5 times 1/nu (nu = 0.35 bounds
+        # ||L||): the Taylor series splits each interval into four substeps.
         spec = qc.ChainSpec.homogeneous(3)
         h = qc.build_hamiltonian_eigen(spec)
-        rho0 = qc.density_from_pure(qc.eigenbasis_product(3))
-        with pytest.raises(ValueError, match="step guard"):
-            qc.evolve(rho0, h, qc.RateSet.zero(3), t_max=1.0, dt=2.0)
+        rho0 = random_density_matrix(rng, 8)
+        rates = qc.RateSet.zero(3)
+        times = sample_grid(50.0, 2.0, 5)
+        samples = list(stream(rho0[None], whole(dense(h)), rates, times))
+        exact = [acc((1, 2, 3)).matrix[0] for _, acc in propagate(rho0, h, rates, 50.0, 2.0, 5)]
+        assert [t for t, *_ in samples] == list(times) and len(exact) == len(times) == 6
+        for (_, rho, _, _), want in zip(samples, exact):
+            assert np.abs(rho[0] - want).max() < 1e-12
+
+    def test_stream_matches_expm_multiply(self, rng):
+        # scipy's action of the matrix exponential on the sector generator,
+        # over ten samples 0.5 apart.
+        from scipy.sparse.linalg import expm_multiply
+
+        spec = qc.ChainSpec.homogeneous(4)
+        h = qc.build_hamiltonian_eigen(spec)
+        rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.05, 0.1))
+        blocks = [b for b, _ in h]
+        rho0 = block_stack(random_block_diagonal(rng, blocks), blocks)
+        times = sample_grid(4.5, 0.5, 1)
+        assert len(times) == 10
+        want = expm_multiply(
+            LindbladGenerator(h, rates).superoperator(), rho0.ravel(), start=0.0, stop=4.5, num=10, endpoint=True
+        )
+        for (t, rho, _, _), vec, t_want in zip(stream(rho0, h, rates, times), want, times):
+            assert t == t_want
+            assert np.abs(rho.ravel() - vec).max() < 1e-12
 
     def test_first_maximum_decreases_with_noise_strength(self):
         # 4-point Gamma grid at fixed thermal occupation.
@@ -273,21 +299,15 @@ class TestSteadyState:
         p1 = qc.reduce(res.state, (1,)).matrix[1, 1].real
         assert p1 == pytest.approx(n_t / (1 + 2 * n_t), abs=1e-7)
 
-    def test_rk4_path_matches_exact_path(self):
+    def test_stream_path_matches_exact_path(self):
         spec = qc.ChainSpec.homogeneous(4)
         h = qc.build_hamiltonian_eigen(spec)
         rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.05, 0.1))
         rho0 = qc.density_from_pure(qc.eigenbasis_product(4))
         exact = qc.steady_state(h, rates, tol=1e-9)
-        from qubitchain import lindblad as lb
-
-        gen = LindbladGenerator(whole(dense(h)), rates)
-        rho = rho0.copy()
-        for _ in range(4000):
-            rho = lb._rk4_step(gen, rho, 0.1)
-        rho = 0.5 * (rho + rho.conj().T)
-        rho /= np.trace(rho).real
-        assert np.abs(exact.state - rho).max() < 1e-6
+        *_, (t, rho, _, _) = stream(rho0[None], whole(dense(h)), rates, sample_grid(400.0, 0.1, 4000))
+        assert t == 400.0
+        assert np.abs(exact.state - rho[0]).max() < 1e-6
 
     def test_requires_dissipation(self):
         spec = qc.ChainSpec.homogeneous(3)
@@ -378,9 +398,10 @@ class TestSectors:
             rho0 = qc.density_from_pure(psi)
         odd = blocks[1]
         assert (start == "bell_head_eigen") == (np.trace(rho0[np.ix_(odd, odd)]).real > 0.5)
-        two = list(stream(block_stack(rho0, blocks), h, rates, t_max=6.0, dt=0.05, sample_every=10))
-        one = list(stream(rho0[None], whole(dense(h)), rates, t_max=6.0, dt=0.05, sample_every=10))
-        assert len(two) == 13  # 120 steps
+        times = sample_grid(6.0, 0.05, 10)
+        two = list(stream(block_stack(rho0, blocks), h, rates, times))
+        one = list(stream(rho0[None], whole(dense(h)), rates, times))
+        assert len(two) == 13  # every 0.5 to 6.0
         for (_, a, drift_a, _), (_, b, drift_b, _) in zip(two, one):
             assert np.abs(block_matrix(a, blocks) - b[0]).max() < 1e-12
             assert abs(drift_a - drift_b) < 1e-12
