@@ -128,6 +128,10 @@ class ConfigError(ValueError):
 # and one sample).  Each count below leaves at least one spare; with noise
 # 3.3 at N = 10 and, by the dissipator's growth, about 1.8 at N = 14.
 _NOISY_ARRAYS, _PURE_ARRAYS, _MIXED_ARRAYS = 15, 5, 6
+# A scan point with noise, set by its steady-state solve: 57.4/55.4/54.9 at
+# N = 8/9/10 (two blocks), of which the GMRES Krylov basis holds 31, the
+# inverse Pauli rate matrix 1, the coherence scales 1, the eigenvectors 0.5.
+_STEADY_ARRAYS = 59
 # Interpreter, numpy and scipy, counted once per process.
 _PROCESS_BYTES = 128 * 2**20
 
@@ -745,7 +749,8 @@ class ScanConfig:
             raise ConfigError(f"gammas must ascend strictly (rows are classified in order), got {list(self.gammas)}")
         if len(set(self.coupling_ratios)) != len(self.coupling_ratios):
             raise ConfigError(f"coupling_ratios must be distinct (each is one row), got {list(self.coupling_ratios)}")
-        _check_exact_memory(n, exact_member_bytes(n, any(self.gammas), sectors=_parity_sectors(self.chain)))
+        solve = _STEADY_ARRAYS * 16 * 4**n // _parity_sectors(self.chain)  # outweighs its transient
+        _check_exact_memory(n, solve if any(self.gammas) else exact_member_bytes(n, False))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScanConfig":

@@ -38,13 +38,10 @@ a truncated Taylor series on substeps short enough that ||tau L|| <= 1
 Comput. 33, 488 (2011)); the positivity check at each sample is one
 stacked eigvalsh over the blocks.
 
-The steady state is the null vector of the sparse Liouvillian L restricted
-to the sector (the same pieces in Kronecker form; half the unknowns of the
-full d^2 when there are two parity blocks, since a unique steady state is
-parity-symmetric (Albert & Jiang, Phys. Rev. A 89, 022118 (2014))), found
-by one sparse LU solve of L vec(rho) = 0 with one row replaced by the trace
-condition (Johansson, Nation & Nori, Comput. Phys. Commun. 184, 1234
-(2013)) and certified by the residual of the right-hand side.
+The steady state is the null vector of L on the sector (half the unknowns
+with two parity blocks: a unique steady state is parity-symmetric (Albert &
+Jiang, Phys. Rev. A 89, 022118 (2014))), found by restarted GMRES with the
+secular (Pauli) master equation in the eigenbasis of H as preconditioner.
 """
 
 from __future__ import annotations
@@ -60,14 +57,12 @@ from .pauli import site_bit, z_pattern
 
 _TRACE_ABORT = 1e-6
 _POSITIVITY_ABORT = 1e-6
-# Largest growth ||A^-1 v|| / ||v|| * max|A| of the steady-state system A on
-# v_k = sin(k).  Measured at least 1.5e17 on degenerate kernels (homogeneous
-# dephasing-only chains in the eigenbasis frame, N = 2-4, on the parity
-# sector and on one block) and at most 2.8e2 on unique ones on the sector
-# (N = 2-5, K/delta from 0.25 to 2 and Gamma from 1e-3 to 0.2 at n_T = 0.1,
-# which covers the 40 points of steady_scan.json), 1.1e3 on one block
-# (dephasing-only chains with epsilon = 0.05 or in the lab frame).
-_GROWTH_LIMIT = 1e10
+# Largest 1-norm condition number of the bordered Pauli rate matrix of a unique steady state:
+# 1.8e16 or more, or singular, on homogeneous dephasing-only chains in the eigenbasis frame
+# (N = 2-4, sector and one block); 9.0 to 2.0e3 on the shipped scans and on dephasing-only
+# chains with epsilon = 0.05 in either frame.
+_CONDITION_LIMIT = 1e10
+_RESTART, _GMRES_RTOL, _GMRES_MAX_ITERATIONS = 30, 1e-12, 1000  # of the steady-state GMRES
 
 # scipy is imported where sparse matrices are built: noiseless and MPS runs never load it.
 if TYPE_CHECKING:
@@ -446,64 +441,124 @@ def evolve(
     return Trajectory(np.asarray(times), list(states), np.asarray(trace_drift), np.asarray(herm_drift))
 
 
-def _certify(gen: LindbladGenerator, rho: np.ndarray) -> float:
-    return float(np.linalg.norm(gen.apply(rho))) / max(float(np.linalg.norm(rho)), 1e-300)
+def _sandwich(a: np.ndarray, y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ y @ b for real stacks a, b and a complex stack y, in real products."""
+    out = np.empty(y.shape, dtype=complex)
+    out.real, out.imag = a @ y.real @ b, a @ y.imag @ b
+    return out
+
+
+def _secular_inverse(h: HamiltonianBlocks, gen: LindbladGenerator):
+    """M^-1 for the secular part M of A x = L x + w tr x, w = I/d, and the
+    1-norm condition number of M's bordered rate matrix.
+
+    In the eigenbasis of each block of H (H_b = V E V^T), M scales each
+    coherence x_ab by -i (E_a - E_b) + ((V*V)^T D (V*V))_ab, D the
+    dissipator's diagonal, and takes the populations through W + 1 1^T / d,
+    W the rate matrix of the secular (Pauli) master equation (Breuer &
+    Petruccione, 2002): k |V^T J V|^2 from each jump J of weight k (2 G, 2 Gt, 2 g).
+    """
+    e, v = map(np.stack, zip(*(np.linalg.eigh(require_real_symmetric(part)) for _, part in h)))
+    vt = v.transpose(0, 2, 1)
+    rates, stacked, (n_blocks, m, _) = gen.rates, np.stack(gen.blocks), gen.shape
+    n = rates.n_sites
+    where = np.argsort(stacked, axis=None)  # basis index -> its row b * m + p of the stacked blocks
+    pauli = np.zeros((n_blocks, m, n_blocks, m))  # W off its diagonal, one jump at a time
+    for i, b in np.ndindex(n, n_blocks):  # site i + 1
+        z, flipped = z_pattern(i + 1, n)[stacked[b]], where[stacked[b] ^ (1 << (n - 1 - i))]
+        source, gathered = flipped[0] // m, v.reshape(-1, m)[flipped]
+        for k, c, jump in (
+            (rates.g_relax[i], source, vt[b][:, z > 0] @ gathered[z > 0]),
+            (rates.g_excite[i], source, vt[b][:, z < 0] @ gathered[z < 0]),
+            (rates.g_dephase[i], b, vt[b] @ (z[:, None] * v[b])),
+        ):
+            pauli[b, :, c] += 2.0 * k * jump**2
+    pauli = pauli.reshape(n_blocks * m, -1)
+    pauli[np.diag_indices_from(pauli)] -= pauli.sum(axis=0)
+    pauli += 1.0 / (n_blocks * m)
+    try:
+        populations = np.linalg.inv(pauli)
+    except np.linalg.LinAlgError:
+        return None, math.inf
+    square, damping = v**2, gen._dissipator.diagonal().reshape(gen.shape)
+    scale = -1j * (e[:, :, None] - e[:, None, :]) + square.transpose(0, 2, 1) @ damping @ square
+    scale = 1.0 / np.where(scale == 0, 1.0, scale)  # a coherence that M keeps fixed passes unscaled
+
+    def precondition(y):
+        t = _sandwich(vt, y, v)
+        diagonal = populations @ np.diagonal(t, axis1=1, axis2=2).real.ravel()
+        t *= scale
+        t.reshape(n_blocks, -1)[:, :: m + 1] = diagonal.reshape(n_blocks, m)
+        x = _sandwich(v, t, vt)
+        return 0.5 * (x + x.conj().transpose(0, 2, 1))
+
+    return precondition, float(np.abs(pauli).sum(axis=0).max() * np.abs(populations).sum(axis=0).max())
+
+
+def _gmres(operator, precondition, w: np.ndarray) -> tuple[np.ndarray, bool]:
+    """x with ||w - A x|| <= _GMRES_RTOL ||w||, and whether it got there within _GMRES_MAX_ITERATIONS.
+
+    Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856 (1986)) on Hermitian
+    stacks, with the inner products of their float64 views, right-preconditioned by the fixed
+    M^-1 that `precondition` applies, so only the Krylov basis Q is stored: x = M^-1 (Q y).
+    """
+    target = _GMRES_RTOL * float(np.linalg.norm(w))
+    x, iterations = np.zeros_like(w), 0
+    basis = np.empty((_RESTART + 1, w.size), dtype=complex)
+    real = basis.view(np.float64)
+    while True:
+        basis[0] = (w - operator(x)).ravel()
+        beta = float(np.linalg.norm(basis[0]))
+        if beta <= target or iterations >= _GMRES_MAX_ITERATIONS:
+            return x, beta <= target
+        basis[0] /= beta
+        hess, g = np.zeros((_RESTART + 1, _RESTART)), beta * np.eye(_RESTART + 1)[0]
+        for j in range(_RESTART):
+            q = operator(precondition(basis[j].reshape(w.shape))).view(np.float64).ravel()
+            for _ in range(2):  # classical Gram-Schmidt, twice
+                coefficients = real[: j + 1] @ q
+                q -= coefficients @ real[: j + 1]
+                hess[: j + 1, j] += coefficients
+            hess[j + 1, j] = np.linalg.norm(q)
+            real[j + 1] = q / (hess[j + 1, j] or 1.0)
+            y = np.linalg.lstsq(hess[: j + 2, : j + 1], g[: j + 2], rcond=None)[0]
+            iterations += 1
+            residual = np.linalg.norm(hess[: j + 2, : j + 1] @ y - g[: j + 2])
+            if residual <= target or iterations >= _GMRES_MAX_ITERATIONS:
+                break
+        x += precondition((y @ real[: j + 1]).view(complex).reshape(w.shape))
 
 
 def steady_state(h: HamiltonianBlocks, rates: RateSet, tol: float = 1e-8) -> SteadyStateResult:
-    """Null vector of the sparse Liouvillian on the sector of the blocks of `h`, certified by its residual.
+    """Null vector of the Liouvillian on the sector of the blocks of `h`, certified by its residual.
 
-    Solves L vec(rho) = 0 on the stacked diagonal blocks of rho (the parity
-    blocks of an epsilon_i = 0 chain halve the unknowns) with the first row
-    of L (the equation for the first diagonal entry) replaced by the trace
-    condition tr rho = 1, by one sparse LU factorization; the result is
-    re-Hermitized and trace-normalized, returned as the d x d matrix, and
-    certified (converged=True) when ||drho/dt||_F / ||rho||_F < tol.
+    Solves L x + w tr x = w, w = I/d, whose solution is the steady state, on
+    the stacked diagonal blocks of rho (the parity blocks of an epsilon_i = 0
+    chain halve the unknowns) by :func:`_gmres` with :func:`_secular_inverse`.
+    The result is re-Hermitized, trace-normalized, returned as the d x d
+    matrix, and certified (converged=True) when GMRES stopped before its cap
+    and ||drho/dt||_F / ||rho||_F < tol.
 
-    Requires a unique steady state.  `rates_from_angles` with Gamma > 0
-    gives every site a relaxation channel (the mixing angles have
-    delta_i > 0, so sin^2(theta_i) > 0), which makes it unique.  A
-    degenerate kernel (e.g. pure dephasing of a homogeneous chain in the
-    eigenbasis frame, whose identity on each parity sector is stationary)
-    leaves the system singular to rounding and raises ValueError: the
-    factors solve a fixed generic right-hand side with a growth above
-    _GROWTH_LIMIT.  So do a failed factorization and a state with an
-    eigenvalue below -1e-6.  The growth of a unique kernel scales with the
-    inverse of its slowest rate (260 at Gamma = 1e-3 and 33 at Gamma = 1e-2
-    for N = 2 on the sector), so rates below about 1e-10 of the energy
-    scale are refused as well.
+    Requires a unique steady state, which every site's relaxation channel
+    gives (`rates_from_angles` with Gamma > 0: delta_i > 0, so
+    sin^2(theta_i) > 0).  A degenerate kernel (e.g. pure dephasing of a
+    homogeneous chain in the eigenbasis frame, whose identity on each parity
+    sector is stationary), like rates below about 1e-10, leaves the bordered
+    Pauli rate matrix singular or with a condition number above
+    _CONDITION_LIMIT and raises ValueError before any iteration; so does a
+    state with an eigenvalue below -1e-6.
     """
-    import scipy.sparse as sparse
-    from scipy.sparse.linalg import splu
-
     if rates.is_zero():
         raise ValueError("steady_state requires a dissipative channel (all rates are zero)")
     gen = LindbladGenerator(h, rates)
-    n_blocks, m, _ = gen.shape
-    size = n_blocks * m * m
-    diagonal = (np.arange(n_blocks)[:, None] * m * m + np.arange(m) * (m + 1)).ravel()
-    trace_row = sparse.csr_matrix((np.ones(len(diagonal)), (np.zeros_like(diagonal), diagonal)), shape=(1, size))
-    system = sparse.vstack([trace_row, gen.superoperator()[1:]], format="csc")
-    rhs = np.zeros(size, dtype=complex)
-    rhs[0] = 1.0
-    # Multiple-minimum-degree ordering on A^T + A: 0.15 s and 5.9 s to factor
-    # the full d^2 system at N = 5 and 6, against 0.34 s and 18.9 s with
-    # SuperLU's default COLAMD.
-    try:
-        lu = splu(system, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise ValueError(f"steady-state solve failed ({exc}); the steady state is not unique") from exc
-    # A generic right-hand side: no conserved quantity is orthogonal to it.
-    # Reading the pivots instead (lu.U) copies the factor, 10 MB at N = 5.
-    probe = np.sin(np.arange(1.0, size + 1)).astype(complex)
-    growth = np.linalg.norm(lu.solve(probe)) / np.linalg.norm(probe) * np.abs(system.data).max()
-    if growth > _GROWTH_LIMIT:
+    precondition, condition = _secular_inverse(h, gen)
+    if condition > _CONDITION_LIMIT:
         raise ValueError(
-            f"steady-state system is singular to rounding (solve growth {growth:.1e}); "
+            f"bordered Pauli rate matrix has condition number {condition:.1e}; "
             "the steady state is not unique (does every site have a relaxation channel?)"
         )
-    rho = lu.solve(rhs).reshape(gen.shape)
-    del lu  # the factors would otherwise sit under the certificate's temporaries
+    w = block_stack(np.eye(2**rates.n_sites, dtype=complex) / 2**rates.n_sites, gen.blocks)
+    rho, reached = _gmres(lambda x: gen.apply(x) + _trace(x) * w, precondition, w)
     rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
     rho /= _trace(rho)
     min_eig = float(np.linalg.eigvalsh(rho)[:, 0].min())
@@ -512,5 +567,5 @@ def steady_state(h: HamiltonianBlocks, rates: RateSet, tol: float = 1e-8) -> Ste
             f"steady-state solve returned a non-positive state (min eigenvalue {min_eig:.3e}); "
             "the steady state is likely not unique (does every site have a relaxation channel?)"
         )
-    residual = _certify(gen, rho)
-    return SteadyStateResult(block_matrix(rho, gen.blocks), residual < tol, 0.0, residual)
+    residual = float(np.linalg.norm(gen.apply(rho))) / max(float(np.linalg.norm(rho)), 1e-300)
+    return SteadyStateResult(block_matrix(rho, gen.blocks), reached and residual < tol, 0.0, residual)

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per shipped guarantee, at stated tolerances.
 
 Run with `pytest tests/test_acceptance.py -s` to see one PASS/FAIL line per
-criterion as it completes.  The long N=40 reproduction jobs are skipped
-unless QUBITCHAIN_LONG_JOBS=1.
+criterion as it completes.  The long jobs (the N=40 reproductions and one
+N=9 steady-state point) are skipped unless QUBITCHAIN_LONG_JOBS=1.
 """
 
 import json
@@ -510,6 +510,24 @@ def test_criterion_10_conservation_suite():
     ok = not failures
     report(10, "conservation suite", ok, purity_detail if ok else "; ".join(failures))
     assert ok, failures
+
+
+@pytest.mark.longjob
+def test_criterion_8_n9_steady_point():
+    """Optional long job: one N=9 point of the N=8 scan's K/delta = 1.5 row.
+
+    The point is certified and entangled, and the boundary pair's steady
+    E_N is that of N=8 within 1e-6 (they differ by 1.1e-8).
+    """
+    data = json.loads((CONFIG_DIR / "steady_scan_n8.json").read_text())
+    values = {}
+    for n in (8, 9):
+        point_cfg = {**data, "chain": {**data["chain"], "n_qubits": n}, "coupling_ratios": [1.5], "gammas": [0.1]}
+        (point,) = steady_state_scan(ScanConfig.from_dict(point_cfg)).points
+        values[n] = point.steady_e_n if point.converged else math.nan
+    ok = values[9] > 1e-6 and abs(values[9] - values[8]) < 1e-6
+    report(8, "N=9 steady-state point (long job)", ok, f"E_N: N=9 {values[9]:.10f}, N=8 {values[8]:.10f}")
+    assert ok
 
 
 @pytest.mark.longjob

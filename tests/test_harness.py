@@ -72,7 +72,7 @@ class TestConfig:
     def test_round_trips_through_dict(self):
         # Every shipped config of both kinds, plus the small test scenario.
         configs = {path.name: json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))}
-        assert len(configs) == 13
+        assert len(configs) == 14
         for name, data in {**configs, "small": small_config().to_dict()}.items():
             cfg = load_config(data)
             assert type(cfg).from_dict(cfg.to_dict()) == cfg, name
@@ -267,6 +267,19 @@ class TestConfig:
         with_seed = ScanConfig.from_dict({**SMALL_SCAN, "seed": 5})
         assert with_seed.to_dict() == ScanConfig.from_dict(SMALL_SCAN).to_dict()
         assert "seed" not in with_seed.to_dict()
+
+    def test_scan_estimate_counts_the_steady_solve(self, monkeypatch):
+        # A noisy scan is sized by its steady-state solve, whose GMRES Krylov
+        # basis alone holds restart + 1 sector stacks (d^2/2 entries each).
+        from qubitchain import lindblad
+
+        estimates = []
+        monkeypatch.setattr(qc.harness, "_check_exact_memory", lambda n, member_bytes: estimates.append(member_bytes))
+        ScanConfig.from_dict(SMALL_SCAN)
+        ScanConfig.from_dict({**SMALL_SCAN, "gammas": [0.0]})
+        krylov = (lindblad._RESTART + 1) * 16 * 4**3 // 2
+        assert estimates[0] > krylov
+        assert estimates[1] == qc.harness.exact_member_bytes(3, noisy=False)
 
     def test_shipped_configs_parse(self):
         for path in sorted(CONFIG_DIR.glob("*.json")):
@@ -937,6 +950,21 @@ class TestCli:
             "import sys; from qubitchain.cli import main; "
             f"code = main({run!r}); "
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(qc.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
+    def test_scan_never_imports_scipy_solvers(self, tmp_path):
+        # The steady states are solved in numpy: scipy.sparse holds the generator, nothing factors it.
+        cfg_path = tmp_path / "scan.json"
+        cfg_path.write_text(json.dumps(SMALL_SCAN))
+        scan = ["scan", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        script = (
+            "import sys; from qubitchain.cli import main; "
+            f"code = main({scan!r}); "
+            "print(code, [m for m in ('scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules])"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(qc.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)

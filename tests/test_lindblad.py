@@ -330,6 +330,30 @@ class TestSteadyState:
                 with pytest.raises(ValueError, match="not unique"):
                     qc.steady_state(blocks, rates)
 
+    def test_unique_dephasing_only_chains_are_maximally_mixed(self):
+        # The unique side of the degenerate-kernel inputs: with epsilon = 0.05
+        # the chain has one block, nothing is conserved but the trace, and
+        # pure dephasing (a unital channel) leaves I/d stationary.
+        for n in (2, 3, 4):
+            spec = qc.ChainSpec.homogeneous(n, epsilon=0.05)
+            for blocks in (qc.build_hamiltonian_eigen(spec), whole(qc.build_hamiltonian_lab(spec))):
+                assert len(blocks) == 1
+                for g in (0.01, 0.05):
+                    res = qc.steady_state(blocks, qc.RateSet((0.0,) * n, (0.0,) * n, (g,) * n))
+                    assert res.converged
+                    assert np.abs(res.state - np.eye(2**n) / 2**n).max() < 1e-12
+
+    def test_iteration_cap_leaves_the_point_uncertified(self, monkeypatch):
+        # Ten iterations leave a residual that tol certifies, but not GMRES's own 1e-12: flagged, not passed.
+        from qubitchain import lindblad
+
+        spec = qc.ChainSpec.homogeneous(3)
+        h = qc.build_hamiltonian_eigen(spec)
+        rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.05, 0.1))
+        monkeypatch.setattr(lindblad, "_GMRES_MAX_ITERATIONS", 10)
+        res = qc.steady_state(h, rates)
+        assert res.residual < 1e-8 and not res.converged
+
     def test_uncertified_result_is_flagged(self):
         spec = qc.ChainSpec.homogeneous(3)
         h = qc.build_hamiltonian_eigen(spec)
@@ -360,6 +384,21 @@ class TestSectors:
             # 1e-18 parity-odd entries of H are not built).
             outside = np.setdiff1d(np.arange(4**n), sector)
             assert np.abs(want[outside]).max() < 1e-16
+
+    def test_steady_state_matches_kronecker_null_vector(self):
+        # Oracle: the dense trace-bordered system (L + vec(I/d) vec(I)^T) x = vec(I/d), solved by LU.
+        for n in (3, 4, 5):
+            chain = parity_chain(n)
+            h = qc.build_hamiltonian_eigen(chain)
+            d = 2**n
+            for rates in (sector_rates(n), qc.rates_from_angles(qc.mixing_angles(chain), qc.NoiseSpec(0.05, 0.1))):
+                w = (np.eye(d) / d).ravel()
+                bordered = kronecker_liouvillian(dense(h), rates) + np.outer(w, np.eye(d).ravel())
+                want = np.linalg.solve(bordered, w).reshape(d, d)
+                for blocks in (h, whole(dense(h))):
+                    res = qc.steady_state(blocks, rates)
+                    assert res.converged
+                    assert np.abs(res.state - want).max() < 1e-12
 
     def test_complex_hamiltonian_refused(self, rng):
         # Every dense entry point takes real symmetric blocks only: the
