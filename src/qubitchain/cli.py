@@ -38,10 +38,14 @@ def _write_error(out_dir: str, exc: Exception) -> None:
         pass
 
 
+def _refuse_constant(name: str):
+    raise ConfigError(f"{name} is not a JSON number")
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_refuse_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

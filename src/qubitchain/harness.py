@@ -233,6 +233,13 @@ def _as_given(value):
     return value
 
 
+def _temperature_mk(value) -> float:
+    """A temperature in mK: a finite number > 0, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise ConfigError(f"temperatures must be finite numbers > 0 mK, got {value!r}")
+    return float(value)
+
+
 def _schema_version(value) -> int:
     if value != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {value}")
@@ -259,6 +266,7 @@ _OBSERVABLES = {
     "measures": tuple,
     "frozen_axes": bool,
 }
+_NOISE = {"gamma": float, "n_thermal": float, "temperature_mk": _temperature_mk}
 _disorder = _build(DisorderConfig, {"fraction": float, "targets": tuple, "ensemble_size": int}, "disorder")
 
 _SCENARIO = {
@@ -268,8 +276,8 @@ _SCENARIO = {
     "initial_state": str,
     "quench": _build(QuenchSpec, {"k_ini": float, "k_fin": float}, "quench"),
     # The noise section stays a dict: from_dict splits off temperature_mk.
-    "noise": lambda data: _section(data, {"gamma": float, "n_thermal": float, "temperature_mk": float}, "noise"),
-    "initial_temperature_mk": _as_given,
+    "noise": lambda data: _section(data, _NOISE, "noise"),
+    "initial_temperature_mk": _temperature_mk,
     "disorder": lambda data: _disorder(data) if data else None,
     "solver": _build(SolverConfig, {"kind": str, "bond_dim": int}, "solver"),
     "t_max": float,
@@ -301,8 +309,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.initial_state not in INITIAL_STATES:
             raise ConfigError(f"initial_state must be one of {INITIAL_STATES}")
-        if self.t_max <= 0 or self.dt <= 0 or self.sample_every < 1:
-            raise ConfigError("t_max, dt must be > 0 and sample_every >= 1")
+        if not 0 < self.dt <= self.t_max < math.inf or self.sample_every < 1:
+            raise ConfigError("t_max, dt must be finite with 0 < dt <= t_max, and sample_every >= 1")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         n = self.chain.n_qubits
@@ -523,7 +531,7 @@ def propagate(
         rho0, h = _sector_start(state0, h)
         samples = stream(rho0, h, rates, times)
         del state0, rho0  # the stream keeps its own copy of the blocks
-        for t, rho, _, _ in samples:
+        for t, rho, _ in samples:
             yield np.array([t]), partial(reduce_blocks, rho[None], [b for b, _ in h])
 
 
@@ -741,8 +749,8 @@ class ScanConfig:
         n = self.chain.n_qubits
         _check_pair(self.pair, n)
         for key in ("tol", "transient_t_max"):
-            if not getattr(self, key) > 0:
-                raise ConfigError(f"{key} must be > 0")
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be finite and > 0")
         if not all(g >= 0 for g in self.gammas) or not self.n_thermal >= 0:
             raise ConfigError("every gamma and n_thermal must be >= 0")
         if any(a >= b for a, b in zip(self.gammas, self.gammas[1:])):

@@ -36,7 +36,8 @@ The state goes from one sample to the next as exp(L Delta) rho, summed as
 a truncated Taylor series on substeps short enough that ||tau L|| <= 1
 (the action of the exponential as in Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33, 488 (2011)); the positivity check at each sample is one
-stacked eigvalsh over the blocks.
+stacked eigvalsh over the blocks.  The series has real coefficients, so
+a Hermitized start stays exactly Hermitian: no sample is corrected.
 
 The steady state is the null vector of L on the sector (half the unknowns
 with two parity blocks: a unique steady state is parity-symmetric (Albert &
@@ -116,12 +117,11 @@ class RateSet:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Density-matrix snapshots at ascending sample times, plus drift logs."""
+    """Density-matrix snapshots at ascending sample times, plus the trace drift of each."""
 
     times: np.ndarray
     states: list[np.ndarray]
     trace_drift: np.ndarray
-    hermiticity_drift: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -277,9 +277,10 @@ class LindbladGenerator:
 
         `rho` must be exactly Hermitian, block by block: the commutator is
         read off the one product X = H rho as -i (X - X^dagger), since
-        rho H = X^dagger then.  The result is exactly Hermitian again, so
-        every Taylor term and partial sum of :func:`stream`, built with
-        real coefficients from an exactly Hermitian start, stays so.
+        rho H = X^dagger then.  The result is exactly Hermitian again (the
+        dissipator sums rho[j, i] in the order it sums rho[i, j]), so every
+        Taylor term and partial sum of :func:`stream`, built with real
+        coefficients from an exactly Hermitian start, stays so uncorrected.
         """
         r = np.ascontiguousarray(rho, dtype=complex).reshape(self.shape)
         x = self._times(self._h, r)
@@ -356,25 +357,25 @@ def _propagate(gen: LindbladGenerator, rho: np.ndarray, delta: float) -> np.ndar
 
 def stream(
     rho0: np.ndarray, h: HamiltonianBlocks, rates: RateSet, times: np.ndarray
-) -> Iterator[tuple[float, np.ndarray, float, float]]:
+) -> Iterator[tuple[float, np.ndarray, float]]:
     """Propagate the master equation on the sector of the blocks of `h`,
     yielding a snapshot at each of the ascending sample `times`.
 
     `rho0` is the state at times[0], and it and every snapshot are stacks
     of diagonal blocks (:func:`block_stack`; with one block of every index,
     the d x d matrix under a leading axis of one).  Yields (t, rho, trace
-    drift, Hermiticity drift) at each time.  From one sample to the next
-    the state is advanced by exp(L Delta) (:func:`_propagate`), with no
-    step of its own, so the samples at `times` do not depend on any later
-    time.  Only the current state, the next one and one Taylor term are
-    held, and a yielded array is never written to again.
-    The start is Hermitized ((rho + rho^dagger)/2 per block), which keeps
-    every Taylor term exactly Hermitian (:meth:`LindbladGenerator.apply`).
-    Snapshots are re-Hermitized the same way and trace-renormalized; the
-    drift corrected at each snapshot is yielded with it.  Cumulative trace drift beyond 1e-6 or a snapshot
-    eigenvalue below -1e-6 (one stacked eigvalsh over the blocks) aborts
-    with a diagnostic, since either indicates a broken integration rather
-    than roundoff.
+    drift) at each time.  From one sample to the next the state is
+    advanced by exp(L Delta) (:func:`_propagate`), with no step of its
+    own, so the samples at `times` do not depend on any later time.  Only
+    the current state, the next one and one Taylor term are held, and a
+    yielded array is never written to again.
+    The start is Hermitized ((rho + rho^dagger)/2 per block; a thermal one
+    comes from a GEMM), which keeps every snapshot exactly Hermitian
+    (:meth:`LindbladGenerator.apply`).  Snapshots are trace-renormalized;
+    the drift corrected at each is yielded with it.  Cumulative trace drift
+    beyond 1e-6 or a snapshot eigenvalue below -1e-6 (one stacked eigvalsh
+    over the blocks) aborts with a diagnostic, since either indicates a
+    broken integration rather than roundoff.
     """
     gen = LindbladGenerator(h, rates)
     if rho0.shape != gen.shape:
@@ -388,16 +389,10 @@ def stream(
     rho += rho0.conj().transpose(0, 2, 1)
     rho *= 0.5
     del rho0
-    yield float(times[0]), rho, abs(_trace(rho) - 1.0), 0.0
+    yield float(times[0]), rho, abs(_trace(rho) - 1.0)
     cumulative_trace = 0.0
     for before, t in zip(times, times[1:]):
         rho = _propagate(gen, rho, t - before)
-        adjoint = rho.conj().transpose(0, 2, 1)
-        herm = float(np.abs(rho - adjoint).max())
-        scale = float(np.abs(rho).max())
-        rho += adjoint
-        rho *= 0.5
-        del adjoint
         tr = _trace(rho)
         drift = abs(tr - 1.0)
         cumulative_trace += drift
@@ -407,7 +402,7 @@ def stream(
         min_eig = float(np.linalg.eigvalsh(rho)[:, 0].min())
         if min_eig < -_POSITIVITY_ABORT:
             raise RuntimeError(f"positivity violated (min eigenvalue {min_eig:.3e}) at t={t:.3f}")
-        yield float(t), rho, drift, herm / scale if scale > 0 else 0.0
+        yield float(t), rho, drift
 
 
 def sample_grid(t_max: float, dt: float, sample_every: int) -> np.ndarray:
@@ -437,8 +432,8 @@ def evolve(
     indices, parts = zip(*h)
     whole = block_matrix(parts, indices)
     samples = stream(rho0[None], [(np.arange(len(whole)), whole)], rates, sample_grid(t_max, dt, sample_every))
-    times, states, trace_drift, herm_drift = zip(*((t, rho[0], a, b) for t, rho, a, b in samples))
-    return Trajectory(np.asarray(times), list(states), np.asarray(trace_drift), np.asarray(herm_drift))
+    times, states, trace_drift = zip(*((t, rho[0], drift) for t, rho, drift in samples))
+    return Trajectory(np.asarray(times), list(states), np.asarray(trace_drift))
 
 
 def _sandwich(a: np.ndarray, y: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -535,9 +530,10 @@ def steady_state(h: HamiltonianBlocks, rates: RateSet, tol: float = 1e-8) -> Ste
     Solves L x + w tr x = w, w = I/d, whose solution is the steady state, on
     the stacked diagonal blocks of rho (the parity blocks of an epsilon_i = 0
     chain halve the unknowns) by :func:`_gmres` with :func:`_secular_inverse`.
-    The result is re-Hermitized, trace-normalized, returned as the d x d
-    matrix, and certified (converged=True) when GMRES stopped before its cap
-    and ||drho/dt||_F / ||rho||_F < tol.
+    It is a sum of Hermitized preconditioner outputs, so exactly Hermitian;
+    it is trace-normalized, returned as the d x d matrix, and certified
+    (converged=True) when GMRES stopped before its cap and
+    ||drho/dt||_F / ||rho||_F < tol.
 
     Requires a unique steady state, which every site's relaxation channel
     gives (`rates_from_angles` with Gamma > 0: delta_i > 0, so
@@ -559,7 +555,6 @@ def steady_state(h: HamiltonianBlocks, rates: RateSet, tol: float = 1e-8) -> Ste
         )
     w = block_stack(np.eye(2**rates.n_sites, dtype=complex) / 2**rates.n_sites, gen.blocks)
     rho, reached = _gmres(lambda x: gen.apply(x) + _trace(x) * w, precondition, w)
-    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
     rho /= _trace(rho)
     min_eig = float(np.linalg.eigvalsh(rho)[:, 0].min())
     if min_eig < -_POSITIVITY_ABORT:

@@ -26,8 +26,13 @@ def _fmt(value: float) -> str:
     return "" if math.isnan(value) else repr(float(value))
 
 
+def _or_null(value: float) -> float | None:
+    """`value`, or None (JSON null) for NaN, which JSON has no number for."""
+    return None if math.isnan(value) else value
+
+
 def canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=1)
+    return json.dumps(data, sort_keys=True, indent=1, allow_nan=False)
 
 
 def config_hash(data: dict) -> str:
@@ -187,10 +192,10 @@ def emit_outputs(result, out_dir: str | Path, build_id: str) -> Path:
         {
             "first_maximum": {
                 f"{p[0]},{p[1]}": {
-                    "mean_value": stats.first_max_mean(p),
-                    "mean_time": stats.first_max_mean_time(p),
-                    "relative_fluctuation": stats.relative_fluctuation(p),
-                    "values": [None if math.isnan(v) else v for v in stats.first_max_values[p]],
+                    "mean_value": _or_null(stats.first_max_mean(p)),
+                    "mean_time": _or_null(stats.first_max_mean_time(p)),
+                    "relative_fluctuation": _or_null(stats.relative_fluctuation(p)),
+                    "values": [_or_null(v) for v in stats.first_max_values[p]],
                 }
                 for p in config.observables.pairs
             },

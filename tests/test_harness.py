@@ -170,6 +170,38 @@ class TestConfig:
         assert cfg.effective_noise.n_thermal == pytest.approx(0.0956, abs=0.001)
         assert cfg.noise_temperature_mk == 41.0
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"dt": math.inf},  # would run as a single sample at t = 0
+            {"dt": 20.0},  # longer than t_max: the same single sample
+            {"t_max": math.nan},  # would fail in sample_grid
+            {"initial_temperature_mk": -5.0},  # would fail at run time
+            {"initial_temperature_mk": "30"},
+            {"initial_temperature_mk": True},  # would run at 1 mK
+            {"initial_temperature_mk": None},
+            {"initial_temperature_mk": math.inf},
+            {"noise": {"gamma": 0.01, "temperature_mk": 0.0}},  # would fail at run time
+            {"noise": {"gamma": 0.01, "temperature_mk": -22.0}},
+        ],
+    )
+    def test_load_refuses_what_a_run_fails_on_or_misreads(self, override):
+        thermal = {"initial_state": "thermal_of_k_ini", "initial_temperature_mk": 30.0}
+        with pytest.raises(ConfigError):
+            small_config(**{**thermal, **override})
+
+    def test_non_json_numbers_refused(self, tmp_path):
+        # json.load reads NaN and Infinity by default; a config takes JSON numbers only.
+        for literal in ("NaN", "Infinity", "-Infinity"):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(small_config().to_dict()).replace('"dt": 0.05', f'"dt": {literal}'))
+            out = tmp_path / literal
+            assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
+            assert json.loads((out / "error.json").read_text()) == {
+                "error": f"{literal} is not a JSON number",
+                "type": "ConfigError",
+            }
+
     def test_thermal_initial_needs_temperature(self):
         with pytest.raises(ConfigError, match="initial_temperature_mk"):
             small_config(initial_state="thermal_of_k_ini")
@@ -247,6 +279,8 @@ class TestConfig:
             ({"gammas": [0.05, 0.0]}, "gammas must ascend strictly"),
             ({"gammas": [0.0, 0.05, 0.05]}, "gammas must ascend strictly"),
             ({"coupling_ratios": [0.5, 0.5]}, "coupling_ratios must be distinct"),
+            ({"transient_t_max": math.inf}, "transient_t_max"),  # would overflow at run time
+            ({"tol": math.inf}, "tol"),  # would certify every point
         ],
     )
     def test_scan_rejects_out_of_range_values(self, override, match):
@@ -645,6 +679,15 @@ class TestEmitOutputs:
         emit_outputs(run_scenario(cfg), tmp_path / "b", "build-test")
         for name in ("timeseries.csv", "config.json", "stats.json", "manifest.json", "pair_1_2.svg"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_stats_without_a_first_maximum_are_json(self, tmp_path):
+        # A run too short to reach a first maximum: its statistics are null, not a bare NaN.
+        emit_outputs(run_scenario(small_config(t_max=1.0)), tmp_path / "run", "build-test")
+        text = (tmp_path / "run" / "stats.json").read_text()
+        stats = json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in stats.json"))
+        assert stats["first_maximum"]["1,2"] == {
+            "mean_value": None, "mean_time": None, "relative_fluctuation": None, "values": [None],
+        }
 
     def test_empty_observables_manifest_only(self, tmp_path):
         cfg = small_config(observables={"pairs": [], "measures": ["e_n"]})
