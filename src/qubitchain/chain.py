@@ -42,11 +42,11 @@ HamiltonianBlocks = list[tuple[np.ndarray, np.ndarray]]
 
 
 def _as_tuple(values: float | Sequence[float], n: int, name: str) -> tuple[float, ...]:
-    if isinstance(values, (int, float)):
-        return (float(values),) * n
-    out = tuple(float(v) for v in values)
+    out = (float(values),) * n if isinstance(values, (int, float)) else tuple(float(v) for v in values)
     if len(out) != n:
         raise ValueError(f"{name} must have length {n}, got {len(out)}")
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"{name} must be finite")
     return out
 
 
@@ -73,8 +73,8 @@ class ChainSpec:
         object.__setattr__(self, "coupling", _as_tuple(self.coupling, max(n - 1, 0), "coupling"))
         if any(d <= 0 for d in self.delta):
             raise ValueError("all delta_i must be > 0")
-        if self.energy_unit_kelvin <= 0:
-            raise ValueError("energy_unit_kelvin must be > 0")
+        if not 0 < self.energy_unit_kelvin < math.inf:
+            raise ValueError("energy_unit_kelvin must be finite and > 0")
 
     @classmethod
     def homogeneous(

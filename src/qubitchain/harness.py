@@ -79,6 +79,7 @@ from .lindblad import (
     block_stack,
     couples_blocks,
     block_matrix,
+    density,
     nbar_from_temperature,
     rates_from_angles,
     sample_grid,
@@ -113,25 +114,25 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent scenario configs."""
 
 
-# Peak working set of one exact-solver member, in complex arrays.  Measured
-# peak RSS above that of an N = 4 run.  With noise, in arrays the size of
-# the propagated sector (d^2/2 entries with two parity blocks, d^2 with one;
-# d = 2^N), at N = 9/10: 11.5/11.2 from a product state and 11.5/11.2 from
-# a thermal one with two blocks, and 10.3/11.7 with one.  Of these, the
-# sparse dissipator is about 4.9 at N = 11 and grows by 0.375 per site; the
-# state, the next one, one Taylor term and the temporaries of
-# LindbladGenerator.apply are about 5.
-# Without noise, in d x d arrays, at N = 9..11: 3.8/3.8/4.0 for a state
-# vector over a full chunk of d samples with pairs (1, 2) and (1, N) (real
-# H, half-size block eigh, the chunk of amplitudes and its reduction);
+# Peak working set of one exact-solver member.  Measured peak RSS above
+# that of an N = 4 run.  With noise, in real arrays the size of the
+# propagated sector (d^2/2 entries with two parity blocks, d^2 with one;
+# d = 2^N; 8 bytes an entry, the state in real form), at N = 9/10:
+# 18.9/20.0 from a product state and 20.5/19.6 from a thermal one with two
+# blocks, and 22.0/20.1 and 20.5/19.5 with one.  Of these, the sparse
+# dissipator is 9.5 at N = 10 and grows by 0.75 per site.
+# Without noise, in complex d x d arrays, at N = 9..11: 3.8/3.8/4.0 for a
+# state vector over a full chunk of d samples with pairs (1, 2) and (1, N)
+# (real H, half-size block eigh, the chunk of amplitudes and its reduction);
 # 5.1/5.0/4.6 for a thermal state (its preparation, the eigenbasis blocks
 # and one sample).  Each count below leaves at least one spare; with noise
-# 3.3 at N = 10 and, by the dissipator's growth, about 1.8 at N = 14.
-_NOISY_ARRAYS, _PURE_ARRAYS, _MIXED_ARRAYS = 15, 5, 6
-# A scan point with noise, set by its steady-state solve: 57.4/55.4/54.9 at
-# N = 8/9/10 (two blocks), of which the GMRES Krylov basis holds 31, the
-# inverse Pauli rate matrix 1, the coherence scales 1, the eigenvectors 0.5.
-_STEADY_ARRAYS = 59
+# 3.0 at N = 9 and, by the dissipator's growth, about 2 at N = 14.
+_NOISY_ARRAYS, _PURE_ARRAYS, _MIXED_ARRAYS = 25, 5, 6
+# A scan point with noise, in real sector arrays, set by its steady-state
+# solve: 66.0/58.0/58.9 at N = 8/9/10 (two blocks), of which the GMRES
+# Krylov basis holds 31, the inverse Pauli rate matrix 2, the coherence
+# scales 2, the eigenvectors 1.
+_STEADY_ARRAYS = 68
 # Interpreter, numpy and scipy, counted once per process.
 _PROCESS_BYTES = 128 * 2**20
 
@@ -143,7 +144,7 @@ def exact_member_bytes(n_qubits: int, noisy: bool, pure: bool = True, sectors: i
     state vector (`pure`) or density matrix propagated in the eigenbasis of
     each parity block of H."""
     if noisy:
-        return _NOISY_ARRAYS * 16 * 4**n_qubits // sectors
+        return _NOISY_ARRAYS * 8 * 4**n_qubits // sectors
     return (_PURE_ARRAYS if pure else _MIXED_ARRAYS) * 16 * 4**n_qubits
 
 
@@ -439,9 +440,6 @@ class ResultSet:
     frozen_axes_series: dict[tuple[int, int], np.ndarray] | None = None
     frozen_axes_info: dict | None = None
 
-    def mean_series(self, pair, measure: str = "e_n") -> np.ndarray:
-        return self.stats.mean[tuple(pair)][measure]
-
     def member_series(self, pair, measure: str = "e_n") -> np.ndarray:
         return self.pair_series[tuple(pair)][measure]
 
@@ -505,9 +503,10 @@ def propagate(
     yield one sample per block.
 
     With noise, :func:`qubitchain.lindblad.stream` propagates the
-    diagonal blocks rho[b, b] of the density matrix, and the accessor reads
-    the reduced states straight from them.  A state with a nonzero entry
-    between two blocks runs as one block of every index instead.
+    diagonal blocks rho[b, b] of the density matrix in real form, and the
+    accessor reads the reduced states straight from them.  A state with a
+    nonzero entry between two blocks runs as one block of every index
+    instead.
 
     Without noise the state is propagated exactly in the eigenbasis of each
     diagonal block of `h`.  A block whose component of `state0` is exactly
@@ -531,8 +530,8 @@ def propagate(
         rho0, h = _sector_start(state0, h)
         samples = stream(rho0, h, rates, times)
         del state0, rho0  # the stream keeps its own copy of the blocks
-        for t, rho, _ in samples:
-            yield np.array([t]), partial(reduce_blocks, rho[None], [b for b, _ in h])
+        for t, r, _ in samples:
+            yield np.array([t]), partial(_dense_sample, r, [b for b, _ in h])
 
 
 def _sector_start(state0: np.ndarray, h: HamiltonianBlocks) -> tuple[np.ndarray, HamiltonianBlocks]:
@@ -543,6 +542,12 @@ def _sector_start(state0: np.ndarray, h: HamiltonianBlocks) -> tuple[np.ndarray,
     if couples_blocks(rho0, blocks):
         h = [(np.arange(len(rho0)), block_matrix(parts, blocks))]
     return block_stack(rho0, [b for b, _ in h]), h
+
+
+def _dense_sample(r: np.ndarray, blocks: list[np.ndarray], sites) -> ReducedState:
+    """Reduced state of one noisy dense sample, whose blocks are in real form, stacked as a block of one."""
+    rs = reduce_blocks(r[None], blocks, sites)
+    return ReducedState(rs.sites, density(rs.matrix))
 
 
 def _mps_sample(state: MpsMixedState, sites) -> ReducedState:
@@ -757,7 +762,7 @@ class ScanConfig:
             raise ConfigError(f"gammas must ascend strictly (rows are classified in order), got {list(self.gammas)}")
         if len(set(self.coupling_ratios)) != len(self.coupling_ratios):
             raise ConfigError(f"coupling_ratios must be distinct (each is one row), got {list(self.coupling_ratios)}")
-        solve = _STEADY_ARRAYS * 16 * 4**n // _parity_sectors(self.chain)  # outweighs its transient
+        solve = _STEADY_ARRAYS * 8 * 4**n // _parity_sectors(self.chain)  # outweighs its transient
         _check_exact_memory(n, solve if any(self.gammas) else exact_member_bytes(n, False))
 
     @classmethod

@@ -25,19 +25,21 @@ state without coherence between the even and odd sectors never gains any.
 The blocks of rho are those of H as
 :func:`qubitchain.chain.build_hamiltonian_eigen` returns it: the parity
 sectors, whose rho_ee + rho_oo holds half the entries of rho, or one block
-of every index, whose sector is all of rho.  The commutator takes one
-sparse product per block, X = H_b rho_b, and is -i (X - X^dagger): for an
-exactly Hermitian rho, rho H = X^dagger.  The rest of the generator is one
-precomputed sparse matrix on the vectorized sector: the damping on its
-diagonal, and the jumps as the indexed entries that carry rho[i, j] of
-one block into rho[i', j'] of the other (of the same, with one block).
+of every index, whose sector is all of rho.  Each block rho = A + iB (A real
+symmetric, B real antisymmetric) is held as the real matrix R = A + B, so
+that every real R is a Hermitian state (:func:`real_form`, :func:`density`);
+with real H the equation reads dR/dt = (H R)^T - H R^T + D R.  D, the rest
+of the generator, is one precomputed real sparse matrix on the vectorized
+sector: the damping on its diagonal, and the jumps as the indexed entries
+that carry rho[i, j] of one block into rho[i', j'] of the other (of the
+same, with one block); it treats rho[i, j] and rho[j, i] alike, so it keeps
+A and B apart.
 
-The state goes from one sample to the next as exp(L Delta) rho, summed as
+The state goes from one sample to the next as exp(L Delta) R, summed as
 a truncated Taylor series on substeps short enough that ||tau L|| <= 1
 (the action of the exponential as in Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33, 488 (2011)); the positivity check at each sample is one
-stacked eigvalsh over the blocks.  The series has real coefficients, so
-a Hermitized start stays exactly Hermitian: no sample is corrected.
+stacked eigvalsh over the blocks.
 
 The steady state is the null vector of L on the sector (half the unknowns
 with two parity blocks: a unique steady state is parity-symmetric (Albert &
@@ -78,10 +80,10 @@ class NoiseSpec:
     n_thermal: float = 0.0
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.n_thermal < 0:
-            raise ValueError("n_thermal must be >= 0")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and >= 0")
+        if not 0 <= self.n_thermal < math.inf:
+            raise ValueError("n_thermal must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,8 @@ class RateSet:
         object.__setattr__(self, "g_dephase", tuple(float(v) for v in self.g_dephase))
         if not len(self.g_relax) == len(self.g_excite) == len(self.g_dephase):
             raise ValueError("rate lists must have equal length")
-        if any(v < 0 for v in self.g_relax + self.g_excite + self.g_dephase):
-            raise ValueError("rates must be >= 0")
+        if not all(0 <= v < math.inf for v in self.g_relax + self.g_excite + self.g_dephase):
+            raise ValueError("rates must be finite and >= 0")
         if any(ge > gr + 1e-15 for gr, ge in zip(self.g_relax, self.g_excite)):
             raise ValueError("excitation rate may not exceed relaxation rate")
 
@@ -220,11 +222,6 @@ def _dissipator(rates: RateSet, stacked: np.ndarray) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, indices, indptr.astype(index)), shape=(size, size))
 
 
-def _as_pairs(x: np.ndarray) -> np.ndarray:
-    """A contiguous complex array as (real, imaginary) rows of a float64 view."""
-    return x.reshape(-1).view(np.float64).reshape(-1, 2)
-
-
 class LindbladGenerator:
     """The master-equation right-hand side on the sector of equal-size index blocks.
 
@@ -232,8 +229,8 @@ class LindbladGenerator:
     (:func:`qubitchain.chain.build_hamiltonian_eigen`; a dense d x d matrix
     is one block, ``[(np.arange(d), h)]``), and the diagonal blocks of rho
     over the same indices are kept.  A state is the stack of its diagonal
-    blocks, shaped `shape` = (len(h), m, m); with one block a d x d matrix
-    is accepted too.
+    blocks in real form, shaped `shape` = (len(h), m, m); with one block a
+    d x d matrix is accepted too.
     """
 
     def __init__(self, h: HamiltonianBlocks, rates: RateSet):
@@ -253,46 +250,37 @@ class LindbladGenerator:
             raise ValueError("blocks must be equal-size and partition the basis indices")
         self.shape = (n_blocks, m, m)
 
-        # Real H multiplies complex rho through a float64 view, so scipy
-        # never converts either operand.
         self._h_parts = [sparse.csr_matrix(require_real_symmetric(part)) for _, part in h]
         self._h = sparse.block_diag(self._h_parts, format="csr")
         self._dissipator = _dissipator(rates, stacked)
-        # nu >= ||L||, in the largest real or imaginary part of an entry:
-        # the commutator takes at most twice the row-sum norm of H (real H
-        # maps the real parts of rho to the imaginary ones and back), and
-        # the dissipator its own row-sum norm, read off without |D| since
-        # its diagonal is <= 0 and every other entry >= 0.
+        # nu >= ||L||, in the largest entry of R: the commutator takes at
+        # most twice the row-sum norm of H, and the dissipator its own
+        # row-sum norm, read off without |D| since its diagonal is <= 0 and
+        # every other entry >= 0.
         ones = np.ones(self._dissipator.shape[0])
         d_norm = (self._dissipator @ ones - 2.0 * self._dissipator.diagonal()).max()
         self.norm_bound = 2.0 * float(abs(self._h).sum(axis=1).max()) + float(d_norm)
 
-    def _times(self, h: sparse.csr_matrix, rho: np.ndarray) -> np.ndarray:
-        """Each block of the stack `rho` multiplied by its block of `h` from the left."""
-        rows = rho.reshape(-1, self.shape[-1])
-        return (h @ rows.view(np.float64)).view(complex).reshape(self.shape)
+    def _times(self, r: np.ndarray) -> np.ndarray:
+        """Each block of the real stack `r` multiplied by its block of H from the left."""
+        return (self._h @ r.reshape(-1, self.shape[-1])).reshape(self.shape)
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """drho/dt of a (not necessarily normalized) state, in the shape given.
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        """dR/dt = (H R)^T - H R^T + D R of a (not necessarily normalized)
+        state in real form (:func:`real_form`), in the shape given.
 
-        `rho` must be exactly Hermitian, block by block: the commutator is
-        read off the one product X = H rho as -i (X - X^dagger), since
-        rho H = X^dagger then.  The result is exactly Hermitian again (the
-        dissipator sums rho[j, i] in the order it sums rho[i, j]), so every
-        Taylor term and partial sum of :func:`stream`, built with real
-        coefficients from an exactly Hermitian start, stays so uncorrected.
+        A complex array is refused: it is not a state in real form.
         """
-        r = np.ascontiguousarray(rho, dtype=complex).reshape(self.shape)
-        x = self._times(self._h, r)
-        out = np.conjugate(x.transpose(0, 2, 1), order="C")
-        np.subtract(x, out, out=out)
-        del x
-        out *= -1j
-        _as_pairs(out)[...] += self._dissipator @ _as_pairs(r)
-        return out.reshape(rho.shape)
+        if np.iscomplexobj(r):
+            raise TypeError("apply takes a state in real form (real_form), not a complex array")
+        x = np.ascontiguousarray(r, dtype=float).reshape(self.shape)
+        out = self._times(np.ascontiguousarray(x.transpose(0, 2, 1)))
+        np.subtract(self._times(x).transpose(0, 2, 1), out, out=out)
+        out += (self._dissipator @ x.ravel()).reshape(self.shape)
+        return out.reshape(r.shape)
 
     def superoperator(self) -> sparse.csr_matrix:
-        """Sparse generator L on the row-major-vectorized stack: vec(apply(rho)) = L vec(rho).
+        """Sparse generator L on the row-major-vectorized stack of rho, which `apply` takes in real form.
 
         Kronecker form, using vec(A rho B) = (A kron B^T) vec(rho): the
         commutator -i (H_b kron I - I kron H_b^T) of each block, plus the
@@ -324,35 +312,44 @@ def couples_blocks(rho: np.ndarray, blocks: list[np.ndarray]) -> bool:
     return np.count_nonzero(rho) != sum(np.count_nonzero(rho[np.ix_(b, b)]) for b in blocks)
 
 
+def real_form(rho: np.ndarray) -> np.ndarray:
+    """R = A + B of the Hermitian part (rho + rho^dagger) / 2 = A + iB of `rho`, a matrix or a stack of them."""
+    h = rho + np.conj(np.swapaxes(rho, -1, -2))
+    return 0.5 * (h.real + h.imag)
+
+
+def density(r: np.ndarray) -> np.ndarray:
+    """rho = A + iB of the real form R = A + B, a matrix or a stack: exactly Hermitian for any real R."""
+    rt = np.swapaxes(r, -1, -2)
+    return 0.5 * (r + rt) + 0.5j * (r - rt)
+
+
 def _max_part(x: np.ndarray) -> float:
-    """The largest real or imaginary part of an entry of `x`, in absolute value, with no temporary."""
-    pairs = _as_pairs(x)
-    return float(max(pairs.max(), -pairs.min()))
+    """The largest entry of the real array `x`, in absolute value, with no temporary."""
+    return float(max(x.max(), -x.min()))
 
 
-def _propagate(gen: LindbladGenerator, rho: np.ndarray, delta: float) -> np.ndarray:
-    """exp(L delta) rho, as a Taylor series on s = ceil(nu delta) substeps of tau = delta / s.
+def _propagate(gen: LindbladGenerator, r: np.ndarray, delta: float) -> np.ndarray:
+    """exp(L delta) R of a state in real form, as a Taylor series on s = ceil(nu delta) substeps of tau = delta / s.
 
     Since ||tau L|| <= 1 (nu = :attr:`LindbladGenerator.norm_bound`), each
-    term (tau L)^k rho / k! bounds the rest of its series, so the terms
-    are added until one falls below 2^-53 of rho, in the largest real or
-    imaginary part of an entry.  Every term has a real coefficient, so a
-    sum from an exactly Hermitian rho is exactly Hermitian.
+    term (tau L)^k R / k! bounds the rest of its series, so the terms
+    are added until one falls below 2^-53 of R, in the largest entry.
     """
     substeps = max(1, math.ceil(gen.norm_bound * delta))
     tau = delta / substeps
     for _ in range(substeps):
-        floor = 2.0**-53 * _max_part(rho)
-        term, k = rho, 0
-        rho = rho.copy()
+        floor = 2.0**-53 * _max_part(r)
+        term, k = r, 0
+        r = r.copy()
         while True:
             k += 1
             term = gen.apply(term)
             term *= tau / k
-            rho += term
+            r += term
             if _max_part(term) <= floor:
                 break
-    return rho
+    return r
 
 
 def stream(
@@ -361,17 +358,17 @@ def stream(
     """Propagate the master equation on the sector of the blocks of `h`,
     yielding a snapshot at each of the ascending sample `times`.
 
-    `rho0` is the state at times[0], and it and every snapshot are stacks
-    of diagonal blocks (:func:`block_stack`; with one block of every index,
-    the d x d matrix under a leading axis of one).  Yields (t, rho, trace
-    drift) at each time.  From one sample to the next the state is
-    advanced by exp(L Delta) (:func:`_propagate`), with no step of its
-    own, so the samples at `times` do not depend on any later time.  Only
-    the current state, the next one and one Taylor term are held, and a
-    yielded array is never written to again.
-    The start is Hermitized ((rho + rho^dagger)/2 per block; a thermal one
-    comes from a GEMM), which keeps every snapshot exactly Hermitian
-    (:meth:`LindbladGenerator.apply`).  Snapshots are trace-renormalized;
+    `rho0` is the state at times[0] as a stack of diagonal blocks
+    (:func:`block_stack`; with one block of every index, the d x d matrix
+    under a leading axis of one).  Yields (t, R, trace drift) at each time,
+    R the snapshot's blocks in real form (:func:`density` gives rho).  From
+    one sample to the next the state is advanced by exp(L Delta)
+    (:func:`_propagate`), with no step of its own, so the samples at
+    `times` do not depend on any later time.  Only the current state, the
+    next one and one Taylor term are held, and a yielded array is never
+    written to again.
+    The start is Hermitized by :func:`real_form` (a thermal one comes from
+    a GEMM).  Snapshots are trace-renormalized;
     the drift corrected at each is yielded with it.  Cumulative trace drift
     beyond 1e-6 or a snapshot eigenvalue below -1e-6 (one stacked eigvalsh
     over the blocks) aborts with a diagnostic, since either indicates a
@@ -384,25 +381,22 @@ def stream(
     if not np.all(np.diff(times) > 0):
         raise ValueError("sample times must ascend strictly")
 
-    # Exactly Hermitian, as apply requires; a no-op on a start that already is.
-    rho = rho0.astype(complex)
-    rho += rho0.conj().transpose(0, 2, 1)
-    rho *= 0.5
+    r = real_form(rho0)
     del rho0
-    yield float(times[0]), rho, abs(_trace(rho) - 1.0)
+    yield float(times[0]), r, abs(_trace(r) - 1.0)
     cumulative_trace = 0.0
     for before, t in zip(times, times[1:]):
-        rho = _propagate(gen, rho, t - before)
-        tr = _trace(rho)
+        r = _propagate(gen, r, t - before)
+        tr = _trace(r)
         drift = abs(tr - 1.0)
         cumulative_trace += drift
         if cumulative_trace > _TRACE_ABORT:
             raise RuntimeError(f"cumulative trace drift {cumulative_trace:.3e} exceeds {_TRACE_ABORT} at t={t:.3f}")
-        rho /= tr
-        min_eig = float(np.linalg.eigvalsh(rho)[:, 0].min())
+        r /= tr
+        min_eig = float(np.linalg.eigvalsh(density(r))[:, 0].min())
         if min_eig < -_POSITIVITY_ABORT:
             raise RuntimeError(f"positivity violated (min eigenvalue {min_eig:.3e}) at t={t:.3f}")
-        yield float(t), rho, drift
+        yield float(t), r, drift
 
 
 def sample_grid(t_max: float, dt: float, sample_every: int) -> np.ndarray:
@@ -413,9 +407,9 @@ def sample_grid(t_max: float, dt: float, sample_every: int) -> np.ndarray:
     return np.array([k * dt for k in [*range(0, n_steps, sample_every), n_steps]])
 
 
-def _trace(rho: np.ndarray) -> float:
-    """Trace of the block-diagonal matrix whose diagonal blocks are stacked in `rho`."""
-    return float(np.trace(rho, axis1=-2, axis2=-1).sum().real)
+def _trace(r: np.ndarray) -> float:
+    """Trace of the block-diagonal matrix whose diagonal blocks are stacked in `r`."""
+    return float(np.trace(r, axis1=-2, axis2=-1).sum())
 
 
 def evolve(
@@ -432,15 +426,8 @@ def evolve(
     indices, parts = zip(*h)
     whole = block_matrix(parts, indices)
     samples = stream(rho0[None], [(np.arange(len(whole)), whole)], rates, sample_grid(t_max, dt, sample_every))
-    times, states, trace_drift = zip(*((t, rho[0], drift) for t, rho, drift in samples))
+    times, states, trace_drift = zip(*((t, density(r[0]), drift) for t, r, drift in samples))
     return Trajectory(np.asarray(times), list(states), np.asarray(trace_drift))
-
-
-def _sandwich(a: np.ndarray, y: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ y @ b for real stacks a, b and a complex stack y, in real products."""
-    out = np.empty(y.shape, dtype=complex)
-    out.real, out.imag = a @ y.real @ b, a @ y.imag @ b
-    return out
 
 
 def _secular_inverse(h: HamiltonianBlocks, gen: LindbladGenerator):
@@ -478,14 +465,14 @@ def _secular_inverse(h: HamiltonianBlocks, gen: LindbladGenerator):
     square, damping = v**2, gen._dissipator.diagonal().reshape(gen.shape)
     scale = -1j * (e[:, :, None] - e[:, None, :]) + square.transpose(0, 2, 1) @ damping @ square
     scale = 1.0 / np.where(scale == 0, 1.0, scale)  # a coherence that M keeps fixed passes unscaled
+    sigma, kappa = scale.real, scale.imag  # x_ab -> scale_ab x_ab, in real form
 
     def precondition(y):
-        t = _sandwich(vt, y, v)
-        diagonal = populations @ np.diagonal(t, axis1=1, axis2=2).real.ravel()
-        t *= scale
+        t = vt @ y @ v
+        diagonal = populations @ np.diagonal(t, axis1=1, axis2=2).ravel()
+        t = sigma * t + kappa * t.transpose(0, 2, 1)
         t.reshape(n_blocks, -1)[:, :: m + 1] = diagonal.reshape(n_blocks, m)
-        x = _sandwich(v, t, vt)
-        return 0.5 * (x + x.conj().transpose(0, 2, 1))
+        return v @ t @ vt
 
     return precondition, float(np.abs(pauli).sum(axis=0).max() * np.abs(populations).sum(axis=0).max())
 
@@ -493,14 +480,14 @@ def _secular_inverse(h: HamiltonianBlocks, gen: LindbladGenerator):
 def _gmres(operator, precondition, w: np.ndarray) -> tuple[np.ndarray, bool]:
     """x with ||w - A x|| <= _GMRES_RTOL ||w||, and whether it got there within _GMRES_MAX_ITERATIONS.
 
-    Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856 (1986)) on Hermitian
-    stacks, with the inner products of their float64 views, right-preconditioned by the fixed
-    M^-1 that `precondition` applies, so only the Krylov basis Q is stored: x = M^-1 (Q y).
+    Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856 (1986)) on states in
+    real form, whose Frobenius inner products are those of rho (A and B are orthogonal),
+    right-preconditioned by the fixed M^-1 that `precondition` applies, so only the Krylov
+    basis Q is stored: x = M^-1 (Q y).
     """
     target = _GMRES_RTOL * float(np.linalg.norm(w))
     x, iterations = np.zeros_like(w), 0
-    basis = np.empty((_RESTART + 1, w.size), dtype=complex)
-    real = basis.view(np.float64)
+    basis = np.empty((_RESTART + 1, w.size))
     while True:
         basis[0] = (w - operator(x)).ravel()
         beta = float(np.linalg.norm(basis[0]))
@@ -509,19 +496,19 @@ def _gmres(operator, precondition, w: np.ndarray) -> tuple[np.ndarray, bool]:
         basis[0] /= beta
         hess, g = np.zeros((_RESTART + 1, _RESTART)), beta * np.eye(_RESTART + 1)[0]
         for j in range(_RESTART):
-            q = operator(precondition(basis[j].reshape(w.shape))).view(np.float64).ravel()
+            q = operator(precondition(basis[j].reshape(w.shape))).ravel()
             for _ in range(2):  # classical Gram-Schmidt, twice
-                coefficients = real[: j + 1] @ q
-                q -= coefficients @ real[: j + 1]
+                coefficients = basis[: j + 1] @ q
+                q -= coefficients @ basis[: j + 1]
                 hess[: j + 1, j] += coefficients
             hess[j + 1, j] = np.linalg.norm(q)
-            real[j + 1] = q / (hess[j + 1, j] or 1.0)
+            basis[j + 1] = q / (hess[j + 1, j] or 1.0)
             y = np.linalg.lstsq(hess[: j + 2, : j + 1], g[: j + 2], rcond=None)[0]
             iterations += 1
             residual = np.linalg.norm(hess[: j + 2, : j + 1] @ y - g[: j + 2])
             if residual <= target or iterations >= _GMRES_MAX_ITERATIONS:
                 break
-        x += precondition((y @ real[: j + 1]).view(complex).reshape(w.shape))
+        x += precondition((y @ basis[: j + 1]).reshape(w.shape))
 
 
 def steady_state(h: HamiltonianBlocks, rates: RateSet, tol: float = 1e-8) -> SteadyStateResult:
@@ -529,9 +516,9 @@ def steady_state(h: HamiltonianBlocks, rates: RateSet, tol: float = 1e-8) -> Ste
 
     Solves L x + w tr x = w, w = I/d, whose solution is the steady state, on
     the stacked diagonal blocks of rho (the parity blocks of an epsilon_i = 0
-    chain halve the unknowns) by :func:`_gmres` with :func:`_secular_inverse`.
-    It is a sum of Hermitized preconditioner outputs, so exactly Hermitian;
-    it is trace-normalized, returned as the d x d matrix, and certified
+    chain halve the unknowns), in real form, by :func:`_gmres` with
+    :func:`_secular_inverse`.  It is trace-normalized, returned as the
+    d x d matrix (:func:`density`), and certified
     (converged=True) when GMRES stopped before its cap and
     ||drho/dt||_F / ||rho||_F < tol.
 
@@ -553,14 +540,14 @@ def steady_state(h: HamiltonianBlocks, rates: RateSet, tol: float = 1e-8) -> Ste
             f"bordered Pauli rate matrix has condition number {condition:.1e}; "
             "the steady state is not unique (does every site have a relaxation channel?)"
         )
-    w = block_stack(np.eye(2**rates.n_sites, dtype=complex) / 2**rates.n_sites, gen.blocks)
-    rho, reached = _gmres(lambda x: gen.apply(x) + _trace(x) * w, precondition, w)
-    rho /= _trace(rho)
-    min_eig = float(np.linalg.eigvalsh(rho)[:, 0].min())
+    w = block_stack(np.eye(2**rates.n_sites) / 2**rates.n_sites, gen.blocks)
+    r, reached = _gmres(lambda x: gen.apply(x) + _trace(x) * w, precondition, w)
+    r /= _trace(r)
+    min_eig = float(np.linalg.eigvalsh(density(r))[:, 0].min())
     if min_eig < -_POSITIVITY_ABORT:
         raise ValueError(
             f"steady-state solve returned a non-positive state (min eigenvalue {min_eig:.3e}); "
             "the steady state is likely not unique (does every site have a relaxation channel?)"
         )
-    residual = float(np.linalg.norm(gen.apply(rho))) / max(float(np.linalg.norm(rho)), 1e-300)
-    return SteadyStateResult(block_matrix(rho, gen.blocks), reached and residual < tol, 0.0, residual)
+    residual = float(np.linalg.norm(gen.apply(r))) / max(float(np.linalg.norm(r)), 1e-300)
+    return SteadyStateResult(block_matrix(density(r), gen.blocks), reached and residual < tol, 0.0, residual)

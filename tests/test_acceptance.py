@@ -22,7 +22,7 @@ from qubitchain.harness import (
     run_scenario,
     steady_state_scan,
 )
-from qubitchain.lindblad import sample_grid, stream
+from qubitchain.lindblad import density, sample_grid, stream
 from qubitchain.mps import (
     MixedTebdEngine,
     mps_from_product,
@@ -491,10 +491,10 @@ def test_criterion_10_conservation_suite():
         _, snapshots, trace_drift = zip(*stream(rho0, h, rates, times))
         if max(trace_drift) >= 1e-8:
             failures.append(f"{path.stem}: trace drift {max(trace_drift):.2e}")
-        herm_drift = max(float(np.abs(r - r.conj().transpose(0, 2, 1)).max()) for r in snapshots)
+        herm_drift = max(float(np.abs(density(r) - density(r).conj().transpose(0, 2, 1)).max()) for r in snapshots)
         if herm_drift >= 1e-12:
             failures.append(f"{path.stem}: hermiticity drift {herm_drift:.2e}")
-        min_eig = min(float(np.linalg.eigvalsh(r)[:, 0].min()) for r in snapshots)
+        min_eig = min(float(np.linalg.eigvalsh(density(r))[:, 0].min()) for r in snapshots)
         if min_eig < -1e-7:
             failures.append(f"{path.stem}: min eigenvalue {min_eig:.2e}")
 

@@ -232,7 +232,9 @@ class TestConfig:
             reloaded = ScenarioConfig.from_dict(changed.to_dict())
             assert reloaded == changed
             assert changed.effective_noise == reloaded.effective_noise != base.effective_noise
-            assert np.array_equal(run_scenario(changed).mean_series((1, 2)), run_scenario(reloaded).mean_series((1, 2)))
+            assert np.array_equal(
+                run_scenario(changed).stats.mean[(1, 2)]["e_n"], run_scenario(reloaded).stats.mean[(1, 2)]["e_n"]
+            )
         with pytest.raises(ConfigError, match="not both"):
             replace(base, noise=qc.NoiseSpec(0.01, 0.1))
 
@@ -241,7 +243,9 @@ class TestConfig:
         assert cfg.to_dict()["quench"] == {"k_ini": 0.0, "k_fin": 0.05}
         assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
         fresh = small_config(t_max=5.0, quench={"k_ini": 0.0, "k_fin": 0.05})
-        assert np.array_equal(run_scenario(cfg).mean_series((1, 2)), run_scenario(fresh).mean_series((1, 2)))
+        assert np.array_equal(
+            run_scenario(cfg).stats.mean[(1, 2)]["e_n"], run_scenario(fresh).stats.mean[(1, 2)]["e_n"]
+        )
 
     def test_mps_needs_two_sites(self):
         # The same one-site config runs on the exact solver.
@@ -354,7 +358,7 @@ class TestFirstMaximum:
         # grid at the sample t = 15, before the last step of 0.5.
         result = run_scenario(small_config(t_max=15.5, sample_every=60))
         assert result.times[-3:] == pytest.approx([12.0, 15.0, 15.5])
-        series = result.mean_series((1, 2))
+        series = result.stats.mean[(1, 2)]["e_n"]
         assert result.stats.first_max_values[(1, 2)][0] == series[-2] == series.max()
         assert result.stats.first_max_times[(1, 2)][0] == result.times[-2]
 
@@ -371,8 +375,8 @@ class TestRunScenario:
         slow = run_scenario(
             small_config(noise={"gamma": 1e-12, "n_thermal": 0.0}, name="integrator")
         )
-        a = fast.mean_series((1, 2))
-        b = slow.mean_series((1, 2))
+        a = fast.stats.mean[(1, 2)]["e_n"]
+        b = slow.stats.mean[(1, 2)]["e_n"]
         assert np.abs(a - b).max() < 1e-6
 
     def test_ensemble_stats_shape_and_determinism(self):
@@ -422,7 +426,7 @@ class TestRunScenario:
             t_max=5.0,
         )
         res = run_scenario(cfg)
-        assert np.isfinite(res.mean_series((1, 2))).all()
+        assert np.isfinite(res.stats.mean[(1, 2)]["e_n"]).all()
 
     def test_block_observables(self):
         cfg = small_config(
@@ -454,8 +458,8 @@ class TestPropagation:
         noisy_cfg["disorder"]["ensemble_size"] = 1
         noisy_cfg["t_max"] = 50.0
         noisy = run_scenario(ScenarioConfig.from_dict(noisy_cfg))
-        ideal_peak = ideal.mean_series((7, 8)).max()
-        noisy_max = noisy.mean_series((7, 8)).max()
+        ideal_peak = ideal.stats.mean[(7, 8)]["e_n"].max()
+        noisy_max = noisy.stats.mean[(7, 8)]["e_n"].max()
         assert ideal_peak > 0.1  # transfer does happen in the ideal chain
         assert noisy_max < ideal_peak
 

@@ -6,7 +6,7 @@ import pytest
 import qubitchain as qc
 from conftest import dense, random_density_matrix, random_pure_state, site_operator, unitary_propagate, whole
 from qubitchain.harness import propagate
-from qubitchain.lindblad import LindbladGenerator, block_matrix, block_stack, sample_grid, stream
+from qubitchain.lindblad import LindbladGenerator, block_matrix, block_stack, density, real_form, sample_grid, stream
 
 
 def sector_rates(n):
@@ -78,6 +78,34 @@ class TestRates:
             qc.RateSet((0.001,), (0.002,), (0.0,))
 
 
+NAN, INF = math.nan, math.inf
+NON_FINITE = {
+    "gamma_nan": lambda: qc.NoiseSpec(NAN, 0.0),
+    "gamma_inf": lambda: qc.NoiseSpec(INF, 0.0),
+    "n_thermal_nan": lambda: qc.NoiseSpec(0.01, NAN),
+    "n_thermal_inf": lambda: qc.NoiseSpec(0.01, INF),
+    "relax_nan": lambda: qc.RateSet((NAN,), (0.0,), (0.0,)),
+    "relax_inf": lambda: qc.RateSet((INF,), (0.0,), (0.0,)),
+    "excite_nan": lambda: qc.RateSet((0.01,), (NAN,), (0.0,)),
+    "dephase_nan": lambda: qc.RateSet((0.01,), (0.0,), (NAN,)),
+    "dephase_inf": lambda: qc.RateSet((0.01,), (0.0,), (INF,)),
+    "epsilon_inf": lambda: qc.ChainSpec(3, INF, 0.1, 0.02),
+    "epsilon_nan": lambda: qc.ChainSpec(3, (0.0, NAN, 0.0), 0.1, 0.02),
+    "delta_nan": lambda: qc.ChainSpec(3, 0.0, NAN, 0.02),
+    "delta_inf": lambda: qc.ChainSpec(3, 0.0, INF, 0.02),
+    "coupling_nan": lambda: qc.ChainSpec(3, 0.0, 0.1, (0.02, NAN)),
+    "coupling_minus_inf": lambda: qc.ChainSpec(3, 0.0, 0.1, -INF),
+    "energy_unit_nan": lambda: qc.ChainSpec(3, 0.0, 0.1, 0.02, NAN),
+    "energy_unit_inf": lambda: qc.ChainSpec(3, 0.0, 0.1, 0.02, INF),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_values_are_refused(case):
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE[case]()
+
+
 class TestNbar:
     def test_values_at_working_temperatures(self):
         assert qc.nbar_from_temperature(0.1, 0.041) == pytest.approx(0.1, rel=0.10)
@@ -106,7 +134,7 @@ class TestRhs:
         rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.02, 0.3))
         for _ in range(5):
             rho = random_density_matrix(rng, 8)
-            out = LindbladGenerator(h, rates).apply(rho)
+            out = density(LindbladGenerator(h, rates).apply(real_form(rho)))
             assert abs(np.trace(out)) < 1e-14
             assert np.abs(out - out.conj().T).max() < 1e-14
 
@@ -128,7 +156,7 @@ class TestRhs:
             expected += g * (2 * sp @ rho @ sm - rho @ sm @ sp - sm @ sp @ rho)
             expected += gt * (2 * sm @ rho @ sp - rho @ sp @ sm - sp @ sm @ rho)
             expected += gd * (2 * sz @ rho @ sz - 2 * rho)
-        out = LindbladGenerator(h, rates).apply(rho)
+        out = density(LindbladGenerator(h, rates).apply(real_form(rho)))
         assert np.abs(out - expected).max() < 1e-13
 
     def test_single_qubit_relaxation_closed_form(self):
@@ -149,24 +177,24 @@ class TestRhs:
         assert min(rates.g_relax + rates.g_excite + rates.g_dephase) > 0
         gen = LindbladGenerator(h, rates)
         rho = random_density_matrix(rng, 8)
-        assert np.abs(gen.superoperator() @ rho.ravel() - gen.apply(rho).ravel()).max() < 1e-14
+        assert np.abs(gen.superoperator() @ rho.ravel() - density(gen.apply(real_form(rho))).ravel()).max() < 1e-14
         # The two-block generator of an epsilon = 0 chain, on its sector.
         h = qc.build_hamiltonian_eigen(parity_chain(3))
         blocks = [b for b, _ in h]
         gen = LindbladGenerator(h, sector_rates(3))
         assert gen.shape == (2, 4, 4)
         rho = block_stack(random_density_matrix(rng, 8), blocks)
-        assert np.abs(gen.superoperator() @ rho.ravel() - gen.apply(rho).ravel()).max() < 1e-14
+        assert np.abs(gen.superoperator() @ rho.ravel() - density(gen.apply(real_form(rho))).ravel()).max() < 1e-14
 
     def test_hermitian_in_hermitian_out(self, rng):
-        # apply reads rho H as (H rho)^dagger: on an exactly Hermitian stack
-        # its result is exactly Hermitian and equals the Kronecker generator's.
+        # On the real form of an exactly Hermitian stack, apply's result is
+        # exactly Hermitian and equals the Kronecker generator's.
         h = qc.build_hamiltonian_eigen(parity_chain(4))
         rho = random_density_matrix(rng, 16)
         rho = 0.5 * (rho + rho.conj().T)
         for blocks_of_h, stack in ((h, block_stack(rho, [b for b, _ in h])), (whole(dense(h)), rho[None])):
             gen = LindbladGenerator(blocks_of_h, sector_rates(4))
-            out = gen.apply(stack)
+            out = density(gen.apply(real_form(stack)))
             assert np.array_equal(out, out.conj().transpose(0, 2, 1))
             assert np.abs(gen.superoperator() @ stack.ravel() - out.ravel()).max() < 1e-13
 
@@ -174,7 +202,7 @@ class TestRhs:
         spec = qc.ChainSpec.homogeneous(3)
         h = dense(qc.build_hamiltonian_eigen(spec))
         rho = random_density_matrix(rng, 8)
-        out = LindbladGenerator(whole(h), qc.RateSet.zero(3)).apply(rho)
+        out = density(LindbladGenerator(whole(h), qc.RateSet.zero(3)).apply(real_form(rho)))
         assert np.abs(out - (-1j) * (h @ rho - rho @ h)).max() < 1e-14
 
 
@@ -241,7 +269,7 @@ class TestEvolve:
         exact = [acc((1, 2, 3)).matrix[0] for _, acc in propagate(rho0, h, rates, 50.0, 2.0, 5)]
         assert [t for t, *_ in samples] == list(times) and len(exact) == len(times) == 6
         for (_, rho, _), want in zip(samples, exact):
-            assert np.abs(rho[0] - want).max() < 1e-12
+            assert np.abs(density(rho[0]) - want).max() < 1e-12
 
     def test_stream_matches_expm_multiply(self, rng):
         # scipy's action of the matrix exponential on the sector generator,
@@ -260,7 +288,7 @@ class TestEvolve:
         )
         for (t, rho, _), vec, t_want in zip(stream(rho0, h, rates, times), want, times):
             assert t == t_want
-            assert np.abs(rho.ravel() - vec).max() < 1e-12
+            assert np.abs(density(rho).ravel() - vec).max() < 1e-12
 
     def test_first_maximum_decreases_with_noise_strength(self):
         # 4-point Gamma grid at fixed thermal occupation.
@@ -307,7 +335,7 @@ class TestSteadyState:
         exact = qc.steady_state(h, rates, tol=1e-9)
         *_, (t, rho, _) = stream(rho0[None], whole(dense(h)), rates, sample_grid(400.0, 0.1, 4000))
         assert t == 400.0
-        assert np.abs(exact.state - rho[0]).max() < 1e-6
+        assert np.abs(exact.state - density(rho[0])).max() < 1e-6
 
     def test_requires_dissipation(self):
         spec = qc.ChainSpec.homogeneous(3)
@@ -366,9 +394,11 @@ class TestSteadyState:
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.05], ids=["sector", "one_block"])
 def test_dense_states_are_exactly_hermitian(rng, epsilon):
-    # Nothing re-Hermitizes a state after the start of stream, or the sum of
-    # preconditioner outputs that steady_state returns: the anti-Hermitian
-    # part of each is exactly zero, not merely small.
+    # A dense noisy state is held as the real matrix R = A + B of rho = A + iB,
+    # and density(R) is exactly Hermitian for any real R: for random stacks,
+    # for every stream snapshot and for the steady states.  real_form and
+    # density invert each other within a few ulps (R + R^T rounds, so not
+    # bit for bit).
     def anti_hermitian(x):
         return float(np.abs(x - np.conj(np.swapaxes(x, -1, -2))).max())
 
@@ -378,15 +408,17 @@ def test_dense_states_are_exactly_hermitian(rng, epsilon):
     blocks = [b for b, _ in h]
     assert len(blocks) == (2 if epsilon == 0 else 1)
     rates = sector_rates(n)  # G, Gt and g all nonzero
-    gen = LindbladGenerator(h, rates)
-    rho = random_density_matrix(rng, 2**n)
-    rho = 0.5 * (rho + rho.conj().T)
-    assert anti_hermitian(gen.apply(block_stack(rho, blocks))) == 0.0
+    r = rng.standard_normal((len(blocks), len(blocks[0]), len(blocks[0])))
+    assert anti_hermitian(density(r)) == 0.0
+    rho = block_stack(random_density_matrix(rng, 2**n), blocks)
+    ulps = 4 * np.finfo(float).eps
+    assert np.abs(real_form(density(r)) - r).max() <= ulps * np.abs(r).max()
+    assert np.abs(density(real_form(rho)) - rho).max() <= ulps * np.abs(rho).max()
 
     start = block_stack(random_block_diagonal(rng, blocks) + 1e-9j * rng.standard_normal((2**n, 2**n)), blocks)
     assert anti_hermitian(start) > 0.0
     for t, snapshot, _ in stream(start, h, rates, sample_grid(20.0, 0.5, 4)):
-        assert anti_hermitian(snapshot) == 0.0, t
+        assert anti_hermitian(density(snapshot)) == 0.0, t
     for noise in (qc.NoiseSpec(0.02, 0.0), qc.NoiseSpec(0.05, 0.3)):
         res = qc.steady_state(h, qc.rates_from_angles(qc.mixing_angles(chain), noise))
         assert res.converged and anti_hermitian(res.state) == 0.0
@@ -407,7 +439,7 @@ class TestSectors:
             assert np.abs(gen.superoperator().toarray() - full[np.ix_(sector, sector)]).max() < 1e-14
             rho = random_block_diagonal(rng, blocks)
             want = full @ rho.ravel()
-            assert np.abs(gen.apply(block_stack(rho, blocks)).ravel() - want[sector]).max() < 1e-14
+            assert np.abs(density(gen.apply(real_form(block_stack(rho, blocks)))).ravel() - want[sector]).max() < 1e-14
             # Weak parity symmetry: nothing leaks out of the sector (the
             # 1e-18 parity-odd entries of H are not built).
             outside = np.setdiff1d(np.arange(4**n), sector)

@@ -3,7 +3,7 @@ import pytest
 
 import qubitchain as qc
 from conftest import dense, mps_to_dense, whole
-from qubitchain.lindblad import LindbladGenerator
+from qubitchain.lindblad import LindbladGenerator, density, real_form
 from qubitchain.mps import (
     MixedTebdEngine,
     MpsMixedState,
@@ -383,7 +383,7 @@ class TestSteps:
         rates = qc.rates_from_angles(qc.mixing_angles(spec), qc.NoiseSpec(0.015, 0.2))
         gen = LindbladGenerator(whole(dense(qc.build_hamiltonian_eigen(spec))), rates)
         strings = [_dense_from_coefficients(e, 3) for e in np.eye(64)]
-        expected = np.array([[np.vdot(p, gen.apply(q)) for q in strings] for p in strings])
+        expected = np.array([[np.vdot(p, density(gen.apply(real_form(q)))) for q in strings] for p in strings])
         first, second = bond_generators(spec, rates)
         total = np.kron(first, np.eye(4)) + np.kron(np.eye(4), second)
         assert first.dtype == second.dtype == np.float64
