@@ -23,7 +23,8 @@ Config schema (schema_version 1); "= x" marks an optional key and its default::
       "disorder": {"fraction": 0.05, "targets": ["delta", "coupling"],
                    "ensemble_size": 1000},   # optional; ensemble_size = 1
       "solver": {"kind": "exact"},           # = exact; mps: "bond_dim" = 60
-      "t_max": 50.0, "dt": 0.01, "sample_every": 25,   # samples every 25 dt; mps steps at dt
+      "t_max": 50.0, "dt": 0.01, "sample_every": 25,   # samples every 25 dt and at t_max, a whole
+                                             # number of dt; mps steps at dt
       "observables": {"pairs": [[1, 2], [1, 8]], "blocks": [],   # = []
                       "measures": ["e_n", "c2", "c2_opt"],       # = ["e_n"]
                       "frozen_axes": false},                     # = false
@@ -40,7 +41,7 @@ Scan schema (schema_version 1), for :func:`steady_state_scan`::
       "coupling_ratios": [0.25, 1.5],        # each sets every bond to ratio x delta_1; distinct
       "gammas": [0.0, 0.001, 0.01, 0.1], "n_thermal": 0.1,   # gammas strictly ascending
       "pair": [1, 2], "tol": 1e-8,           # = [1, 2] and 1e-8 (certified residual)
-      "transient_t_max": 40.0                # = 40.0 (a cap)
+      "transient_t_max": 40.0                # = 40.0 (a cap, a multiple of 0.5)
     }
 
 Each point's transient is sampled every 0.5 and stops at its first maximum
@@ -58,7 +59,7 @@ import math
 import os
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -114,6 +115,14 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent scenario configs."""
 
 
+def _check_grid(key: str, t_max: float, dt: float) -> None:
+    """Refuse a `t_max` that :func:`sample_grid` would not end at."""
+    try:
+        sample_grid(t_max, dt, 1)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 # Peak working set of one exact-solver member.  Measured peak RSS above
 # that of an N = 4 run.  With noise, in real arrays the size of the
 # propagated sector (d^2/2 entries with two parity blocks, d^2 with one;
@@ -121,13 +130,14 @@ class ConfigError(ValueError):
 # 18.9/20.0 from a product state and 20.5/19.6 from a thermal one with two
 # blocks, and 22.0/20.1 and 20.5/19.5 with one.  Of these, the sparse
 # dissipator is 9.5 at N = 10 and grows by 0.75 per site.
-# Without noise, in complex d x d arrays, at N = 9..11: 3.8/3.8/4.0 for a
-# state vector over a full chunk of d samples with pairs (1, 2) and (1, N)
-# (real H, half-size block eigh, the chunk of amplitudes and its reduction);
+# Without noise, in complex d x d arrays, at N = 9..11: 4.1/4.0/4.3 with
+# two blocks and 4.6/4.5/4.0 with one for a state vector over a full chunk
+# of d samples with pairs (1, 2) and (1, N) (real H and its scaled copy for
+# the Chebyshev recurrence, the chunk of amplitudes and its reduction);
 # 5.1/5.0/4.6 for a thermal state (its preparation, the eigenbasis blocks
 # and one sample).  Each count below leaves at least one spare; with noise
 # 3.0 at N = 9 and, by the dissipator's growth, about 2 at N = 14.
-_NOISY_ARRAYS, _PURE_ARRAYS, _MIXED_ARRAYS = 25, 5, 6
+_NOISY_ARRAYS, _PURE_ARRAYS, _MIXED_ARRAYS = 25, 6, 6
 # A scan point with noise, in real sector arrays, set by its steady-state
 # solve: 66.0/58.0/58.9 at N = 8/9/10 (two blocks), of which the GMRES
 # Krylov basis holds 31, the inverse Pauli rate matrix 2, the coherence
@@ -141,8 +151,8 @@ def exact_member_bytes(n_qubits: int, noisy: bool, pure: bool = True, sectors: i
     """Estimated peak bytes of one exact-solver member: the Taylor
     propagator (:func:`qubitchain.lindblad.stream`) on the density matrix's
     `sectors` parity blocks (2 when every epsilon_i = 0) if `noisy`, else a
-    state vector (`pure`) or density matrix propagated in the eigenbasis of
-    each parity block of H."""
+    state vector (`pure`) propagated by the Chebyshev series of each parity
+    block of H, or a density matrix propagated in their eigenbases."""
     if noisy:
         return _NOISY_ARRAYS * 8 * 4**n_qubits // sectors
     return (_PURE_ARRAYS if pure else _MIXED_ARRAYS) * 16 * 4**n_qubits
@@ -312,6 +322,7 @@ class ScenarioConfig:
             raise ConfigError(f"initial_state must be one of {INITIAL_STATES}")
         if not 0 < self.dt <= self.t_max < math.inf or self.sample_every < 1:
             raise ConfigError("t_max, dt must be finite with 0 < dt <= t_max, and sample_every >= 1")
+        _check_grid("t_max", self.t_max, self.dt)
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         n = self.chain.n_qubits
@@ -508,12 +519,14 @@ def propagate(
     nonzero entry between two blocks runs as one block of every index
     instead.
 
-    Without noise the state is propagated exactly in the eigenbasis of each
-    diagonal block of `h`.  A block whose component of `state0` is exactly
-    zero is skipped.  A state vector is served up to 2^N samples per block,
-    one GEMM per diagonal block.  A density matrix is served one sample per
-    block, as its stacked diagonal blocks like the noisy path's, with the same
-    fallback to one block.
+    Without noise, a block whose component of `state0` is exactly zero is
+    skipped.  A state vector is propagated by a Chebyshev expansion of
+    exp(-iHt) on each diagonal block of `h`, accurate to roundoff, which
+    takes products of the block with vectors and no eigendecomposition; it
+    is served up to 2^N samples per block.  A density matrix is propagated
+    exactly in the eigenbasis of each diagonal block and served one sample
+    per block, as its stacked diagonal blocks like the noisy path's, with
+    the same fallback to one block.
     """
     if engine is not None and engine.dt != dt:
         raise ValueError(f"the engine steps at dt = {engine.dt}, the sample grid at dt = {dt}")
@@ -559,7 +572,12 @@ def _mps_sample(state: MpsMixedState, sites) -> ReducedState:
 def _propagate_unitary(
     state0: np.ndarray, h: HamiltonianBlocks, times: np.ndarray
 ) -> Iterator[tuple[np.ndarray, Accessor]]:
-    """The noiseless branch of :func:`propagate`: exact phases in each block's real eigenbasis."""
+    """The noiseless branch of :func:`propagate`.
+
+    A state vector runs by the Chebyshev series of exp(-iHt) on each block
+    (:func:`_chebyshev_propagate`); a density matrix by exact phases in
+    each block's real eigenbasis.
+    """
     d = len(state0)
     mixed = state0.ndim == 2
     if mixed:
@@ -567,18 +585,29 @@ def _propagate_unitary(
     blocks = [b for b, _ in h]
     h_parts = [require_real_symmetric(part) for _, part in h]
     parts = state0 if mixed else [state0[b] for b in blocks]
-    # A block that state0 does not reach (no nonzero entry) is never diagonalized.
-    eig = [(k, *np.linalg.eigh(part)) for k, part in enumerate(h_parts) if parts[k].any()]
+    # A block that state0 does not reach (no nonzero entry) is never propagated.
+    reached = [k for k in range(len(h)) if parts[k].any()]
     if not mixed:
-        coeffs = [(blocks[k], e, v, v.T @ parts[k]) for k, e, v in eig]
+        scaled = {k: _chebyshev_block(h_parts[k]) for k in reached}
+        # One block of every index in order is written straight into the amplitudes.
+        in_place = len(h) == 1 and np.array_equal(blocks[0], np.arange(d))
+        t0 = times[0]
         # At most d samples at once: the amplitudes never outgrow one d x d array.
         for start in range(0, len(times), d):
             ts = times[start : start + d]
             psi = np.zeros((len(ts), d), dtype=complex)
-            for b, e, v, c in coeffs:
-                psi[:, b] = (np.exp(-1j * np.outer(ts, e)) * c) @ v.T
+            # A flat index writes a block's columns several times faster than psi[:, b].
+            rows = np.arange(len(ts))[:, None] * d
+            for k in reached:
+                out = psi if in_place else np.empty((len(ts), len(blocks[k])), dtype=complex)
+                _chebyshev_propagate(scaled[k], parts[k], t0, ts, out)
+                if not in_place:
+                    psi.reshape(-1)[rows + blocks[k]] = out
+                parts[k] = out[-1].copy()  # a copy lets this chunk's arrays go
+            t0 = ts[-1]
             yield ts, partial(reduce_statevector, psi)
     else:
+        eig = [(k, *np.linalg.eigh(h_parts[k])) for k in reached]
         coeffs = [(k, e, v, v.T @ parts[k] @ v) for k, e, v in eig]
         for i, t in enumerate(times):
             rho = np.zeros(parts.shape, dtype=complex)
@@ -586,6 +615,107 @@ def _propagate_unitary(
                 phase = np.exp(-1j * e * t)
                 rho[k] = v @ (phase[:, None] * r * phase.conj()) @ v.T
             yield times[i : i + 1], partial(reduce_blocks, rho[None], blocks)
+
+
+# Each Chebyshev window spans a * tau <= _CHEBYSHEV_SPAN, a being the
+# half-width of the block's spectral interval.  Longer windows take fewer
+# terms per unit time (55 for 20, 84 for 40) but a larger coefficient
+# matrix: 20 and 40 ran alike at N = 8, and 40 a quarter faster at N = 11.
+_CHEBYSHEV_SPAN = 40.0
+# Terms past the 2^-53 bound on the first dropped coefficient.  The
+# interpolant's error is about twice the dropped tail, and each further term
+# shrinks the bound by x / 2k <= 1/2.
+_CHEBYSHEV_MARGIN = 2
+
+
+def _chebyshev_block(part: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(H2, c, a) of a real symmetric block H: its Gershgorin interval
+    [c - a, c + a] and H2 = 2 (H - c) / a, which the recurrence multiplies by."""
+    diag = np.diag(part)
+    radius = np.abs(part).sum(axis=1) - np.abs(diag)
+    lo, hi = float((diag - radius).min()), float((diag + radius).max())
+    centre, half = (hi + lo) / 2, (hi - lo) / 2
+    if half == 0:  # H = c I: a phase alone
+        return part, centre, 0.0
+    return (part - centre * np.eye(len(part))) * (2 / half), centre, half
+
+
+def _chebyshev_terms(x: float) -> int:
+    """Least k >= x with (x/2)^k / k! < 2^-53, which bounds the k-th Chebyshev
+    coefficient |J_k(x)| of exp(-ix y) on [-1, 1], plus the margin."""
+    k, tail = 0, 1.0
+    while k < x or tail >= 2.0**-53:
+        k += 1
+        tail *= x / (2 * k)
+    return k + _CHEBYSHEV_MARGIN
+
+
+@lru_cache(maxsize=None)
+def _chebyshev_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k Chebyshev nodes y_j = cos(theta_j), theta_j = pi (j + 1/2) / k,
+    and the k x k matrix that maps values at them to the coefficients of
+    their interpolant in T_0 .. T_{k-1}."""
+    theta = np.pi * (np.arange(k) + 0.5) / k
+    to_coef = np.cos(np.outer(theta, np.arange(k))) * (2.0 / k)
+    to_coef[:, 0] /= 2
+    return np.cos(theta), to_coef
+
+
+def _chebyshev_propagate(block, psi0: np.ndarray, t0: float, times: np.ndarray, out: np.ndarray) -> None:
+    """Write exp(-iH (t - t0)) psi0 into `out`, one row for each of the ascending `times` >= t0.
+
+    `block` is :func:`_chebyshev_block` of H.  The span is cut into windows
+    of a * tau <= _CHEBYSHEV_SPAN; each window expands exp(-iH s) in
+    Chebyshev polynomials of H (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+    (1984)) from the amplitude at its start, the last time of the window
+    before, so only products of H with vectors are taken.
+    """
+    h2, centre, half = block
+    if half == 0:
+        np.multiply(np.exp(-1j * centre * (times - t0))[:, None], psi0, out=out)
+        return
+    done = 0
+    while done < len(times):
+        end = t0 + _CHEBYSHEV_SPAN / half
+        stop = int(np.searchsorted(times, end, side="right"))
+        if stop == done:  # a window that reaches no sample: carry the amplitude across it
+            psi0, t0 = _chebyshev_window(block, psi0, np.array([end - t0]))[0], end
+        else:
+            _chebyshev_window(block, psi0, times[done:stop] - t0, out[done:stop])
+            done, t0, psi0 = stop, times[stop - 1], out[stop - 1]
+
+
+def _chebyshev_window(block, psi0: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(-iH s) psi0 at the offsets `s`, one row each, from one Chebyshev series, into `out` if given.
+
+    The vectors phi_k = T_k((H - c) / a) psi0 come from the three-term
+    recurrence phi_{k+1} = H2 phi_k - phi_{k-1}, a real GEMM with the real
+    and imaginary parts of phi_k as its columns (a real start has no
+    imaginary column).  The series is that of the interpolant of
+    exp(-i lambda s) at the Chebyshev nodes lambda_j = c + a y_j, so it sums
+    the phases at the nodes times g_j = p_j(H) psi0, p_j being the cardinal
+    polynomial of node j: real GEMMs only.
+    """
+    h2, centre, half = block
+    nodes, to_coef = _chebyshev_nodes(_chebyshev_terms(half * s[-1]))
+    complex_start = np.iscomplexobj(psi0) and psi0.imag.any()
+    phi = np.empty((len(nodes), len(psi0), 2 if complex_start else 1))
+    phi[0] = np.stack([psi0.real, psi0.imag], axis=1) if complex_start else psi0.real[:, None]
+    np.matmul(h2, phi[0], out=phi[1])
+    phi[1] *= 0.5
+    for k in range(2, len(nodes)):
+        np.matmul(h2, phi[k - 1], out=phi[k])
+        phi[k] -= phi[k - 2]
+    g = to_coef @ phi.reshape(len(nodes), -1)
+    angle = np.outer(s, half * nodes + centre)
+    # exp(-i angle) g, with g = g_re + i g_im split over the last axis
+    shape = (len(s), *phi.shape[1:])
+    re, im = (np.cos(angle) @ g).reshape(shape), (np.sin(angle) @ g).reshape(shape)
+    if out is None:
+        out = np.empty((len(s), len(psi0)), dtype=complex)
+    out.real = re[..., 0] + im[..., 1] if complex_start else re[..., 0]
+    out.imag = re[..., 1] - im[..., 0] if complex_start else -im[..., 0]
+    return out
 
 
 def _run_member(config: ScenarioConfig, member: int):
@@ -717,6 +847,9 @@ def _frozen_axes(times, pair_series, correlations, flags: list[str]):
     return series, info
 
 
+# The sample spacing of each scan point's transient.
+_TRANSIENT_DT = 0.5
+
 _SCAN = {
     "schema_version": _schema_version,
     "name": str,
@@ -756,6 +889,7 @@ class ScanConfig:
         for key in ("tol", "transient_t_max"):
             if not 0 < getattr(self, key) < math.inf:
                 raise ConfigError(f"{key} must be finite and > 0")
+        _check_grid("transient_t_max", self.transient_t_max, _TRANSIENT_DT)
         if not all(g >= 0 for g in self.gammas) or not self.n_thermal >= 0:
             raise ConfigError("every gamma and n_thermal must be >= 0")
         if any(a >= b for a, b in zip(self.gammas, self.gammas[1:])):
@@ -854,7 +988,7 @@ def steady_state_scan(config: ScanConfig) -> ScanResult:
         for gamma in config.gammas:
             noise = NoiseSpec(gamma, config.n_thermal)
             rates = rates_from_angles(angles, noise)
-            samples = propagate(rho0_vec, h, rates, config.transient_t_max, 0.5, 1)
+            samples = propagate(rho0_vec, h, rates, config.transient_t_max, _TRANSIENT_DT, 1)
             fm = _first_max_value((ts, log_negativity(acc(config.pair), part)) for ts, acc in samples)
             if gamma == 0.0 or rates.is_zero():
                 points.append(ScanPoint(ratio, gamma, math.nan, False, math.nan, fm, False))

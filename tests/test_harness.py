@@ -183,6 +183,7 @@ class TestConfig:
             {"initial_temperature_mk": math.inf},
             {"noise": {"gamma": 0.01, "temperature_mk": 0.0}},  # would fail at run time
             {"noise": {"gamma": 0.01, "temperature_mk": -22.0}},
+            {"t_max": 10.02},  # not a whole number of steps: the grid would stop at 10.0
         ],
     )
     def test_load_refuses_what_a_run_fails_on_or_misreads(self, override):
@@ -285,6 +286,7 @@ class TestConfig:
             ({"coupling_ratios": [0.5, 0.5]}, "coupling_ratios must be distinct"),
             ({"transient_t_max": math.inf}, "transient_t_max"),  # would overflow at run time
             ({"tol": math.inf}, "tol"),  # would certify every point
+            ({"transient_t_max": 20.2}, "whole number of steps"),  # the 0.5 grid would stop at 20.0
         ],
     )
     def test_scan_rejects_out_of_range_values(self, override, match):
@@ -570,8 +572,10 @@ class TestNoiselessBlocks:
         grazed[1] = 1e-20  # odd-sector roundoff, as in a full-eigh ground state
         coherent = np.zeros(32, dtype=complex)
         coherent[[0, 16]] = 1 / np.sqrt(2)  # (|00000> + |10000>)/sqrt(2)
-        eigh, sizes = np.linalg.eigh, []
+        # A state vector's blocks go to the Chebyshev kernel, a density matrix's to eigh.
+        eigh, chebyshev, sizes = np.linalg.eigh, qc.harness._chebyshev_block, []
         monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
+        monkeypatch.setattr(qc.harness, "_chebyshev_block", lambda m: sizes.append(len(m)) or chebyshev(m))
         for state0, expected in [
             (qc.eigenbasis_product(5), [16]),
             (qc.eigenbasis_bell_head(5), [16]),
@@ -611,6 +615,74 @@ class TestNoiselessBlocks:
                 for p in cfg.observables.pairs:
                     want = [qc.pair_log_negativity(unitary_propagate(rho0, h, t), *p) for t in res.times]
                     assert np.abs(res.member_series(p)[m] - want).max() < 1e-12, (targets, m, p)
+
+
+class TestChebyshevKernel:
+    """State vectors propagated by the Chebyshev kernel against the dense expm oracle.
+
+    Each sample's whole state |psi><psi| must match at 1e-12, across the
+    kernel's windows of a * tau <= _CHEBYSHEV_SPAN and the chunks of at
+    most 2^N samples, each of which starts from the amplitude the one
+    before ended at.
+    """
+
+    def check(self, state0, h, t_max, dt, every=1):
+        sites = tuple(range(1, int(np.log2(len(state0))) + 1))
+        got_times, got = [], []
+        for ts, acc in propagate(state0, h, qc.RateSet.zero(len(sites)), t_max, dt, every):
+            got_times.extend(ts)
+            got.extend(acc(sites).matrix)
+        assert np.array_equal(got_times, sample_grid(t_max, dt, every))
+        rho0 = qc.density_from_pure(state0)
+        for t, rho in zip(got_times, got):
+            assert np.abs(rho - unitary_propagate(rho0, h, t)).max() < 1e-12, t
+
+    def test_long_times_span_several_windows(self):
+        h = qc.build_hamiltonian_eigen(qc.ChainSpec(4, 0.0, 0.2, 0.05))
+        for _, part in h:
+            assert qc.harness._chebyshev_block(part)[2] * 300.0 > 2 * qc.harness._CHEBYSHEV_SPAN
+        self.check(qc.eigenbasis_product(4), h, 300.0, 2.5)
+        self.check(qc.eigenbasis_product(4), h, 300.0, 150.0)  # windows that reach no sample
+
+    def test_many_chunks_at_n4(self):
+        h = qc.build_hamiltonian_eigen(qc.ChainSpec(4, 0.0, 0.1, (0.02, 0.03, 0.025)))
+        assert len(sample_grid(30.0, 0.1, 1)) > 15 * 2**4
+        self.check(qc.eigenbasis_product(4), h, 30.0, 0.1)
+
+    def test_complex_starts(self):
+        chain = qc.ChainSpec(4, 0.0, 0.1, 0.025)
+        h = qc.build_hamiltonian_eigen(chain)
+        ground = qc.ground_state(qc.build_hamiltonian_eigen(chain.with_coupling(0.001))).vector
+        bell = qc.eigenbasis_bell_head(4)
+        # A complex array, a real one, and a start with both parts nonzero.
+        mixed_phase = (bell + 1j * qc.eigenbasis_product(4)) / np.sqrt(2.0)
+        for state0 in (bell, ground, mixed_phase):
+            self.check(state0, h, 120.0, 1.0)
+
+    def test_biased_one_block_chain(self):
+        chain = qc.ChainSpec(4, (0.02, -0.01, 0.03, 0.01), 0.1, 0.025)
+        h = qc.build_hamiltonian_eigen(chain)
+        assert len(h) == 1
+        for state0 in (qc.eigenbasis_product(4), qc.eigenbasis_bell_head(4)):
+            self.check(state0, h, 120.0, 1.0)
+
+    def test_blocks_proportional_to_identity_and_of_one_index(self, rng):
+        generic = rng.standard_normal((5, 5))
+        h = [
+            (np.array([0]), np.array([[0.2]])),
+            (np.array([1, 2]), 0.5 * np.eye(2)),
+            (np.arange(3, 8), 0.1 * (generic + generic.T)),
+        ]
+        for _, part in h[:2]:
+            assert qc.harness._chebyshev_block(part)[2] == 0
+        psi0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        self.check(psi0 / np.linalg.norm(psi0), h, 60.0, 0.5)
+
+    def test_grid_with_a_short_last_interval(self):
+        h = qc.build_hamiltonian_eigen(qc.ChainSpec(4, 0.0, 0.1, 0.025))
+        times = sample_grid(50.0, 0.5, 7)
+        assert times[-1] - times[-2] < times[1] - times[0]
+        self.check(qc.eigenbasis_bell_head(4), h, 50.0, 0.5, 7)
 
 
 class TestNoisyBlocks:

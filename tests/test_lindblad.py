@@ -106,6 +106,12 @@ def test_non_finite_values_are_refused(case):
         NON_FINITE[case]()
 
 
+@pytest.mark.parametrize("t_max, dt", [(1.0, 0.6), (1.0, 0.4)])  # would end at 1.2 and at 0.8
+def test_sample_grid_refuses_a_t_max_off_its_steps(t_max, dt):
+    with pytest.raises(ValueError, match="whole number of steps"):
+        sample_grid(t_max, dt, 1)
+
+
 class TestNbar:
     def test_values_at_working_temperatures(self):
         assert qc.nbar_from_temperature(0.1, 0.041) == pytest.approx(0.1, rel=0.10)
