@@ -81,6 +81,7 @@ from .lindblad import (
     couples_blocks,
     block_matrix,
     density,
+    grid_steps,
     nbar_from_temperature,
     rates_from_angles,
     sample_grid,
@@ -118,7 +119,7 @@ class ConfigError(ValueError):
 def _check_grid(key: str, t_max: float, dt: float) -> None:
     """Refuse a `t_max` that :func:`sample_grid` would not end at."""
     try:
-        sample_grid(t_max, dt, 1)
+        grid_steps(t_max, dt)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
@@ -130,10 +131,11 @@ def _check_grid(key: str, t_max: float, dt: float) -> None:
 # 18.9/20.0 from a product state and 20.5/19.6 from a thermal one with two
 # blocks, and 22.0/20.1 and 20.5/19.5 with one.  Of these, the sparse
 # dissipator is 9.5 at N = 10 and grows by 0.75 per site.
-# Without noise, in complex d x d arrays, at N = 9..11: 4.1/4.0/4.3 with
+# Without noise, in complex d x d arrays, at N = 9..11: 3.6/3.5/3.5 with
 # two blocks and 4.6/4.5/4.0 with one for a state vector over a full chunk
 # of d samples with pairs (1, 2) and (1, N) (real H and its scaled copy for
-# the Chebyshev recurrence, the chunk of amplitudes and its reduction);
+# the Chebyshev recurrence, the chunk of amplitudes, one block's amplitudes
+# before they are scattered into it, and its reduction);
 # 5.1/5.0/4.6 for a thermal state (its preparation, the eigenbasis blocks
 # and one sample).  Each count below leaves at least one spare; with noise
 # 3.0 at N = 9 and, by the dissipator's growth, about 2 at N = 14.
@@ -589,21 +591,14 @@ def _propagate_unitary(
     reached = [k for k in range(len(h)) if parts[k].any()]
     if not mixed:
         scaled = {k: _chebyshev_block(h_parts[k]) for k in reached}
-        # One block of every index in order is written straight into the amplitudes.
-        in_place = len(h) == 1 and np.array_equal(blocks[0], np.arange(d))
         t0 = times[0]
         # At most d samples at once: the amplitudes never outgrow one d x d array.
         for start in range(0, len(times), d):
             ts = times[start : start + d]
             psi = np.zeros((len(ts), d), dtype=complex)
-            # A flat index writes a block's columns several times faster than psi[:, b].
-            rows = np.arange(len(ts))[:, None] * d
             for k in reached:
-                out = psi if in_place else np.empty((len(ts), len(blocks[k])), dtype=complex)
-                _chebyshev_propagate(scaled[k], parts[k], t0, ts, out)
-                if not in_place:
-                    psi.reshape(-1)[rows + blocks[k]] = out
-                parts[k] = out[-1].copy()  # a copy lets this chunk's arrays go
+                psi[:, blocks[k]] = _chebyshev_propagate(scaled[k], parts[k], t0, ts)
+                parts[k] = psi[-1, blocks[k]]
             t0 = ts[-1]
             yield ts, partial(reduce_statevector, psi)
     else:
@@ -661,8 +656,8 @@ def _chebyshev_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(theta), to_coef
 
 
-def _chebyshev_propagate(block, psi0: np.ndarray, t0: float, times: np.ndarray, out: np.ndarray) -> None:
-    """Write exp(-iH (t - t0)) psi0 into `out`, one row for each of the ascending `times` >= t0.
+def _chebyshev_propagate(block, psi0: np.ndarray, t0: float, times: np.ndarray) -> np.ndarray:
+    """exp(-iH (t - t0)) psi0, one row for each of the ascending `times` >= t0.
 
     `block` is :func:`_chebyshev_block` of H.  The span is cut into windows
     of a * tau <= _CHEBYSHEV_SPAN; each window expands exp(-iH s) in
@@ -672,8 +667,8 @@ def _chebyshev_propagate(block, psi0: np.ndarray, t0: float, times: np.ndarray, 
     """
     h2, centre, half = block
     if half == 0:
-        np.multiply(np.exp(-1j * centre * (times - t0))[:, None], psi0, out=out)
-        return
+        return np.exp(-1j * centre * (times - t0))[:, None] * psi0
+    out = np.empty((len(times), len(psi0)), dtype=complex)
     done = 0
     while done < len(times):
         end = t0 + _CHEBYSHEV_SPAN / half
@@ -683,6 +678,7 @@ def _chebyshev_propagate(block, psi0: np.ndarray, t0: float, times: np.ndarray, 
         else:
             _chebyshev_window(block, psi0, times[done:stop] - t0, out[done:stop])
             done, t0, psi0 = stop, times[stop - 1], out[stop - 1]
+    return out
 
 
 def _chebyshev_window(block, psi0: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -399,17 +399,24 @@ def stream(
         yield float(t), r, drift
 
 
-def sample_grid(t_max: float, dt: float, sample_every: int) -> np.ndarray:
-    """Sample times of every propagation path: every sample_every steps of dt, and the last step.
-
-    The last step ends at t_max, which must be a whole number of steps dt
-    (within 1e-9 relative).
-    """
-    if dt <= 0 or sample_every < 1:
-        raise ValueError("dt must be > 0 and sample_every >= 1")
+def grid_steps(t_max: float, dt: float) -> int:
+    """Number of steps dt to t_max, which must be a whole number of them (within 1e-9 relative)."""
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
     n_steps = int(round(t_max / dt))
     if abs(n_steps * dt - t_max) > 1e-9 * t_max:
         raise ValueError(f"t_max = {t_max} is not a whole number of steps dt = {dt}")
+    return n_steps
+
+
+def sample_grid(t_max: float, dt: float, sample_every: int) -> np.ndarray:
+    """Sample times of every propagation path: every sample_every steps of dt, and the last step.
+
+    The last step ends at t_max (see :func:`grid_steps`).
+    """
+    if sample_every < 1:
+        raise ValueError("sample_every must be >= 1")
+    n_steps = grid_steps(t_max, dt)
     return np.array([k * dt for k in [*range(0, n_steps, sample_every), n_steps]])
 
 

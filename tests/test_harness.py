@@ -184,12 +184,19 @@ class TestConfig:
             {"noise": {"gamma": 0.01, "temperature_mk": 0.0}},  # would fail at run time
             {"noise": {"gamma": 0.01, "temperature_mk": -22.0}},
             {"t_max": 10.02},  # not a whole number of steps: the grid would stop at 10.0
+            {"t_max": 100.0000005, "dt": 1e-6},  # half a step off among 10^8
         ],
     )
     def test_load_refuses_what_a_run_fails_on_or_misreads(self, override):
         thermal = {"initial_state": "thermal_of_k_ini", "initial_temperature_mk": 30.0}
         with pytest.raises(ConfigError):
             small_config(**{**thermal, **override})
+
+    def test_load_does_not_build_the_sample_grid(self, monkeypatch):
+        # 10^10 steps of dt but 10^4 samples: loading checks the grid without listing its steps.
+        monkeypatch.setattr(qc.harness, "sample_grid", lambda *a: pytest.fail("grid built at load"))
+        cfg = small_config(t_max=1e4, dt=1e-6, sample_every=10**6)
+        assert cfg.t_max == 1e4
 
     def test_non_json_numbers_refused(self, tmp_path):
         # json.load reads NaN and Infinity by default; a config takes JSON numbers only.
@@ -534,22 +541,24 @@ class TestNoiselessBlocks:
             "bell_head_eigen": qc.eigenbasis_bell_head(n),
             "ground_of_k_ini": qc.ground_state(h_ini).vector,
             "thermal_of_k_ini": qc.thermal_state(h_ini, 0.03),
+            # Real and imaginary parts both nonzero.
+            "mixed_phase": (qc.eigenbasis_bell_head(n) + 1j * qc.eigenbasis_product(n)) / np.sqrt(2.0),
         }
 
-    def series(self, state0, h):
+    def series(self, state0, h, grid=(T_MAX, DT, EVERY)):
         n = int(np.log2(len(state0)))
         out = {p: [] for p in self.PAIRS}
         times = []
-        for ts, acc in propagate(state0, h, qc.RateSet.zero(n), self.T_MAX, self.DT, self.EVERY):
+        for ts, acc in propagate(state0, h, qc.RateSet.zero(n), *grid):
             times.extend(ts)
             for p in self.PAIRS:
                 out[p].extend(acc(p).matrix)
-        assert np.array_equal(times, sample_grid(self.T_MAX, self.DT, self.EVERY))
+        assert np.array_equal(times, sample_grid(*grid))
         return {p: np.array(v) for p, v in out.items()}
 
-    def oracle(self, state0, h):
+    def oracle(self, state0, h, grid=(T_MAX, DT, EVERY)):
         rho0 = qc.density_from_pure(state0) if state0.ndim == 1 else state0
-        states = [unitary_propagate(rho0, h, t) for t in sample_grid(self.T_MAX, self.DT, self.EVERY)]
+        states = [unitary_propagate(rho0, h, t) for t in sample_grid(*grid)]
         return {p: np.array([dense_reduced(rho, p) for rho in states]) for p in self.PAIRS}
 
     @pytest.mark.parametrize("n", [4, 5, 6])
@@ -599,6 +608,40 @@ class TestNoiselessBlocks:
             for p in self.PAIRS:
                 assert np.abs(got[p] - want[p]).max() < 1e-12, (name, p)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            (300.0, 2.5, 1),  # several Chebyshev windows
+            (300.0, 150.0, 1),  # windows that reach no sample
+            (300.0, 2.5, 7),  # a last interval shorter than the others
+        ],
+    )
+    def test_long_and_uneven_grids_match_expm(self, grid):
+        chain = qc.ChainSpec(4, 0.0, 0.2, 0.05)
+        h = qc.build_hamiltonian_eigen(chain)
+        for _, part in h:
+            assert qc.harness._chebyshev_block(part)[2] * grid[0] > 2 * qc.harness._CHEBYSHEV_SPAN
+        for name, state0 in self.initial_states(chain).items():
+            got = self.series(state0, h, grid)
+            want = self.oracle(state0, h, grid)
+            for p in self.PAIRS:
+                assert np.abs(got[p] - want[p]).max() < 1e-12, (name, p)
+
+    def test_blocks_proportional_to_identity_and_of_one_index(self, rng):
+        generic = rng.standard_normal((13, 13))
+        h = [
+            (np.array([0]), np.array([[0.2]])),
+            (np.array([1, 2]), 0.5 * np.eye(2)),
+            (np.arange(3, 16), 0.1 * (generic + generic.T)),
+        ]
+        for _, part in h[:2]:
+            assert qc.harness._chebyshev_block(part)[2] == 0
+        psi0 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        psi0 /= np.linalg.norm(psi0)
+        got, want = self.series(psi0, h), self.oracle(psi0, h)
+        for p in self.PAIRS:
+            assert np.abs(got[p] - want[p]).max() < 1e-12, p
+
     def test_run_scenario_uses_parity_blocks_of_each_member(self):
         # Epsilon disorder breaks the parity split; both kinds of member
         # must reproduce the dense oracle.
@@ -615,74 +658,6 @@ class TestNoiselessBlocks:
                 for p in cfg.observables.pairs:
                     want = [qc.pair_log_negativity(unitary_propagate(rho0, h, t), *p) for t in res.times]
                     assert np.abs(res.member_series(p)[m] - want).max() < 1e-12, (targets, m, p)
-
-
-class TestChebyshevKernel:
-    """State vectors propagated by the Chebyshev kernel against the dense expm oracle.
-
-    Each sample's whole state |psi><psi| must match at 1e-12, across the
-    kernel's windows of a * tau <= _CHEBYSHEV_SPAN and the chunks of at
-    most 2^N samples, each of which starts from the amplitude the one
-    before ended at.
-    """
-
-    def check(self, state0, h, t_max, dt, every=1):
-        sites = tuple(range(1, int(np.log2(len(state0))) + 1))
-        got_times, got = [], []
-        for ts, acc in propagate(state0, h, qc.RateSet.zero(len(sites)), t_max, dt, every):
-            got_times.extend(ts)
-            got.extend(acc(sites).matrix)
-        assert np.array_equal(got_times, sample_grid(t_max, dt, every))
-        rho0 = qc.density_from_pure(state0)
-        for t, rho in zip(got_times, got):
-            assert np.abs(rho - unitary_propagate(rho0, h, t)).max() < 1e-12, t
-
-    def test_long_times_span_several_windows(self):
-        h = qc.build_hamiltonian_eigen(qc.ChainSpec(4, 0.0, 0.2, 0.05))
-        for _, part in h:
-            assert qc.harness._chebyshev_block(part)[2] * 300.0 > 2 * qc.harness._CHEBYSHEV_SPAN
-        self.check(qc.eigenbasis_product(4), h, 300.0, 2.5)
-        self.check(qc.eigenbasis_product(4), h, 300.0, 150.0)  # windows that reach no sample
-
-    def test_many_chunks_at_n4(self):
-        h = qc.build_hamiltonian_eigen(qc.ChainSpec(4, 0.0, 0.1, (0.02, 0.03, 0.025)))
-        assert len(sample_grid(30.0, 0.1, 1)) > 15 * 2**4
-        self.check(qc.eigenbasis_product(4), h, 30.0, 0.1)
-
-    def test_complex_starts(self):
-        chain = qc.ChainSpec(4, 0.0, 0.1, 0.025)
-        h = qc.build_hamiltonian_eigen(chain)
-        ground = qc.ground_state(qc.build_hamiltonian_eigen(chain.with_coupling(0.001))).vector
-        bell = qc.eigenbasis_bell_head(4)
-        # A complex array, a real one, and a start with both parts nonzero.
-        mixed_phase = (bell + 1j * qc.eigenbasis_product(4)) / np.sqrt(2.0)
-        for state0 in (bell, ground, mixed_phase):
-            self.check(state0, h, 120.0, 1.0)
-
-    def test_biased_one_block_chain(self):
-        chain = qc.ChainSpec(4, (0.02, -0.01, 0.03, 0.01), 0.1, 0.025)
-        h = qc.build_hamiltonian_eigen(chain)
-        assert len(h) == 1
-        for state0 in (qc.eigenbasis_product(4), qc.eigenbasis_bell_head(4)):
-            self.check(state0, h, 120.0, 1.0)
-
-    def test_blocks_proportional_to_identity_and_of_one_index(self, rng):
-        generic = rng.standard_normal((5, 5))
-        h = [
-            (np.array([0]), np.array([[0.2]])),
-            (np.array([1, 2]), 0.5 * np.eye(2)),
-            (np.arange(3, 8), 0.1 * (generic + generic.T)),
-        ]
-        for _, part in h[:2]:
-            assert qc.harness._chebyshev_block(part)[2] == 0
-        psi0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        self.check(psi0 / np.linalg.norm(psi0), h, 60.0, 0.5)
-
-    def test_grid_with_a_short_last_interval(self):
-        h = qc.build_hamiltonian_eigen(qc.ChainSpec(4, 0.0, 0.1, 0.025))
-        times = sample_grid(50.0, 0.5, 7)
-        assert times[-1] - times[-2] < times[1] - times[0]
-        self.check(qc.eigenbasis_bell_head(4), h, 50.0, 0.5, 7)
 
 
 class TestNoisyBlocks:

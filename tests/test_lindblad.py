@@ -6,7 +6,16 @@ import pytest
 import qubitchain as qc
 from conftest import dense, random_density_matrix, random_pure_state, site_operator, unitary_propagate, whole
 from qubitchain.harness import propagate
-from qubitchain.lindblad import LindbladGenerator, block_matrix, block_stack, density, real_form, sample_grid, stream
+from qubitchain.lindblad import (
+    LindbladGenerator,
+    block_matrix,
+    block_stack,
+    density,
+    grid_steps,
+    real_form,
+    sample_grid,
+    stream,
+)
 
 
 def sector_rates(n):
@@ -110,6 +119,10 @@ def test_non_finite_values_are_refused(case):
 def test_sample_grid_refuses_a_t_max_off_its_steps(t_max, dt):
     with pytest.raises(ValueError, match="whole number of steps"):
         sample_grid(t_max, dt, 1)
+
+
+def test_grid_steps_counts_a_whole_number_of_steps():
+    assert grid_steps(1e4, 1e-6) == 10**10
 
 
 class TestNbar:
